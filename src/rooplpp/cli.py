@@ -85,7 +85,11 @@ def cmd_run(args):
     trace_fh = None
     tracer = None
     if args.trace:
-        trace_fh = open(args.trace, "w", encoding="utf-8")
+        try:
+            trace_fh = open(args.trace, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
         tracer = lambda record: print(json.dumps(record), file=trace_fh)
 
     direction = BACKWARD if args.reverse else FORWARD
@@ -101,7 +105,11 @@ def cmd_run(args):
             trace_fh.close()
 
     if args.save_state:
-        save_state(args.save_state, result.state)
+        try:
+            save_state(args.save_state, result.state)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
     mem = result.state.memory
     if args.json:

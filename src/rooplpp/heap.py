@@ -15,6 +15,16 @@ list and adjacent below; the partner must also be the only block in the
 list (its link word must be zero), otherwise the inverse control flow is
 inconsistent and deallocation fails with CorruptFree.
 
+Free-block invariant: every word of a free block other than its link word
+is zero.  It holds by induction over allocator steps: `free` refuses a
+block that is not zero-cleared, a merge joins two such blocks, and
+`malloc` zeroes the link word of the block it pops.  So each merge level
+reads only the partner's link word, and `free` costs O(number of free
+lists) word reads, not O(heap).  Words that did not come from the
+allocator can break the invariant; `check_free_blocks` sweeps every free
+block for that case, and `statefile.load_state` runs it on every state it
+loads.
+
 Derived branch predicates for the inverse of the inner conditional, taken
 mechanically from the reversible conditional semantics (evaluate the exit
 assertion, run the inverted branch, require the entry condition to match):
@@ -220,18 +230,18 @@ class MemoryImage:
                                   "push left an empty free list")
             return p
         # inverse of the split: merge with the partner below, which must be
-        # the sole block in this list for the merged block to be clean
+        # the sole block in this list; past its link word the partner is
+        # zero by the free-block invariant, so the merged block is clean
         p -= csize
         self.words[slot] = (head - p) & self.mask
         if self.words[slot] != 0:
             raise MemoryFault("CorruptFree",
                               f"merge partner {p} is not the list head")
-        for a in range(p, p + csize):
-            if self.words[a] != 0:
-                raise MemoryFault(
-                    "CorruptFree",
-                    f"merge partner {p} is not the only block in its free "
-                    f"list (word {a} = {self.words[a]})")
+        if self.words[p] != 0:
+            raise MemoryFault(
+                "CorruptFree",
+                f"merge partner {p} is not the only block in its free "
+                f"list (word {p} = {self.words[p]})")
         p = self._free1(p, osize, counter + 1, csize << 1)
         if self.words[slot] != 0:
             raise MemoryFault("CorruptFree",
@@ -240,14 +250,20 @@ class MemoryImage:
 
     # ----------------------------------------------------- inspection
 
-    def snapshot_free_lists(self) -> FreeListSnapshot:
-        lists = []
-        for i in range(self.num_freelists):
-            size = 1 << (i + 1)
-            addrs = []
-            seen = set()
-            addr = self.words[self.flp + i]
-            while addr != 0:
+    def _free_chain(self, i, strict=True):
+        """Yield the block addresses on free list i, head first.
+
+        A strict walk raises CorruptFree at a cycle or at an address that is
+        not a block of the list's size inside the heap.  A tolerant walk,
+        for dumping a corrupt image, stops at an address outside memory or
+        after heap_end hops instead.
+        """
+        size = 2 << i
+        seen = set()
+        hops = 0
+        addr = self.words[self.flp + i]
+        while addr != 0:
+            if strict:
                 if addr in seen:
                     raise MemoryFault("CorruptFree",
                                       f"free list {size} contains a cycle at {addr}")
@@ -256,25 +272,46 @@ class MemoryImage:
                     raise MemoryFault("CorruptFree",
                                       f"free list {size} holds bad address {addr}")
                 seen.add(addr)
-                addrs.append(addr)
-                addr = self.words[addr]
-            lists.append((size, tuple(addrs)))
-        return FreeListSnapshot(tuple(lists))
+            elif hops > self.heap_end:
+                return
+            yield addr
+            hops += 1
+            addr = self.words[addr] if 0 < addr < self.stack_base else 0
+
+    def snapshot_free_lists(self) -> FreeListSnapshot:
+        return FreeListSnapshot(tuple(
+            (2 << i, tuple(self._free_chain(i)))
+            for i in range(self.num_freelists)))
+
+    def check_free_blocks(self):
+        """Sweep the free lists in the style of `check_refcounts`.
+
+        Every list must be well formed and every word of a free block past
+        its link word must be zero (the free-block invariant the allocator
+        relies on instead of scanning).  Raises MemoryFault("CorruptFree")
+        at the first violation.
+        """
+        words = self.words
+        for i in range(self.num_freelists):
+            for addr in self._free_chain(i):
+                end = addr + (2 << i)
+                # bounded slices: one slice of a top-size block would copy
+                # the whole heap, and indexing word by word is 4x slower
+                for start in range(addr + 1, end, 1024):
+                    chunk = words[start:min(start + 1024, end)]
+                    if any(chunk):
+                        a = start + next(k for k, w in enumerate(chunk) if w)
+                        raise MemoryFault(
+                            "CorruptFree",
+                            f"free block at {addr} not zero-cleared "
+                            f"(word {a} = {words[a]})")
 
     def dump_free_lists(self) -> str:
-        lines = []
-        for i in range(self.num_freelists):
-            size = 1 << (i + 1)
-            chain = []
-            addr = self.words[self.flp + i]
-            hops = 0
-            while addr != 0 and hops <= self.heap_end:
-                chain.append(str(addr))
-                addr = self.words[addr] if 0 < addr < self.stack_base else 0
-                hops += 1
-            chain.append("0")
-            lines.append(f"2^{i + 1}: " + " -> ".join(chain))
-        return "\n".join(lines)
+        return "\n".join(
+            f"2^{i + 1}: " + " -> ".join(
+                [str(addr) for addr in self._free_chain(i, strict=False)]
+                + ["0"])
+            for i in range(self.num_freelists))
 
     def hex_dump(self, start=None, end=None) -> str:
         start = 0 if start is None else start

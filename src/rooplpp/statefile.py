@@ -3,13 +3,17 @@
 Layout: magic ``RPPM``, u16 version, u8 word bits, u8 free-list count,
 u32 stack words, u32 grow blocks, then u64 total words, heap end, frame
 top and step count, followed by the raw word array little-endian.
+
+Loading refuses a file whose length, word count or heap end does not match
+its header, or whose free lists are malformed or hold a block that is not
+zero-cleared past its link word (see `MemoryImage.check_free_blocks`).
 """
 
 from __future__ import annotations
 
 import struct
 
-from .errors import ConfigError
+from .errors import ConfigError, MemoryFault
 from .heap import MemoryConfig, MemoryImage
 from .machine import MachineState
 
@@ -48,10 +52,21 @@ def load_state(path: str) -> MachineState:
     if total != mem.stack_base:
         raise ConfigError(f"{path}: word count {total} does not match the "
                           f"configuration ({mem.stack_base})")
-    fmt = _WORD_FORMATS[word_bits]
-    words = list(struct.unpack_from(f"<{total}{fmt}", blob, _HEADER.size))
-    mem.words = words
+    word_format = struct.Struct(f"<{total}{_WORD_FORMATS[word_bits]}")
+    if len(blob) != _HEADER.size + word_format.size:
+        raise ConfigError(f"{path}: {len(blob)} bytes, expected "
+                          f"{_HEADER.size + word_format.size} for {total} "
+                          "words")
+    if not (mem.heap_end <= heap_end <= mem.heap_max
+            and (heap_end - mem.hp) % mem.top_size == 0):
+        raise ConfigError(f"{path}: heap end {heap_end} does not match the "
+                          "configuration")
+    mem.words = list(word_format.unpack_from(blob, _HEADER.size))
     mem.heap_end = heap_end
+    try:
+        mem.check_free_blocks()
+    except MemoryFault as exc:
+        raise ConfigError(f"{path}: {exc.kind}: {exc.message}") from None
     state = MachineState(mem)
     state.frame_top = frame_top
     state.steps = steps

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from rooplpp.statefile import load_state, save_state
+
 from conftest import CORPUS_DIR, FIXTURES_DIR, corpus_path
 
 
@@ -166,6 +168,47 @@ def test_resume_bad_file_exit_4(tmp_path):
     bad.write_bytes(b"not a state file")
     result = cli("run", "--resume", str(bad), str(corpus_path("Fibonacci")))
     assert result.returncode == 4
+
+
+def _saved_state(tmp_path):
+    state = tmp_path / "good.state"
+    cli("run", "--save-state", str(state), str(corpus_path("Fibonacci")))
+    return state
+
+
+def test_resume_truncated_file_exit_4(tmp_path):
+    clipped = tmp_path / "clipped.state"
+    clipped.write_bytes(_saved_state(tmp_path).read_bytes()[:5000])
+    result = cli("run", "--resume", str(clipped), str(corpus_path("Fibonacci")))
+    assert result.returncode == 4
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_resume_corrupt_free_block_exit_4(tmp_path):
+    state = load_state(str(_saved_state(tmp_path)))
+    mem = state.memory
+    size, addrs = next((size, addrs)
+                       for size, addrs in mem.snapshot_free_lists().lists
+                       if addrs)
+    mem.words[addrs[0] + size - 1] = 1
+    corrupt = tmp_path / "corrupt.state"
+    save_state(str(corrupt), state)
+    result = cli("run", "--resume", str(corrupt), "--reverse",
+                 str(corpus_path("Fibonacci")))
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert "CorruptFree" in result.stderr
+
+
+@pytest.mark.parametrize("flag", ["--save-state", "--trace"])
+def test_unwritable_output_path_exit_4(tmp_path, flag):
+    target = tmp_path / "missing" / "out"
+    result = cli("run", flag, str(target), str(corpus_path("Fibonacci")))
+    assert result.returncode == 4
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_reverse_from_fresh_state(tmp_path):

@@ -243,6 +243,7 @@ def _random_trace(seed, ops=60):
                 continue
             assert oracle.malloc(size) == addr
             live[addr] = size
+        mem.check_free_blocks()
         yield mem, oracle, dict(live)
 
 
@@ -282,9 +283,11 @@ def test_exact_inverse_of_random_sequences():
             except MemoryFault:
                 break
             trace.append((addr, size))
+            mem.check_free_blocks()
             if rng.random() < 0.3 and trace:
                 undo_addr, undo_size = trace.pop()
                 mem.free(undo_addr, undo_size)
+                mem.check_free_blocks()
         snapshot = mem.clone()
         extra = []
         for _ in range(3):
@@ -292,9 +295,65 @@ def test_exact_inverse_of_random_sequences():
                 extra.append((mem.malloc(2), 2))
             except MemoryFault:
                 break
+            mem.check_free_blocks()
         for addr, size in reversed(extra):
             mem.free(addr, size)
+            mem.check_free_blocks()
         assert mem.same_words(snapshot)
+
+
+class _CountingWords(list):
+    """Word list that counts indexed reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("log_heap", [16, 20])
+def test_free_reads_logarithmic_in_heap_size(log_heap):
+    # one malloc+free pair cascades through every size class; a free that
+    # scanned merge partners word by word read the whole heap (65,623
+    # reads on 2^16 words, 1,048,683 on 2^20)
+    mem = init_memory(MemoryConfig(num_freelists=log_heap, stack_words=8))
+    baseline = mem.clone()
+    mem.words = _CountingWords(mem.words)
+    mem.free(mem.malloc(2), 2)
+    assert mem.words.reads < 200
+    assert mem.same_words(baseline)
+
+
+# ------------------------------------------------------- free-block sweep
+
+def test_sweep_detects_nonzero_free_block_interior():
+    mem = fresh()
+    mem.malloc(2)                   # leaves free blocks hp, hp+8, hp+12
+    mem.check_free_blocks()
+    mem.words[mem.hp + 9] = 7       # second word of the free 4-block
+    with pytest.raises(MemoryFault) as exc:
+        mem.check_free_blocks()
+    assert exc.value.kind == "CorruptFree"
+    assert f"word {mem.hp + 9} = 7" in exc.value.message
+
+
+@pytest.mark.parametrize("offset", [1, 1024, 1025, 4095])
+def test_sweep_scans_every_word_of_a_large_free_block(offset):
+    mem = init_memory(MemoryConfig(num_freelists=12, stack_words=8))
+    mem.check_free_blocks()
+    mem.words[mem.hp + offset] = 1
+    with pytest.raises(MemoryFault) as exc:
+        mem.check_free_blocks()
+    assert f"word {mem.hp + offset} = 1" in exc.value.message
+
+
+def test_sweep_detects_malformed_list():
+    mem = fresh()
+    mem.words[mem.flp] = mem.hp + 1     # odd address on the 2-word list
+    with pytest.raises(MemoryFault) as exc:
+        mem.check_free_blocks()
+    assert exc.value.kind == "CorruptFree"
 
 
 # ------------------------------------------------------------ raw access

@@ -65,8 +65,10 @@ def test_lifo_discipline_restores_free_lists(requests):
             live.append((mem.malloc(size), size))
         except Exception:
             break
+    mem.check_free_blocks()
     for addr, size in reversed(live):
         mem.free(addr, size)
+    mem.check_free_blocks()
     assert mem.same_words(baseline)
 
 
@@ -87,6 +89,8 @@ def test_interleaved_lifo_stack_restores(requests, rng):
             live.append((mem.malloc(size), size))
         except Exception:
             continue
+    mem.check_free_blocks()
     for addr, s in reversed(live):
         mem.free(addr, s)
+    mem.check_free_blocks()
     assert mem.same_words(baseline)

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from rooplpp import ConfigError, MemoryConfig, build_class_map, parse, run_program
@@ -52,4 +54,39 @@ def test_version_rejected(tmp_path):
     blob[4] = 99  # version little-endian low byte
     path.write_bytes(bytes(blob))
     with pytest.raises(ConfigError):
+        load_state(str(path))
+
+
+@pytest.mark.parametrize("keep", [100, 5000, -1])
+def test_wrong_length_is_config_error(tmp_path, keep):
+    result = _run("Fibonacci")
+    path = tmp_path / "m.state"
+    save_state(str(path), result.state)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:keep] if keep > 0 else blob + b"\0\0\0\0")
+    with pytest.raises(ConfigError, match="bytes, expected"):
+        load_state(str(path))
+
+
+def test_heap_end_outside_configuration_rejected(tmp_path):
+    result = _run("Fibonacci")
+    path = tmp_path / "m.state"
+    save_state(str(path), result.state)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<Q", blob, 24, 10**9)   # heap end, after the word count
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigError, match="heap end"):
+        load_state(str(path))
+
+
+def test_nonzero_free_block_interior_rejected(tmp_path):
+    result = _run("Fibonacci")
+    mem = result.state.memory
+    size, addrs = next((size, addrs)
+                       for size, addrs in mem.snapshot_free_lists().lists
+                       if addrs)
+    mem.words[addrs[0] + size - 1] = 3
+    path = tmp_path / "m.state"
+    save_state(str(path), result.state)
+    with pytest.raises(ConfigError, match="CorruptFree"):
         load_state(str(path))
