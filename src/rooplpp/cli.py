@@ -32,7 +32,7 @@ def _read_source(path):
         raise SystemExit(EXIT_IO)
 
 
-def _front_end(path):
+def _parse(path):
     source = _read_source(path)
     try:
         program = parse(source)
@@ -44,6 +44,11 @@ def _front_end(path):
     except ClassError as exc:
         print(f"{path}:{exc}", file=sys.stderr)
         raise SystemExit(EXIT_TYPE)
+    return program, class_map
+
+
+def _front_end(path):
+    program, class_map = _parse(path)
     warnings = []
     errors = check_program(program, class_map, warnings=warnings)
     for note in warnings:
@@ -130,16 +135,7 @@ def cmd_run(args):
 
 
 def cmd_invert(args):
-    source = _read_source(args.path)
-    try:
-        program = parse(source)
-        build_class_map(program)
-    except ParseError as exc:
-        print(f"{args.path}:{exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ClassError as exc:
-        print(f"{args.path}:{exc}", file=sys.stderr)
-        return EXIT_TYPE
+    program, _ = _parse(args.path)
     sys.stdout.write(pretty_print(invert_program(program)))
     return OK
 
@@ -192,6 +188,10 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_IO
+    except RecursionError:
+        # only the front end recurses with the host's recursion limit
+        print(f"{args.path}: syntax error: nesting too deep", file=sys.stderr)
+        code = EXIT_PARSE
     raise SystemExit(code)
 
 

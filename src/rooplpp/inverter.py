@@ -13,84 +13,57 @@ everything beneath is inverted normally.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from . import syntax as ast
 
 _MOD_INVERSE = {"+=": "-=", "-=": "+=", "^=": "^="}
 
+# statement kinds that invert to their partner with the same fields
+_PAIRS = ((ast.New, ast.Delete), (ast.Copy, ast.Uncopy),
+          (ast.LocalCall, ast.LocalUncall), (ast.ObjectCall, ast.ObjectUncall))
+INVERSE_KIND = {**dict(_PAIRS), **{b: a for a, b in _PAIRS}}
+_CALLS = (ast.LocalCall, ast.LocalUncall, ast.ObjectCall, ast.ObjectUncall)
 
-def invert_stmt(stmt: ast.Statement) -> ast.Statement:
-    """The inverse statement I[s]."""
-    if isinstance(stmt, ast.Skip):
+
+def invert_stmt(stmt: ast.Statement, keep_calls: bool = False) -> ast.Statement:
+    """The inverse statement I[s].
+
+    With `keep_calls` this is the modified inverter: calls and uncalls
+    survive unchanged at every depth.  Invoking an inverted method then
+    cancels against the body inversion, so whole-program inversion
+    composes.
+    """
+    if keep_calls and isinstance(stmt, _CALLS):
+        return stmt
+    if isinstance(stmt, (ast.Skip, ast.Swap)):
         return stmt
     if isinstance(stmt, ast.Seq):
-        return ast.Seq(tuple(invert_stmt(s) for s in reversed(stmt.stmts)),
-                       span=stmt.span)
+        return ast.Seq(tuple(invert_stmt(s, keep_calls)
+                             for s in reversed(stmt.stmts)), span=stmt.span)
     if isinstance(stmt, ast.Assign):
         return ast.Assign(stmt.target, _MOD_INVERSE[stmt.op], stmt.expr,
                           span=stmt.span)
-    if isinstance(stmt, ast.Swap):
-        return stmt
     if isinstance(stmt, ast.If):
-        return ast.If(stmt.assertion, invert_stmt(stmt.then_body),
-                      invert_stmt(stmt.else_body), stmt.cond, span=stmt.span)
-    if isinstance(stmt, ast.Loop):
-        return ast.Loop(stmt.cond, invert_stmt(stmt.do_body),
-                        invert_stmt(stmt.loop_body), stmt.assertion,
-                        span=stmt.span)
-    if isinstance(stmt, ast.ObjectBlock):
-        return ast.ObjectBlock(stmt.class_name, stmt.var,
-                               invert_stmt(stmt.body), span=stmt.span)
-    if isinstance(stmt, ast.LocalBlock):
-        return ast.LocalBlock(stmt.var_type, stmt.var, stmt.exit,
-                              invert_stmt(stmt.body), stmt.entry,
-                              span=stmt.span)
-    if isinstance(stmt, ast.New):
-        return ast.Delete(stmt.desc, stmt.target, span=stmt.span)
-    if isinstance(stmt, ast.Delete):
-        return ast.New(stmt.desc, stmt.target, span=stmt.span)
-    if isinstance(stmt, ast.Copy):
-        return ast.Uncopy(stmt.desc, stmt.source, stmt.target, span=stmt.span)
-    if isinstance(stmt, ast.Uncopy):
-        return ast.Copy(stmt.desc, stmt.source, stmt.target, span=stmt.span)
-    if isinstance(stmt, ast.LocalCall):
-        return ast.LocalUncall(stmt.method, stmt.args, span=stmt.span)
-    if isinstance(stmt, ast.LocalUncall):
-        return ast.LocalCall(stmt.method, stmt.args, span=stmt.span)
-    if isinstance(stmt, ast.ObjectCall):
-        return ast.ObjectUncall(stmt.callee, stmt.method, stmt.args,
-                                span=stmt.span)
-    if isinstance(stmt, ast.ObjectUncall):
-        return ast.ObjectCall(stmt.callee, stmt.method, stmt.args,
-                              span=stmt.span)
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def _invert_keep_calls(stmt: ast.Statement) -> ast.Statement:
-    """Modified inverter: like invert_stmt but calls and uncalls survive
-    unchanged at every depth.  Invoking an inverted method then cancels
-    against the body inversion, so whole-program inversion composes."""
-    if isinstance(stmt, (ast.LocalCall, ast.LocalUncall,
-                         ast.ObjectCall, ast.ObjectUncall)):
-        return stmt
-    if isinstance(stmt, ast.Seq):
-        return ast.Seq(tuple(_invert_keep_calls(s) for s in reversed(stmt.stmts)),
-                       span=stmt.span)
-    if isinstance(stmt, ast.If):
-        return ast.If(stmt.assertion, _invert_keep_calls(stmt.then_body),
-                      _invert_keep_calls(stmt.else_body), stmt.cond,
+        return ast.If(stmt.assertion, invert_stmt(stmt.then_body, keep_calls),
+                      invert_stmt(stmt.else_body, keep_calls), stmt.cond,
                       span=stmt.span)
     if isinstance(stmt, ast.Loop):
-        return ast.Loop(stmt.cond, _invert_keep_calls(stmt.do_body),
-                        _invert_keep_calls(stmt.loop_body), stmt.assertion,
-                        span=stmt.span)
+        return ast.Loop(stmt.cond, invert_stmt(stmt.do_body, keep_calls),
+                        invert_stmt(stmt.loop_body, keep_calls),
+                        stmt.assertion, span=stmt.span)
     if isinstance(stmt, ast.ObjectBlock):
         return ast.ObjectBlock(stmt.class_name, stmt.var,
-                               _invert_keep_calls(stmt.body), span=stmt.span)
+                               invert_stmt(stmt.body, keep_calls),
+                               span=stmt.span)
     if isinstance(stmt, ast.LocalBlock):
         return ast.LocalBlock(stmt.var_type, stmt.var, stmt.exit,
-                              _invert_keep_calls(stmt.body), stmt.entry,
+                              invert_stmt(stmt.body, keep_calls), stmt.entry,
                               span=stmt.span)
-    return invert_stmt(stmt)
+    if type(stmt) in INVERSE_KIND:
+        return INVERSE_KIND[type(stmt)](**{f.name: getattr(stmt, f.name)
+                                           for f in fields(stmt)})
+    raise TypeError(f"not a statement: {stmt!r}")
 
 
 def invert_program(program: ast.Program) -> ast.Program:
@@ -98,8 +71,8 @@ def invert_program(program: ast.Program) -> ast.Program:
     classes = []
     for cls in program.classes:
         methods = tuple(
-            ast.MethodDecl(m.name, m.params, _invert_keep_calls(m.body),
-                           span=m.span)
+            ast.MethodDecl(m.name, m.params,
+                           invert_stmt(m.body, keep_calls=True), span=m.span)
             for m in cls.methods)
         classes.append(ast.ClassDecl(cls.name, cls.parent, cls.fields,
                                      methods, span=cls.span))

@@ -1,15 +1,18 @@
-"""Direction-aware tree-walking interpreter.
+"""Executor: each method body is compiled once into closures.
 
 Values are machine words; object values are the addresses of their
 headers and 0 encodes nil.  An object at address a stores its class id at
 a and a reference count at a+1, fields follow.  An array stores its
 length at a and a reference count at a+1, cells follow.
 
-Every environment binding maps a variable to the address of the word
-holding its value, so parameter passing is call-by-reference and swaps
-between locals, fields and array cells are uniform word exchanges.
-Executing a statement backward is observationally identical to executing
-its source-level inverse forward.
+A body is compiled into nested Python closures (Feeley & Lapalme, "Using
+closures for code generation", 1987) on its first invocation, once per
+(concrete class, method, direction) and run.  A backward body is compiled
+from its source-level inverse, so uncall and a reversed run execute
+forward code.  A compiled body runs over a frame: the addresses of the
+words holding its variables.  Index 0 is the this-slot, then come the
+fields (`obj + 2 + i`), the parameters (the caller's slots, so passing is
+by reference) and the local blocks.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ import sys
 from dataclasses import dataclass
 
 from .classes import ClassMap
-from .errors import ExecutionError, MemoryFault, RuntimeErrorKind, Span
+from .errors import ExecutionError, MemoryFault, RuntimeErrorKind
 from .heap import MemoryConfig, MemoryImage, init_memory
+from .inverter import INVERSE_KIND, invert_stmt
 from .typecheck import main_class_of
 from . import syntax as ast
 
@@ -28,70 +32,66 @@ E = RuntimeErrorKind
 FORWARD = "forward"
 BACKWARD = "backward"
 
+# trace records of a backward body name the source statement's kind
+_SOURCE_KIND = {a.__name__: b.__name__ for a, b in INVERSE_KIND.items()}
+_FAULT_KINDS = {"NilFault": E.NIL_DEREFERENCE, "AddressFault": E.ADDRESS_FAULT,
+                "OutOfMemory": E.OUT_OF_MEMORY, "CorruptFree": E.CORRUPT_FREE}
 
-def _flip(direction):
-    return BACKWARD if direction == FORWARD else FORWARD
 
-
-def apply_binop(op: str, v1: int, v2: int, word_bits: int = 32) -> int:
-    """Binary operator table over two's-complement words.
-
-    All comparisons return 1 when the relation holds.  Division truncates
-    toward zero; the remainder takes the dividend's sign.  Arithmetic
-    wraps at the word width.
-    """
+def _operators(word_bits: int) -> dict:
+    """Binary operator table over two's-complement words: arithmetic wraps
+    at the word width and comparisons return 1 when the relation holds."""
     mask = (1 << word_bits) - 1
     sign = 1 << (word_bits - 1)
 
     def signed(v):
         return v - (1 << word_bits) if v & sign else v
 
-    if op == "+":
-        return (v1 + v2) & mask
-    if op == "-":
-        return (v1 - v2) & mask
-    if op == "*":
-        return (v1 * v2) & mask
-    if op == "^":
-        return v1 ^ v2
-    if op == "&":
-        return v1 & v2
-    if op == "|":
-        return v1 | v2
-    if op == "/":
-        s1, s2 = signed(v1), signed(v2)
-        if s2 == 0:
-            raise ZeroDivisionError
-        q = abs(s1) // abs(s2)
-        if (s1 < 0) != (s2 < 0):
-            q = -q
-        return q & mask
-    if op == "%":
-        s1, s2 = signed(v1), signed(v2)
-        if s2 == 0:
-            raise ZeroDivisionError
-        q = abs(s1) // abs(s2)
-        if (s1 < 0) != (s2 < 0):
-            q = -q
-        return (s1 - q * s2) & mask
-    if op == "&&":
-        return 0 if v1 == 0 or v2 == 0 else 1
-    if op == "||":
-        return 0 if v1 == 0 and v2 == 0 else 1
-    s1, s2 = signed(v1), signed(v2)
-    if op == "<":
-        return 1 if s1 < s2 else 0
-    if op == ">":
-        return 1 if s1 > s2 else 0
-    if op == "<=":
-        return 1 if s1 <= s2 else 0
-    if op == ">=":
-        return 1 if s1 >= s2 else 0
-    if op == "=":
-        return 1 if v1 == v2 else 0
-    if op == "!=":
-        return 1 if v1 != v2 else 0
-    raise ValueError(f"unknown operator {op!r}")
+    # truncating division: the quotient is negative when the signs differ
+    # and the remainder takes the dividend's sign; `//` by 0 raises
+    def divide(v1, v2):
+        if v1 < sign and v2 < sign:
+            return v1 // v2
+        q = abs(signed(v1)) // abs(signed(v2))
+        return (-q if (v1 ^ v2) & sign else q) & mask
+
+    def remainder(v1, v2):
+        if v1 < sign and v2 < sign:
+            return v1 % v2
+        r = abs(signed(v1)) % abs(signed(v2))
+        return (-r if v1 & sign else r) & mask
+
+    # flipping the sign bit maps two's-complement order to unsigned order
+    return {
+        "+": lambda v1, v2: (v1 + v2) & mask,
+        "-": lambda v1, v2: (v1 - v2) & mask,
+        "*": lambda v1, v2: (v1 * v2) & mask,
+        "^": lambda v1, v2: v1 ^ v2,
+        "&": lambda v1, v2: v1 & v2,
+        "|": lambda v1, v2: v1 | v2,
+        "/": divide,
+        "%": remainder,
+        "&&": lambda v1, v2: 1 if v1 and v2 else 0,
+        "||": lambda v1, v2: 1 if v1 or v2 else 0,
+        "<": lambda v1, v2: 1 if (v1 ^ sign) < (v2 ^ sign) else 0,
+        ">": lambda v1, v2: 1 if (v1 ^ sign) > (v2 ^ sign) else 0,
+        "<=": lambda v1, v2: 1 if (v1 ^ sign) <= (v2 ^ sign) else 0,
+        ">=": lambda v1, v2: 1 if (v1 ^ sign) >= (v2 ^ sign) else 0,
+        "=": lambda v1, v2: 1 if v1 == v2 else 0,
+        "!=": lambda v1, v2: 1 if v1 != v2 else 0,
+    }
+
+
+_OPERATORS = {bits: _operators(bits) for bits in (16, 32, 64)}
+
+
+def apply_binop(op: str, v1: int, v2: int, word_bits: int = 32) -> int:
+    """`op` from the operator table of `word_bits`-wide words; `/` and `%`
+    by zero raise ZeroDivisionError."""
+    ops = _OPERATORS.get(word_bits) or _operators(word_bits)
+    if op not in ops:
+        raise ValueError(f"unknown operator {op!r}")
+    return ops[op](v1, v2)
 
 
 @dataclass
@@ -101,14 +101,6 @@ class Env:
 
     bindings: dict[str, tuple[int, ast.TypeName]]
     this_slot: int | None = None
-
-    def slot(self, name) -> tuple[int, ast.TypeName]:
-        return self.bindings[name]
-
-    def bind(self, name, addr, ty) -> "Env":
-        new = dict(self.bindings)
-        new[name] = (addr, ty)
-        return Env(new, self.this_slot)
 
 
 class MachineState:
@@ -121,11 +113,6 @@ class MachineState:
         self.tracer = None
         self._touched: list[int] = []
 
-    def poke(self, addr, value):
-        self.memory.write_word(addr, value)
-        if self.tracer is not None:
-            self._touched.append(addr)
-
     def signed(self, word):
         bits = self.memory.word_bits
         return word - (1 << bits) if word & (1 << (bits - 1)) else word
@@ -136,9 +123,6 @@ class MachineState:
                                  "frame region collided with the heap", span)
         self.frame_top -= 1
         return self.frame_top
-
-    def pop_frame_word(self):
-        self.frame_top += 1
 
 
 @dataclass
@@ -151,405 +135,450 @@ class RunResult:
 
 
 class Interpreter:
+    """Compiles statements to closures over one machine state and runs
+    them.  Method bodies are cached per (class id, method, direction) for
+    the interpreter's life, one run; `state.tracer` is read once, here."""
+
     def __init__(self, class_map: ClassMap, state: MachineState):
         self.class_map = class_map
         self.state = state
         self.mem = state.memory
-        self.call_spans: list[Span] = []
+        self.words = words = state.memory.words
+        self.ops = _OPERATORS[self.mem.word_bits]  # widths are validated
+        self.call_stack: list[str] = []
+        self.methods: dict[tuple[int, str, bool], tuple] = {}
+        self.tracer = state.tracer
 
-    # ----------------------------------------------------------- errors
-
-    def fail(self, kind, message, span):
-        raise ExecutionError(kind, message, span, trace=tuple(self.call_spans))
-
-    def _wrap_fault(self, fault: MemoryFault, span):
-        kind = {
-            "NilFault": E.NIL_DEREFERENCE,
-            "AddressFault": E.ADDRESS_FAULT,
-            "OutOfMemory": E.OUT_OF_MEMORY,
-            "CorruptFree": E.CORRUPT_FREE,
-        }[fault.kind]
-        self.fail(kind, fault.message, span)
-
-    # ------------------------------------------------------ expressions
-
-    def eval_expr(self, env: Env, expr: ast.Expression) -> int:
-        if isinstance(expr, ast.Constant):
-            return expr.value & self.mem.mask
-        if isinstance(expr, ast.Nil):
-            return 0
-        if isinstance(expr, ast.Variable):
-            addr, _ = env.slot(expr.name)
-            return self.mem.read_word(addr)
-        if isinstance(expr, ast.ArrayElement):
-            cell = self.array_cell_addr(env, expr.name, expr.index, expr.span)
-            return self.mem.read_word(cell)
-        if isinstance(expr, ast.BinOp):
-            v1 = self.eval_expr(env, expr.left)
-            v2 = self.eval_expr(env, expr.right)
-            try:
-                return apply_binop(expr.op, v1, v2, self.mem.word_bits)
-            except ZeroDivisionError:
-                self.fail(E.DIVISION_BY_ZERO,
-                          f"division by zero in {expr.op}", expr.span)
-        raise TypeError(f"not an expression: {expr!r}")
-
-    def array_cell_addr(self, env, name, index_expr, span) -> int:
-        addr, _ = env.slot(name)
-        base = self.mem.read_word(addr)
-        if base == 0:
-            self.fail(E.UNINITIALIZED_ARRAY,
-                      f"array {name} has not been allocated", span)
-        length = self.mem.read_word(base)
-        idx = self.state.signed(self.eval_expr(env, index_expr))
-        if not 0 <= idx < length:
-            self.fail(E.INDEX_OUT_OF_BOUNDS,
-                      f"index {idx} outside [0, {length}) of {name}", span)
-        return base + 2 + idx
-
-    def lvalue_addr(self, env, lv: ast.LValue) -> int:
-        if lv.is_cell:
-            return self.array_cell_addr(env, lv.name, lv.index, lv.span)
-        addr, _ = env.slot(lv.name)
-        return addr
-
-    # ------------------------------------------------------- statements
+        def poke(addr, value):
+            words[addr] = value
+            state._touched.append(addr)
+        self.put = words.__setitem__ if self.tracer is None else poke
 
     def exec_stmt(self, env: Env, stmt: ast.Statement, direction=FORWARD):
+        """Run one statement in `env`; backward runs its inverse."""
+        names, frame = self._env_frame(env)
+        self._compile(stmt, names, direction == BACKWARD)(frame)
+
+    def eval_expr(self, env: Env, expr: ast.Expression) -> int:
+        names, frame = self._env_frame(env)
+        return self._expr(expr, names)(frame)
+
+    @staticmethod
+    def _env_frame(env):
+        names = {name: 1 + i for i, name in enumerate(env.bindings)}
+        return names, [env.this_slot, *(a for a, _ in env.bindings.values())]
+
+    def _method(self, info, name, backward):
+        """(body, field count, label) of `name` on `info`, compiled once."""
+        key = (info.class_id, name, backward)
+        if key not in self.methods:
+            mdecl = info.methods[name]
+            names = {x: 1 + i for i, (_, x) in
+                     enumerate(info.fields + mdecl.params)}  # params win
+            run = self._compile(mdecl.body, names, backward)
+            self.methods[key] = run, len(info.fields), f"{info.name}::{name}"
+        return self.methods[key]
+
+    def _compile(self, stmt, names, backward):
+        """Compile `stmt`, or its inverse for a backward body."""
+        self.backward = backward  # read by _stmt for the trace records
+        return self._stmt(invert_stmt(stmt) if backward else stmt, names)
+
+    def fail(self, kind, message, span):
+        raise ExecutionError(kind, message, span, trace=tuple(self.call_stack))
+
+    # ------------------------------------------------------ expressions
+    # Each compiles to a closure from the frame to a word.
+
+    def _expr(self, expr, names):
+        words = self.words
+        if isinstance(expr, ast.Constant):
+            value = expr.value & self.mem.mask
+            return lambda a: value
+        if isinstance(expr, ast.Nil):
+            return lambda a: 0
+        if isinstance(expr, ast.Variable):
+            k = names[expr.name]
+            return lambda a: words[a[k]]
+        if isinstance(expr, ast.ArrayElement):
+            cell = self._cell(expr.name, expr.index, expr.span, names)
+            return lambda a: words[cell(a)]
+        if isinstance(expr, ast.BinOp):
+            return self._binop(expr, names)
+        raise TypeError(f"not an expression: {expr!r}")
+
+    def _binop(self, expr, names):
+        words, left, right = self.words, expr.left, expr.right
+        c = right.value & self.mem.mask \
+            if isinstance(right, ast.Constant) else None
+        f = op = self.ops[expr.op]
+        if expr.op in ("/", "%") and not c:
+            fail, span = self.fail, expr.span
+
+            def f(v1, v2):
+                if v2 == 0:
+                    fail(E.DIVISION_BY_ZERO, f"division by zero in {expr.op}",
+                         span)
+                return op(v1, v2)
+        # variable and constant operands are read in place
+        lf, rf = self._expr(left, names), self._expr(right, names)
+        lk = names[left.name] if isinstance(left, ast.Variable) else None
+        if c is not None:
+            if lk is not None:
+                return lambda a: f(words[a[lk]], c)
+            return lambda a: f(lf(a), c)
+        if lk is not None and isinstance(right, ast.Variable):
+            rk = names[right.name]
+            return lambda a: f(words[a[lk]], words[a[rk]])
+        return lambda a: f(lf(a), rf(a))
+
+    def _cell(self, name, index_expr, span, names):
+        """Closure giving the checked address of `name[index]`."""
+        words, fail, signed = self.words, self.fail, self.state.signed
+        sign = 1 << (self.mem.word_bits - 1)
+        k, index = names[name], self._expr(index_expr, names)
+
+        def cell(a):
+            base = words[a[k]]
+            if base == 0:
+                fail(E.UNINITIALIZED_ARRAY,
+                     f"array {name} has not been allocated", span)
+            length = words[base]
+            i = index(a)
+            if i >= length or i >= sign:
+                fail(E.INDEX_OUT_OF_BOUNDS,
+                     f"index {signed(i)} outside [0, {length}) of {name}",
+                     span)
+            return base + 2 + i
+        return cell
+
+    def _lvalue(self, lv, names):
+        """Closure giving the address of the word `lv` names."""
+        if lv.is_cell:
+            return self._cell(lv.name, lv.index, lv.span, names)
+        k = names[lv.name]
+        return lambda a: a[k]
+
+    def _length(self, desc, names, span):
+        """Closure giving the positive length of an array descriptor."""
+        length, fail, signed = self._expr(desc.length, names), self.fail, \
+            self.state.signed
+
+        def checked(a):
+            n = signed(length(a))
+            if n < 1:
+                fail(E.INVALID_ARRAY_LENGTH,
+                     f"array length {n} is not positive", span)
+            return n
+        return checked
+
+    # ------------------------------------------------------- statements
+    # Each compiles to a closure that runs it over the frame.  A local
+    # block appends its slot to the frame and pops it on exit, so its
+    # index is one past every name in scope.
+
+    def _stmt(self, stmt, names):
         if isinstance(stmt, ast.Seq):
-            parts = stmt.stmts if direction == FORWARD else tuple(reversed(stmt.stmts))
-            for s in parts:
-                self.exec_stmt(env, s, direction)
-            return
-        self.state.steps += 1
-        if self.state.steps > self.state.step_limit:
-            self.fail(E.STEP_LIMIT_EXCEEDED,
-                      f"exceeded {self.state.step_limit} steps", stmt.span)
-        if self.state.tracer is not None:
-            self.state._touched = []
-        handler = getattr(self, "_exec_" + type(stmt).__name__)
-        handler(env, stmt, direction)
-        if self.state.tracer is not None:
-            self.state.tracer({
-                "span": [stmt.span.line, stmt.span.col,
-                         stmt.span.end_line, stmt.span.end_col],
-                "rule": type(stmt).__name__,
-                "direction": direction,
-                "touched": sorted(set(self.state._touched)),
-            })
+            parts = tuple(self._stmt(s, names) for s in stmt.stmts)
 
-    def _exec_Skip(self, env, stmt, direction):
-        pass
+            def seq(a):
+                for part in parts:
+                    part(a)
+            return seq
+        kind = type(stmt).__name__
+        act = getattr(self, "_c_" + kind)(stmt, names)
+        st, fail, span, tracer = self.state, self.fail, stmt.span, self.tracer
+        rule = _SOURCE_KIND.get(kind, kind) if self.backward else kind
+        direction = BACKWARD if self.backward else FORWARD
+        where = (span.line, span.col, span.end_line, span.end_col)
 
-    def _exec_Assign(self, env, stmt: ast.Assign, direction):
-        op = stmt.op if direction == FORWARD else {"+=": "-=", "-=": "+=",
-                                                   "^=": "^="}[stmt.op]
-        addr = self.lvalue_addr(env, stmt.target)
-        value = self.eval_expr(env, stmt.expr)
-        old = self.mem.read_word(addr)
-        self.state.poke(addr, apply_binop(op[0], old, value, self.mem.word_bits))
+        def step(a):
+            st.steps += 1
+            if st.steps > st.step_limit:
+                fail(E.STEP_LIMIT_EXCEEDED,
+                     f"exceeded {st.step_limit} steps", span)
+            if tracer is None:
+                return act(a)
+            st._touched = []
+            act(a)
+            # an enclosing statement may still append to this list
+            touched = st._touched
+            tracer({"span": [*where], "rule": rule, "direction": direction,
+                    "touched": sorted(set(touched)) if len(touched) > 1
+                    else touched[:]})
+        return step
 
-    def _exec_Swap(self, env, stmt: ast.Swap, direction):
-        left = self.lvalue_addr(env, stmt.left)
-        right = self.lvalue_addr(env, stmt.right)
-        lv, rv = self.mem.read_word(left), self.mem.read_word(right)
-        self.state.poke(left, rv)
-        self.state.poke(right, lv)
+    def _c_Skip(self, stmt, names):
+        return lambda a: None
 
-    def _exec_If(self, env, stmt: ast.If, direction):
-        if direction == FORWARD:
-            entry, exit_ = stmt.cond, stmt.assertion
-        else:
-            entry, exit_ = stmt.assertion, stmt.cond
-        taken = self.eval_expr(env, entry) != 0
-        body = stmt.then_body if taken else stmt.else_body
-        self.exec_stmt(env, body, direction)
-        after = self.eval_expr(env, exit_) != 0
-        if after != taken:
-            self.fail(E.ASSERTION_FAILED_IF,
-                      f"exit assertion is {'true' if after else 'false'} after "
-                      f"the {'then' if taken else 'else'} branch", stmt.span)
+    def _c_Assign(self, stmt, names):
+        f, value = self.ops[stmt.op[0]], self._expr(stmt.expr, names)
+        words, put, target = self.words, self.put, \
+            self._lvalue(stmt.target, names)
 
-    def _exec_Loop(self, env, stmt: ast.Loop, direction):
-        if direction == FORWARD:
-            entry, exit_ = stmt.assertion, stmt.cond
-        else:
-            entry, exit_ = stmt.cond, stmt.assertion
-        if self.eval_expr(env, entry) == 0:
-            self.fail(E.ASSERTION_FAILED_LOOP_ENTRY,
-                      "loop entry assertion is false", stmt.span)
-        while True:
-            self.exec_stmt(env, stmt.do_body, direction)
-            if self.eval_expr(env, exit_) != 0:
-                break
-            self.exec_stmt(env, stmt.loop_body, direction)
-            if self.eval_expr(env, entry) != 0:
-                self.fail(E.ASSERTION_FAILED_LOOP,
-                          "loop entry assertion became true again", stmt.span)
+        def assign(a):
+            addr = target(a)
+            put(addr, f(words[addr], value(a)))
+        return assign
 
-    def _exec_LocalBlock(self, env, stmt: ast.LocalBlock, direction):
-        entry = stmt.entry if direction == FORWARD else stmt.exit
-        exit_ = stmt.exit if direction == FORWARD else stmt.entry
-        v1 = self.eval_expr(env, entry)
-        slot = self.state.push_frame_word(stmt.span)
-        self.state.poke(slot, v1)
-        self._retain(stmt.var_type, v1)
-        self.state.live_slots.append((slot, stmt.var_type))
-        inner = env.bind(stmt.var, slot, stmt.var_type)
-        self.exec_stmt(inner, stmt.body, direction)
-        v2 = self.eval_expr(env, exit_)
-        cur = self.mem.read_word(slot)
-        if cur != v2:
-            self.fail(E.DELOCAL_MISMATCH,
-                      f"{stmt.var} holds {self.state.signed(cur)}, delocal "
-                      f"expects {self.state.signed(v2)}", stmt.span)
-        self._release(stmt.var_type, cur, stmt.span)
-        self.state.live_slots.pop()
-        self.state.poke(slot, 0)
-        self.state.pop_frame_word()
+    def _c_Swap(self, stmt, names):
+        left = self._lvalue(stmt.left, names)
+        right = self._lvalue(stmt.right, names)
+        words, put = self.words, self.put
 
-    def _retain(self, ty, value):
-        if value != 0 and not isinstance(ty, ast.IntType):
-            self.state.poke(value + 1, self.mem.read_word(value + 1) + 1)
+        def swap(a):
+            la, ra = left(a), right(a)
+            lv, rv = words[la], words[ra]
+            put(la, rv)
+            put(ra, lv)
+        return swap
 
-    def _release(self, ty, value, span):
-        if value != 0 and not isinstance(ty, ast.IntType):
-            rc = self.mem.read_word(value + 1)
-            if rc < 2:
-                self.fail(E.CORRUPT_FREE,
-                          "reference count would drop below one", span)
-            self.state.poke(value + 1, rc - 1)
+    def _c_If(self, stmt, names):
+        cond = self._expr(stmt.cond, names)
+        assertion = self._expr(stmt.assertion, names)
+        then = self._stmt(stmt.then_body, names)
+        other = self._stmt(stmt.else_body, names)
+        fail, span = self.fail, stmt.span
 
-    def _exec_ObjectBlock(self, env, stmt: ast.ObjectBlock, direction):
-        # construct c x  s  destruct x   is the dynamic pair wrapped in a
-        # local nil block: allocate at entry, deallocate at exit, in both
-        # directions
-        slot = self.state.push_frame_word(stmt.span)
-        ty = ast.ClassRef(stmt.class_name)
-        self.state.live_slots.append((slot, ty))
-        inner = env.bind(stmt.var, slot, ty)
-        target = ast.LValue(stmt.var, span=stmt.span)
-        self._new_object(inner, stmt.class_name, target, stmt.span)
-        self.exec_stmt(inner, stmt.body, direction)
-        self._delete_object(inner, stmt.class_name, target, stmt.span)
-        self.state.live_slots.pop()
-        self.state.pop_frame_word()
+        def if_(a):
+            taken = cond(a) != 0
+            (then if taken else other)(a)
+            after = assertion(a) != 0
+            if after != taken:
+                fail(E.ASSERTION_FAILED_IF,
+                     f"exit assertion is {'true' if after else 'false'} "
+                     f"after the {'then' if taken else 'else'} branch", span)
+        return if_
+
+    def _c_Loop(self, stmt, names):
+        entry = self._expr(stmt.assertion, names)
+        exit_ = self._expr(stmt.cond, names)
+        do = self._stmt(stmt.do_body, names)
+        loop = self._stmt(stmt.loop_body, names)
+        fail, span = self.fail, stmt.span
+
+        def from_(a):
+            if entry(a) == 0:
+                fail(E.ASSERTION_FAILED_LOOP_ENTRY,
+                     "loop entry assertion is false", span)
+            do(a)
+            while exit_(a) == 0:
+                loop(a)
+                if entry(a) != 0:
+                    fail(E.ASSERTION_FAILED_LOOP,
+                         "loop entry assertion became true again", span)
+                do(a)
+        return from_
+
+    @staticmethod
+    def _scope(names, var):
+        return {**names, var: max(names.values(), default=0) + 1}
+
+    def _c_LocalBlock(self, stmt, names):
+        entry = self._expr(stmt.entry, names)
+        exit_ = self._expr(stmt.exit, names)  # the local is out of scope
+        inner = self._stmt(stmt.body, self._scope(names, stmt.var))
+        st, words, put, fail = self.state, self.words, self.put, self.fail
+        live, mask, span, ty = st.live_slots, self.mem.mask, stmt.span, \
+            stmt.var_type
+        counted = not isinstance(ty, ast.IntType)
+
+        def local(a):
+            v1 = entry(a)
+            slot = st.push_frame_word(span)
+            put(slot, v1)
+            if counted and v1 != 0:
+                put(v1 + 1, (words[v1 + 1] + 1) & mask)
+            live.append((slot, ty))
+            a.append(slot)
+            inner(a)
+            a.pop()
+            v2 = exit_(a)
+            cur = words[slot]
+            if cur != v2:
+                fail(E.DELOCAL_MISMATCH,
+                     f"{stmt.var} holds {st.signed(cur)}, delocal expects "
+                     f"{st.signed(v2)}", span)
+            if counted and cur != 0:
+                if words[cur + 1] < 2:
+                    fail(E.CORRUPT_FREE,
+                         "reference count would drop below one", span)
+                put(cur + 1, words[cur + 1] - 1)
+            live.pop()
+            put(slot, 0)
+            st.frame_top += 1
+        return local
+
+    def _c_ObjectBlock(self, stmt, names):
+        # construct c x  s  destruct x  is new/delete around a local nil
+        # block: allocate at entry and deallocate at exit in either direction
+        names = self._scope(names, stmt.var)
+        inner = self._stmt(stmt.body, names)
+        desc, span = ast.AllocDesc(stmt.class_name), stmt.span
+        target = ast.LValue(stmt.var, span=span)
+        new = self._c_New(ast.New(desc, target, span=span), names)
+        delete = self._c_Delete(ast.Delete(desc, target, span=span), names)
+        st, live, ty = self.state, self.state.live_slots, desc.declared_type()
+
+        def block(a):
+            slot = st.push_frame_word(span)
+            live.append((slot, ty))
+            a.append(slot)
+            new(a)
+            inner(a)
+            delete(a)
+            a.pop()
+            live.pop()
+            st.frame_top += 1
+        return block
 
     # ------------------------------------------------- new/delete/copy
 
-    def _exec_New(self, env, stmt, direction):
-        if direction == FORWARD:
-            self._do_new(env, stmt.desc, stmt.target, stmt.span)
-        else:
-            self._do_delete(env, stmt.desc, stmt.target, stmt.span)
+    def _c_New(self, stmt, names):
+        target, desc, span = self._lvalue(stmt.target, names), stmt.desc, \
+            stmt.span
+        words, put, fail = self.words, self.put, self.fail
+        length = self._length(desc, names, span) if desc.is_array else None
+        info = None if desc.is_array else self.class_map[desc.name]
+        what = "array" if info is None else desc.name
 
-    def _exec_Delete(self, env, stmt, direction):
-        if direction == FORWARD:
-            self._do_delete(env, stmt.desc, stmt.target, stmt.span)
-        else:
-            self._do_new(env, stmt.desc, stmt.target, stmt.span)
+        def new(a):
+            slot = target(a)
+            if words[slot] != 0:
+                fail(E.NEW_TARGET_NOT_NIL, f"target of new {what} is not nil",
+                     span)
+            header = info.class_id if length is None else length(a)
+            size = info.alloc_words if length is None else header + 2
+            try:
+                addr = self.mem.malloc(size)
+            except MemoryFault as fault:
+                fail(_FAULT_KINDS[fault.kind], fault.message, span)
+            put(addr, header)
+            put(addr + 1, 1)
+            put(slot, addr)
+        return new
 
-    def _do_new(self, env, desc, target, span):
-        if desc.is_array:
-            self._new_array(env, desc, target, span)
-        else:
-            self._new_object(env, desc.name, target, span)
+    def _c_Delete(self, stmt, names):
+        target, desc, span = self._lvalue(stmt.target, names), stmt.desc, \
+            stmt.span
+        words, put, fail = self.words, self.put, self.fail
+        length = self._length(desc, names, span) if desc.is_array else None
 
-    def _do_delete(self, env, desc, target, span):
-        if desc.is_array:
-            self._delete_array(env, desc, target, span)
-        else:
-            self._delete_object(env, desc.name, target, span)
+        def delete(a):
+            slot = target(a)
+            addr = words[slot]
+            if addr == 0:
+                fail(E.NIL_DEREFERENCE, "delete of a nil array" if length
+                     else f"delete {desc.name} on a nil reference", span)
+            info = None if length else self._class_at(addr, span)
+            payload = length(a) if length else info.payload_words
+            if length and words[addr] != payload:
+                fail(E.ARRAY_LENGTH_MISMATCH, f"delete names length {payload}"
+                     f", array was allocated with {words[addr]}", span)
+            if words[addr + 1] != 1:
+                fail(E.DANGLING_REFERENCE_ON_DELETE,
+                     f"{'array' if length else 'object'} still has "
+                     f"{words[addr + 1]} references", span)
+            cells = words[addr + 2:addr + 2 + payload]
+            if any(cells):
+                i = next(i for i, w in enumerate(cells) if w)
+                if info is None:
+                    fail(E.NON_ZERO_CELLS_ON_DELETE,
+                         f"cell {i} is not zero-cleared", span)
+                fail(E.NON_ZERO_FIELDS_ON_DELETE,
+                     f"field {info.fields[i][1]} is not zero-cleared", span)
+            put(addr, 0)
+            put(addr + 1, 0)
+            try:
+                self.mem.free(addr, payload + 2 if length
+                              else info.alloc_words)
+            except MemoryFault as fault:
+                fail(_FAULT_KINDS[fault.kind], fault.message, span)
+            put(slot, 0)
+        return delete
 
-    def _new_object(self, env, class_name, target, span):
-        slot = self.lvalue_addr(env, target)
-        if self.mem.read_word(slot) != 0:
-            self.fail(E.NEW_TARGET_NOT_NIL,
-                      f"target of new {class_name} is not nil", span)
-        info = self.class_map[class_name]
+    def _class_at(self, addr, span):
         try:
-            addr = self.mem.malloc(info.alloc_words)
-        except MemoryFault as fault:
-            self._wrap_fault(fault, span)
-        self.state.poke(addr, info.class_id)
-        self.state.poke(addr + 1, 1)
-        self.state.poke(slot, addr)
-
-    def _delete_object(self, env, class_name, target, span):
-        slot = self.lvalue_addr(env, target)
-        addr = self.mem.read_word(slot)
-        if addr == 0:
-            self.fail(E.NIL_DEREFERENCE,
-                      f"delete {class_name} on a nil reference", span)
-        class_id = self.mem.read_word(addr)
-        try:
-            info = self.class_map.by_id(class_id)
+            return self.class_map.by_id(self.words[addr])
         except KeyError:
             self.fail(E.CORRUPT_FREE,
                       f"word at {addr} is not an object header", span)
-        if self.mem.read_word(addr + 1) != 1:
-            self.fail(E.DANGLING_REFERENCE_ON_DELETE,
-                      f"object still has {self.mem.read_word(addr + 1)} "
-                      "references", span)
-        for i in range(info.payload_words):
-            if self.mem.read_word(addr + 2 + i) != 0:
-                self.fail(E.NON_ZERO_FIELDS_ON_DELETE,
-                          f"field {info.fields[i][1]} is not zero-cleared",
-                          span)
-        self.state.poke(addr, 0)
-        self.state.poke(addr + 1, 0)
-        try:
-            self.mem.free(addr, info.alloc_words)
-        except MemoryFault as fault:
-            self._wrap_fault(fault, span)
-        self.state.poke(slot, 0)
 
-    def _array_length_of(self, env, desc, span) -> int:
-        n = self.state.signed(self.eval_expr(env, desc.length))
-        if n < 1:
-            self.fail(E.INVALID_ARRAY_LENGTH,
-                      f"array length {n} is not positive", span)
-        return n
+    def _c_Copy(self, stmt, names):
+        source = self._lvalue(stmt.source, names)
+        target = self._lvalue(stmt.target, names)
+        desc, uncopy = stmt.desc, isinstance(stmt, ast.Uncopy)
+        length = self._expr(desc.length, names) if desc.is_array else None
+        nil_kind = E.UNINITIALIZED_ARRAY if desc.is_array \
+            else E.UNINITIALIZED_OBJECT
+        words, put, fail, span = self.words, self.put, self.fail, stmt.span
+        verb, mask = type(stmt).__name__.lower(), self.mem.mask
 
-    def _new_array(self, env, desc, target, span):
-        slot = self.lvalue_addr(env, target)
-        if self.mem.read_word(slot) != 0:
-            self.fail(E.NEW_TARGET_NOT_NIL, "target of new array is not nil",
-                      span)
-        n = self._array_length_of(env, desc, span)
-        try:
-            addr = self.mem.malloc(n + 2)
-        except MemoryFault as fault:
-            self._wrap_fault(fault, span)
-        self.state.poke(addr, n)
-        self.state.poke(addr + 1, 1)
-        self.state.poke(slot, addr)
+        def copy(a):
+            if length is not None:
+                length(a)  # only for its errors
+            src, dst = source(a), target(a)
+            value = words[src]
+            if value == 0:
+                fail(nil_kind, f"{verb} from a nil reference", span)
+            if not uncopy:
+                if words[dst] != 0:
+                    fail(E.COPY_TARGET_NOT_NIL, "copy target is not nil",
+                         span)
+                put(dst, value)
+                put(value + 1, (words[value + 1] + 1) & mask)
+                return
+            if words[dst] != value:
+                fail(E.UNCOPY_MISMATCH,
+                     "uncopy operands reference different values", span)
+            if words[value + 1] < 2:
+                fail(E.UNCOPY_MISMATCH,
+                     "reference count would drop below one", span)
+            put(value + 1, words[value + 1] - 1)
+            put(dst, 0)
+        return copy
 
-    def _delete_array(self, env, desc, target, span):
-        slot = self.lvalue_addr(env, target)
-        addr = self.mem.read_word(slot)
-        if addr == 0:
-            self.fail(E.NIL_DEREFERENCE, "delete of a nil array", span)
-        n = self._array_length_of(env, desc, span)
-        stored = self.mem.read_word(addr)
-        if stored != n:
-            self.fail(E.ARRAY_LENGTH_MISMATCH,
-                      f"delete names length {n}, array was allocated with "
-                      f"{stored}", span)
-        if self.mem.read_word(addr + 1) != 1:
-            self.fail(E.DANGLING_REFERENCE_ON_DELETE,
-                      f"array still has {self.mem.read_word(addr + 1)} "
-                      "references", span)
-        for i in range(n):
-            if self.mem.read_word(addr + 2 + i) != 0:
-                self.fail(E.NON_ZERO_CELLS_ON_DELETE,
-                          f"cell {i} is not zero-cleared", span)
-        self.state.poke(addr, 0)
-        self.state.poke(addr + 1, 0)
-        try:
-            self.mem.free(addr, n + 2)
-        except MemoryFault as fault:
-            self._wrap_fault(fault, span)
-        self.state.poke(slot, 0)
-
-    def _exec_Copy(self, env, stmt, direction):
-        if direction == FORWARD:
-            self._do_copy(env, stmt, stmt.span)
-        else:
-            self._do_uncopy(env, stmt, stmt.span)
-
-    def _exec_Uncopy(self, env, stmt, direction):
-        if direction == FORWARD:
-            self._do_uncopy(env, stmt, stmt.span)
-        else:
-            self._do_copy(env, stmt, stmt.span)
-
-    def _uninitialized_kind(self, desc):
-        return E.UNINITIALIZED_ARRAY if desc.is_array else E.UNINITIALIZED_OBJECT
-
-    def _do_copy(self, env, stmt, span):
-        if stmt.desc.is_array:
-            self.eval_expr(env, stmt.desc.length)
-        src = self.lvalue_addr(env, stmt.source)
-        dst = self.lvalue_addr(env, stmt.target)
-        value = self.mem.read_word(src)
-        if value == 0:
-            self.fail(self._uninitialized_kind(stmt.desc),
-                      "copy from a nil reference", span)
-        if self.mem.read_word(dst) != 0:
-            self.fail(E.COPY_TARGET_NOT_NIL, "copy target is not nil", span)
-        self.state.poke(dst, value)
-        self.state.poke(value + 1, self.mem.read_word(value + 1) + 1)
-
-    def _do_uncopy(self, env, stmt, span):
-        if stmt.desc.is_array:
-            self.eval_expr(env, stmt.desc.length)
-        src = self.lvalue_addr(env, stmt.source)
-        dst = self.lvalue_addr(env, stmt.target)
-        value = self.mem.read_word(src)
-        copy = self.mem.read_word(dst)
-        if value == 0:
-            self.fail(self._uninitialized_kind(stmt.desc),
-                      "uncopy from a nil reference", span)
-        if copy != value:
-            self.fail(E.UNCOPY_MISMATCH,
-                      "uncopy operands reference different values", span)
-        rc = self.mem.read_word(value + 1)
-        if rc < 2:
-            self.fail(E.UNCOPY_MISMATCH,
-                      "reference count would drop below one", span)
-        self.state.poke(value + 1, rc - 1)
-        self.state.poke(dst, 0)
+    _c_Uncopy = _c_Copy
 
     # ------------------------------------------------------------ calls
 
-    def _exec_LocalCall(self, env, stmt, direction):
-        self._invoke(env, env.this_slot, stmt.method, stmt.args, direction,
-                     stmt.span)
+    def _c_LocalCall(self, stmt, names):
+        """Dispatch on the receiver's class id (cached per call site) to the
+        callee body for the call's direction; its frame holds the receiver's
+        fields and the caller's argument slots."""
+        uncall = isinstance(stmt, (ast.LocalUncall, ast.ObjectUncall))
+        callee = self._lvalue(stmt.callee, names) \
+            if isinstance(stmt, (ast.ObjectCall, ast.ObjectUncall)) else None
+        method, span, fail = stmt.method, stmt.span, self.fail
+        args = tuple(names[arg] for arg in stmt.args)
+        st, words, stack = self.state, self.words, self.call_stack
+        targets = {}
 
-    def _exec_LocalUncall(self, env, stmt, direction):
-        self._invoke(env, env.this_slot, stmt.method, stmt.args,
-                     _flip(direction), stmt.span)
+        def call(a):
+            slot = a[0] if callee is None else callee(a)
+            obj = words[slot]
+            if obj == 0:
+                fail(E.UNINITIALIZED_OBJECT,
+                     f"call of {method} on a nil reference", span)
+            if words[obj] not in targets:
+                info = self._class_at(obj, span)
+                if method not in info.methods:
+                    fail(E.UNINITIALIZED_OBJECT,
+                         f"class {info.name} has no method {method}", span)
+                run, nf, label = self._method(info, method, uncall)
+                targets[words[obj]] = run, nf, f"{label} at {span}"
+            run, nf, frame = targets[words[obj]]
+            st.push_frame_word(span)
+            stack.append(frame)
+            try:
+                run([slot, *range(obj + 2, obj + 2 + nf),
+                     *map(a.__getitem__, args)])
+            finally:
+                stack.pop()
+                st.frame_top += 1
+        return call
 
-    def _exec_ObjectCall(self, env, stmt, direction):
-        callee = self.lvalue_addr(env, stmt.callee)
-        self._invoke(env, callee, stmt.method, stmt.args, direction, stmt.span)
-
-    def _exec_ObjectUncall(self, env, stmt, direction):
-        callee = self.lvalue_addr(env, stmt.callee)
-        self._invoke(env, callee, stmt.method, stmt.args, _flip(direction),
-                     stmt.span)
-
-    def _invoke(self, env, callee_slot, method_name, args, direction, span):
-        if callee_slot is None:
-            self.fail(E.UNINITIALIZED_OBJECT, "no current object", span)
-        obj = self.mem.read_word(callee_slot)
-        if obj == 0:
-            self.fail(E.UNINITIALIZED_OBJECT,
-                      f"call of {method_name} on a nil reference", span)
-        class_id = self.mem.read_word(obj)
-        try:
-            info = self.class_map.by_id(class_id)
-        except KeyError:
-            self.fail(E.CORRUPT_FREE,
-                      f"word at {obj} is not an object header", span)
-        mdecl = info.methods.get(method_name)
-        if mdecl is None:
-            self.fail(E.UNINITIALIZED_OBJECT,
-                      f"class {info.name} has no method {method_name}", span)
-        bindings = {}
-        for i, (fty, fname) in enumerate(info.fields):
-            bindings[fname] = (obj + 2 + i, fty)
-        for arg, (pty, pname) in zip(args, mdecl.params):
-            bindings[pname] = (env.slot(arg)[0], pty)
-        callee_env = Env(bindings, this_slot=callee_slot)
-        self.state.push_frame_word(span)
-        self.call_spans.append(span)
-        try:
-            self.exec_stmt(callee_env, mdecl.body, direction)
-        finally:
-            self.call_spans.pop()
-            self.state.pop_frame_word()
+    _c_LocalUncall = _c_ObjectCall = _c_ObjectUncall = _c_LocalCall
 
 
 def run_program(program: ast.Program, class_map: ClassMap,
@@ -566,12 +595,11 @@ def run_program(program: ast.Program, class_map: ClassMap,
     """
     main_cls = main_class_of(program)
     info = class_map[main_cls]
-    size = 2 + len(info.fields)
     fresh = state is None
     if fresh:
         state = MachineState(init_memory(config), step_limit=step_limit)
     state.tracer = tracer
-    obj_addr = state.memory.stack_base - size
+    obj_addr = state.memory.stack_base - 2 - len(info.fields)
     this_slot = obj_addr - 1
     if fresh:
         state.frame_top = this_slot
@@ -585,15 +613,14 @@ def run_program(program: ast.Program, class_map: ClassMap,
     if root not in state.live_slots:
         state.live_slots.append(root)
     interp = Interpreter(class_map, state)
-    mdecl = info.methods["main"]
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 100_000))
     try:
-        interp.exec_stmt(env, mdecl.body, direction)
+        interp.exec_stmt(env, info.methods["main"].body, direction)
     except RecursionError:
         raise ExecutionError(E.STACK_OVERFLOW,
                              "call nesting exceeded the host limit",
-                             mdecl.span)
+                             info.methods["main"].span)
     finally:
         sys.setrecursionlimit(old_limit)
     fields = {fname: state.signed(state.memory.read_word(obj_addr + 2 + i))

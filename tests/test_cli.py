@@ -120,6 +120,36 @@ def test_run_trace(tmp_path):
     assert any(r["rule"] == "Assign" for r in records)
 
 
+def test_deep_recursion_then_uncall_within_host_limit(tmp_path):
+    # 10,000 nested ROOPL++ calls must fit the executor's Python frame budget
+    source = """\
+class Main
+    int n
+    int hits
+
+    method down()
+        if n != 0 then
+            n -= 1
+            hits += 1
+            call down()
+            n += 1
+        else
+            skip
+        fi n != 0
+
+    method main()
+        n += 10000
+        call down()
+        uncall down()
+        n -= 10000
+"""
+    path = tmp_path / "deep.rplpp"
+    path.write_text(source)
+    result = cli("run", "--stack-words", "200000", str(path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["n = 0", "hits = 0"]
+
+
 def test_run_step_limit_flag():
     result = cli("run", "--step-limit", "2000",
                  str(FIXTURES_DIR / "errors" / "step_limit.rplpp"))
@@ -253,6 +283,31 @@ def test_inverted_corpus_passes_check(tmp_path):
         path = tmp_path / f"{name}_inv.rplpp"
         path.write_text(inverted.stdout)
         assert cli("check", str(path)).returncode == 0
+
+
+def _nested_parens(depth):
+    expr = "(" * depth + "1" + ")" * depth
+    return f"class Main\n    int x\n\n    method main()\n        x += {expr}\n"
+
+
+def _nested_ifs(depth):
+    body = "x += 1"
+    for _ in range(depth):
+        body = f"if x = 0 then {body} else skip fi x = 1"
+    return f"class Main\n    int x\n\n    method main()\n        {body}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "run", "invert"])
+@pytest.mark.parametrize("source", [_nested_parens(3000), _nested_ifs(1500)],
+                         ids=["parens", "ifs"])
+def test_nesting_too_deep_exit_3(tmp_path, command, source):
+    path = tmp_path / "deep.rplpp"
+    path.write_text(source)
+    result = cli(command, str(path))
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"{path}: syntax error: nesting too deep"]
 
 
 def test_invert_parse_error_exit_3():

@@ -553,6 +553,42 @@ class Main
     assert "in" in str(exc.value)
 
 
+def test_error_names_the_method_of_each_call_frame():
+    program = parse("""
+class Node
+    int v
+
+    method boom()
+        if v = 0 then v += 1 else skip fi v = 0
+
+class Leaf inherits Node
+    int w
+
+    method nop()
+        skip
+
+class Main
+    Leaf n
+
+    method go()
+        uncall n::boom()
+
+    method main()
+        new Leaf n
+        call go()
+""")
+    class_map = build_class_map(program)
+    assert check_program(program, class_map) == []
+    with pytest.raises(ExecutionError) as exc:
+        run_program(program, class_map, SMALL)
+    assert exc.value.kind == E.ASSERTION_FAILED_IF
+    # an inherited method is named by the receiver's concrete class
+    assert [str(frame) for frame in exc.value.trace] == [
+        "Main::go at 22:9", "Leaf::boom at 18:9"]
+    assert str(exc.value).endswith(
+        "\n  in Main::go at 22:9\n  in Leaf::boom at 18:9")
+
+
 # ------------------------------------------ reversibility property checks
 
 def _baseline_words(program, config):
