@@ -1,27 +1,45 @@
 """ROOPL++ toolchain: parser, class analyzer, type checker, statement
-inverter and a reversible interpreter over a simulated word memory."""
+inverter and a reversible interpreter over a simulated word memory.
 
-from .classes import ClassMap, array_type_of, build_class_map
-from .errors import (ClassError, ConfigError, ExecutionError, MemoryFault,
-                     ParseError, RuntimeErrorKind, Span, TypeError_)
-from .heap import FreeListSnapshot, MemoryConfig, MemoryImage, init_memory
-from .inverter import invert_program, invert_stmt
-from .machine import (BACKWARD, FORWARD, Env, Interpreter, MachineState,
-                      apply_binop, check_refcounts, live_heap_words,
-                      run_program)
-from .parser import parse, parse_expression, parse_statement
-from .printer import pretty_print
-from .typecheck import check_program, main_class_of
+The public names below load their module on first access (PEP 562), so
+importing one submodule, such as `rooplpp.cli`, does not load the rest.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKWARD", "FORWARD", "ClassError", "ClassMap", "ConfigError", "Env",
-    "ExecutionError", "FreeListSnapshot", "Interpreter", "MachineState",
-    "MemoryConfig", "MemoryFault", "MemoryImage", "ParseError",
-    "RuntimeErrorKind", "Span", "TypeError_", "apply_binop",
-    "array_type_of", "build_class_map", "check_program", "check_refcounts",
-    "init_memory", "invert_program", "invert_stmt", "live_heap_words",
-    "main_class_of", "parse",
-    "parse_expression", "parse_statement", "pretty_print", "run_program",
-]
+_EXPORTS = {
+    "ClassMap": "classes", "array_type_of": "classes",
+    "build_class_map": "classes",
+    "ClassError": "errors", "ConfigError": "errors",
+    "ExecutionError": "errors", "MemoryFault": "errors",
+    "ParseError": "errors", "RuntimeErrorKind": "errors", "Span": "errors",
+    "TypeError_": "errors",
+    "FreeListSnapshot": "heap", "MemoryConfig": "heap",
+    "MemoryImage": "heap", "init_memory": "heap",
+    "invert_program": "inverter", "invert_stmt": "inverter",
+    "BACKWARD": "machine", "FORWARD": "machine", "Env": "machine",
+    "Interpreter": "machine", "MachineState": "machine",
+    "apply_binop": "machine", "check_refcounts": "machine",
+    "live_heap_words": "machine", "run_program": "machine",
+    "parse": "parser", "parse_expression": "parser",
+    "parse_statement": "parser",
+    "pretty_print": "printer",
+    "check_program": "typecheck", "main_class_of": "typecheck",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

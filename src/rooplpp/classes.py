@@ -7,9 +7,7 @@ integers in declaration order starting at 1; id 0 would collide with nil.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ClassError
+from .errors import ClassError, Record
 from . import syntax as ast
 
 
@@ -20,14 +18,12 @@ def next_pow2(n: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class ClassInfo:
-    name: str
-    class_id: int
-    parent: str | None
-    fields: tuple[tuple[ast.TypeName, str], ...]  # own-then-inherited
-    methods: dict[str, ast.MethodDecl]  # overriding drops the base method
-    own_methods: tuple[ast.MethodDecl, ...]
+class ClassInfo(Record):
+    """`fields` is ((type, name), ...), own then inherited; `methods` maps
+    name to MethodDecl, where an override drops the base method."""
+
+    __slots__ = ("name", "class_id", "parent", "fields", "methods",
+                 "own_methods")
 
     @property
     def payload_words(self) -> int:

@@ -1,24 +1,20 @@
 """Command-line driver.
 
 Exit codes: 0 ok, 1 runtime error, 2 type error, 3 parse error,
-4 IO/config error.
+4 IO/config error or bad command-line usage.
+
+Each subcommand imports only the modules it uses: `check` stops after the
+type checker, `invert` skips it, and only `run` loads the interpreter.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .classes import build_class_map
 from .errors import ClassError, ConfigError, ExecutionError, ParseError
-from .heap import MemoryConfig
-from .inverter import invert_program
-from .machine import BACKWARD, FORWARD, run_program
 from .parser import parse
-from .printer import pretty_print
-from .statefile import load_state, save_state
-from .typecheck import check_program
 
 OK, EXIT_RUNTIME, EXIT_TYPE, EXIT_PARSE, EXIT_IO = 0, 1, 2, 3, 4
 
@@ -48,6 +44,8 @@ def _parse(path):
 
 
 def _front_end(path):
+    from .typecheck import check_program
+
     program, class_map = _parse(path)
     warnings = []
     errors = check_program(program, class_map, warnings=warnings)
@@ -67,6 +65,12 @@ def cmd_check(args):
 
 
 def cmd_run(args):
+    import json
+
+    from .heap import MemoryConfig
+    from .machine import BACKWARD, FORWARD, run_program
+    from .statefile import load_state, save_state
+
     program, class_map = _front_end(args.path)
     try:
         config = MemoryConfig(word_bits=args.word_bits,
@@ -135,16 +139,39 @@ def cmd_run(args):
 
 
 def cmd_invert(args):
+    from .inverter import invert_program
+    from .printer import pretty_print
+
     program, _ = _parse(args.path)
     sys.stdout.write(pretty_print(invert_program(program)))
     return OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports bad usage as one `error:` line and exit code 4."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_IO)
+
+
+def _non_negative(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_arg_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="rooplpp",
         description="ROOPL++ toolchain: check, run, invert")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_ArgumentParser)
 
     p_check = sub.add_parser("check", help="parse and type-check a program")
     p_check.add_argument("path")
@@ -159,7 +186,7 @@ def build_arg_parser():
     p_run.add_argument("--stack-words", type=int, default=1024, metavar="N")
     p_run.add_argument("--heap-grow", action="store_true",
                        help="allow appending up to 8 extra top-size blocks")
-    p_run.add_argument("--step-limit", type=int, default=10_000_000,
+    p_run.add_argument("--step-limit", type=_non_negative, default=10_000_000,
                        metavar="N")
     p_run.add_argument("--reverse", action="store_true",
                        help="execute the main method backward")

@@ -1,4 +1,5 @@
-"""Error types shared across the toolchain.
+"""Error types shared across the toolchain, plus `Record`, the immutable
+value base of `Span`, the syntax nodes and the other value types.
 
 Exit-code mapping lives in the CLI: runtime errors are 1, type errors 2,
 parse errors 3, IO/config errors 4.
@@ -7,22 +8,114 @@ parse errors 3, IO/config errors 4.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class Span:
+class Record:
+    """Immutable value with named fields.
+
+    A subclass names its fields in `__slots__` (base-class fields first)
+    and may give defaults in `_defaults`.  Equality, hash and repr use
+    every field not listed in `_uncompared`.  Setting or deleting an
+    attribute raises AttributeError; `replace` builds a changed copy.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+    _uncompared = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = [name for klass in reversed(cls.__mro__)
+                 for name in klass.__dict__.get("__slots__", ())]
+        cls._fields = tuple(names)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in names)
+        compared = tuple(n for n in names if n not in cls._uncompared)
+        cls._compared = compared
+        if len(compared) > 1:
+            key = attrgetter(*compared)
+        elif compared:
+            get = attrgetter(*compared)
+            key = lambda obj: (get(obj),)  # noqa: E731
+        else:
+            key = lambda obj: ()  # noqa: E731
+        cls._key = staticmethod(key)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._complete(args, kwargs)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
+    @classmethod
+    def _complete(cls, args, kwargs):
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} fields, "
+                            f"got {len(args)}")
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__} missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} got unexpected or repeated "
+                            f"fields {sorted(kwargs)}")
+        return values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a "
+                             f"{type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a "
+                             f"{type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if other is self:
+            return True
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{name}={getattr(self, name)!r}"
+                            for name in self._compared) + ")")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self._fields)
+
+    def replace(self, **changes):
+        """A copy with the given fields changed."""
+        values = [changes.pop(name) if name in changes else getattr(self, name)
+                  for name in self._fields]
+        return type(self)(*values, **changes)
+
+
+class Span(Record):
     """Half-open source region; line/col are 1-based."""
 
-    line: int = 0
-    col: int = 0
-    end_line: int = 0
-    end_col: int = 0
+    __slots__ = ("line", "col", "end_line", "end_col")
+
+    def __init__(self, line=0, col=0, end_line=0, end_col=0):
+        _set_line(self, line)
+        _set_col(self, col)
+        _set_end_line(self, end_line)
+        _set_end_col(self, end_col)
 
     def __str__(self):
         return f"{self.line}:{self.col}"
 
 
+_set_line, _set_col, _set_end_line, _set_end_col = Span._setters
 NO_SPAN = Span()
 
 
@@ -55,13 +148,11 @@ class ClassError(Exception):
         return f"{self.span}: {self.kind}: {self.message}"
 
 
-@dataclass(frozen=True)
-class TypeError_:
+class TypeError_(Record):
     """One type-rule violation. Name avoids shadowing the builtin."""
 
-    rule: str
-    message: str
-    span: Span = NO_SPAN
+    __slots__ = ("rule", "message", "span")
+    _defaults = {"span": NO_SPAN}
 
     def render(self, filename="<input>"):
         return f"{filename}:{self.span.line}:{self.span.col}: {self.rule}: {self.message}"

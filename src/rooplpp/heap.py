@@ -38,17 +38,16 @@ assertion, run the inverted branch, require the entry condition to match):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ConfigError, MemoryFault
+from .errors import ConfigError, MemoryFault, Record
 
 
-@dataclass(frozen=True)
-class MemoryConfig:
-    word_bits: int = 32
-    num_freelists: int = 10
-    stack_words: int = 1024
-    grow_blocks: int = 0  # extra top-size blocks the heap may append
+class MemoryConfig(Record):
+    """`grow_blocks` is the number of extra top-size blocks the heap may
+    append."""
+
+    __slots__ = ("word_bits", "num_freelists", "stack_words", "grow_blocks")
+    _defaults = {"word_bits": 32, "num_freelists": 10, "stack_words": 1024,
+                 "grow_blocks": 0}
 
     def validate(self):
         if self.word_bits not in (16, 32, 64):
@@ -61,11 +60,10 @@ class MemoryConfig:
             raise ConfigError("grow_blocks must be non-negative")
 
 
-@dataclass(frozen=True)
-class FreeListSnapshot:
+class FreeListSnapshot(Record):
     """Per size-class block addresses, in list order."""
 
-    lists: tuple[tuple[int, tuple[int, ...]], ...]  # (size, addresses)
+    __slots__ = ("lists",)  # ((size, (address, ...)), ...)
 
     def sizes_present(self) -> tuple[int, ...]:
         return tuple(size for size, addrs in self.lists if addrs)

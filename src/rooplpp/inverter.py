@@ -13,8 +13,6 @@ everything beneath is inverted normally.
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 from . import syntax as ast
 
 _MOD_INVERSE = {"+=": "-=", "-=": "+=", "^=": "^="}
@@ -40,29 +38,29 @@ def invert_stmt(stmt: ast.Statement, keep_calls: bool = False) -> ast.Statement:
         return stmt
     if isinstance(stmt, ast.Seq):
         return ast.Seq(tuple(invert_stmt(s, keep_calls)
-                             for s in reversed(stmt.stmts)), span=stmt.span)
+                             for s in reversed(stmt.stmts)), stmt.span)
     if isinstance(stmt, ast.Assign):
         return ast.Assign(stmt.target, _MOD_INVERSE[stmt.op], stmt.expr,
-                          span=stmt.span)
+                          stmt.span)
     if isinstance(stmt, ast.If):
         return ast.If(stmt.assertion, invert_stmt(stmt.then_body, keep_calls),
                       invert_stmt(stmt.else_body, keep_calls), stmt.cond,
-                      span=stmt.span)
+                      stmt.span)
     if isinstance(stmt, ast.Loop):
         return ast.Loop(stmt.cond, invert_stmt(stmt.do_body, keep_calls),
                         invert_stmt(stmt.loop_body, keep_calls),
-                        stmt.assertion, span=stmt.span)
+                        stmt.assertion, stmt.span)
     if isinstance(stmt, ast.ObjectBlock):
         return ast.ObjectBlock(stmt.class_name, stmt.var,
                                invert_stmt(stmt.body, keep_calls),
-                               span=stmt.span)
+                               stmt.span)
     if isinstance(stmt, ast.LocalBlock):
         return ast.LocalBlock(stmt.var_type, stmt.var, stmt.exit,
                               invert_stmt(stmt.body, keep_calls), stmt.entry,
-                              span=stmt.span)
+                              stmt.span)
     if type(stmt) in INVERSE_KIND:
-        return INVERSE_KIND[type(stmt)](**{f.name: getattr(stmt, f.name)
-                                           for f in fields(stmt)})
+        return INVERSE_KIND[type(stmt)](*[getattr(stmt, name)
+                                          for name in stmt._fields])
     raise TypeError(f"not a statement: {stmt!r}")
 
 
@@ -72,8 +70,8 @@ def invert_program(program: ast.Program) -> ast.Program:
     for cls in program.classes:
         methods = tuple(
             ast.MethodDecl(m.name, m.params,
-                           invert_stmt(m.body, keep_calls=True), span=m.span)
+                           invert_stmt(m.body, keep_calls=True), m.span)
             for m in cls.methods)
         classes.append(ast.ClassDecl(cls.name, cls.parent, cls.fields,
-                                     methods, span=cls.span))
-    return ast.Program(tuple(classes), span=program.span)
+                                     methods, cls.span))
+    return ast.Program(tuple(classes), program.span)

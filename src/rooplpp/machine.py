@@ -18,7 +18,6 @@ by reference) and the local blocks.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from .classes import ClassMap
 from .errors import ExecutionError, MemoryFault, RuntimeErrorKind
@@ -94,13 +93,14 @@ def apply_binop(op: str, v1: int, v2: int, word_bits: int = 32) -> int:
     return ops[op](v1, v2)
 
 
-@dataclass
 class Env:
     """Variable -> (slot address, declared type); this_slot holds the
     address of the word containing the current object's address."""
 
-    bindings: dict[str, tuple[int, ast.TypeName]]
-    this_slot: int | None = None
+    def __init__(self, bindings: dict[str, tuple[int, ast.TypeName]],
+                 this_slot: int | None = None):
+        self.bindings = bindings
+        self.this_slot = this_slot
 
 
 class MachineState:
@@ -125,13 +125,14 @@ class MachineState:
         return self.frame_top
 
 
-@dataclass
 class RunResult:
-    fields: dict[str, int]
-    steps: int
-    state: MachineState
-    main_address: int
-    env: Env
+    def __init__(self, fields: dict[str, int], steps: int,
+                 state: MachineState, main_address: int, env: Env):
+        self.fields = fields
+        self.steps = steps
+        self.state = state
+        self.main_address = main_address
+        self.env = env
 
 
 class Interpreter:

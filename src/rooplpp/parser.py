@@ -16,9 +16,7 @@ All operators associate left; parentheses group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ParseError, Span
+from .errors import ParseError, Record, Span
 from . import syntax as ast
 
 KEYWORDS = {
@@ -38,11 +36,16 @@ _STMT_FOLLOWERS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'ident', 'int', 'kw', 'sym', 'eof'
-    text: str
-    span: Span
+class Token(Record):
+    __slots__ = ("kind", "text", "span")  # kind: ident, int, kw, sym or eof
+
+    def __init__(self, kind, text, span):
+        _set_kind(self, kind)
+        _set_text(self, text)
+        _set_span(self, span)
+
+
+_set_kind, _set_text, _set_span = Token._setters
 
 
 def tokenize(source: str) -> list[Token]:
@@ -148,7 +151,7 @@ class _Parser:
             classes.append(self.class_decl())
         if not classes:
             raise ParseError("empty program", start, expected=("class",))
-        return ast.Program(tuple(classes), span=self._span_from(start))
+        return ast.Program(tuple(classes), self._span_from(start))
 
     def class_decl(self) -> ast.ClassDecl:
         start = self.expect("kw", "class").span
@@ -167,7 +170,7 @@ class _Parser:
             raise ParseError(f"class {name} has no methods", self.cur.span,
                              expected=("method",))
         return ast.ClassDecl(name, parent, tuple(fields), tuple(methods),
-                             span=self._span_from(start))
+                             self._span_from(start))
 
     def typed_name(self, what) -> tuple[ast.TypeName, str]:
         ty = self.type_name()
@@ -198,7 +201,7 @@ class _Parser:
                 params.append(self.typed_name("parameter"))
         self.expect("sym", ")")
         body = self.statement_seq()
-        return ast.MethodDecl(name, tuple(params), body, span=self._span_from(start))
+        return ast.MethodDecl(name, tuple(params), body, self._span_from(start))
 
     # -- statements ----------------------------------------------------
 
@@ -230,7 +233,7 @@ class _Parser:
 
     def _skip(self):
         tok = self.advance()
-        return ast.Skip(span=tok.span)
+        return ast.Skip(tok.span)
 
     def _assign_or_swap(self):
         start = self.cur.span
@@ -238,12 +241,12 @@ class _Parser:
         if self.at("sym", "<=>"):
             self.advance()
             right = self.lvalue()
-            return ast.Swap(target, right, span=self._span_from(start))
+            return ast.Swap(target, right, self._span_from(start))
         for op in ast.MOD_OPS:
             if self.at("sym", op):
                 self.advance()
                 expr = self.expression()
-                return ast.Assign(target, op, expr, span=self._span_from(start))
+                return ast.Assign(target, op, expr, self._span_from(start))
         raise ParseError(f"got {self.cur.text!r} after lvalue", self.cur.span,
                          expected=("+=", "-=", "^=", "<=>"))
 
@@ -252,8 +255,8 @@ class _Parser:
         if self.accept("sym", "["):
             index = self.expression()
             self.expect("sym", "]")
-            return ast.LValue(tok.text, index, span=self._span_from(tok.span))
-        return ast.LValue(tok.text, span=tok.span)
+            return ast.LValue(tok.text, index, self._span_from(tok.span))
+        return ast.LValue(tok.text, None, tok.span)
 
     def _if(self):
         start = self.expect("kw", "if").span
@@ -265,7 +268,7 @@ class _Parser:
         self.expect("kw", "fi")
         assertion = self.expression()
         return ast.If(cond, then_body, else_body, assertion,
-                      span=self._span_from(start))
+                      self._span_from(start))
 
     def _loop(self):
         start = self.expect("kw", "from").span
@@ -277,7 +280,7 @@ class _Parser:
         self.expect("kw", "until")
         cond = self.expression()
         return ast.Loop(assertion, do_body, loop_body, cond,
-                        span=self._span_from(start))
+                        self._span_from(start))
 
     def _construct(self):
         start = self.expect("kw", "construct").span
@@ -290,7 +293,7 @@ class _Parser:
             raise ParseError(
                 f"destruct names {endvar!r}, construct introduced {var!r}",
                 self.tokens[self.pos - 1].span)
-        return ast.ObjectBlock(cname, var, body, span=self._span_from(start))
+        return ast.ObjectBlock(cname, var, body, self._span_from(start))
 
     def _local(self):
         start = self.expect("kw", "local").span
@@ -309,7 +312,7 @@ class _Parser:
         self.expect("sym", "=")
         exit_ = self.expression()
         return ast.LocalBlock(ty, var, entry, body, exit_,
-                              span=self._span_from(start))
+                              self._span_from(start))
 
     def alloc_desc(self) -> ast.AllocDesc:
         start = self.cur.span
@@ -317,13 +320,13 @@ class _Parser:
             self.expect("sym", "[")
             length = self.expression()
             self.expect("sym", "]")
-            return ast.AllocDesc(None, length, span=self._span_from(start))
+            return ast.AllocDesc(None, length, self._span_from(start))
         name = self.expect("ident", what="class name").text
         if self.accept("sym", "["):
             length = self.expression()
             self.expect("sym", "]")
-            return ast.AllocDesc(name, length, span=self._span_from(start))
-        return ast.AllocDesc(name, span=self._span_from(start))
+            return ast.AllocDesc(name, length, self._span_from(start))
+        return ast.AllocDesc(name, None, self._span_from(start))
 
     def _new_delete(self):
         tok = self.advance()
@@ -331,7 +334,7 @@ class _Parser:
         target = self.lvalue()
         span = self._span_from(tok.span)
         cls = ast.New if tok.text == "new" else ast.Delete
-        return cls(desc, target, span=span)
+        return cls(desc, target, span)
 
     def _copy_uncopy(self):
         tok = self.advance()
@@ -340,7 +343,7 @@ class _Parser:
         target = self.lvalue()
         span = self._span_from(tok.span)
         cls = ast.Copy if tok.text == "copy" else ast.Uncopy
-        return cls(desc, source, target, span=span)
+        return cls(desc, source, target, span)
 
     def _call(self):
         tok = self.advance()
@@ -350,13 +353,13 @@ class _Parser:
             method = self.expect("ident", what="method name").text
             args = self._arg_list()
             cls = ast.ObjectUncall if uncall else ast.ObjectCall
-            return cls(first, method, args, span=self._span_from(tok.span))
+            return cls(first, method, args, self._span_from(tok.span))
         if first.is_cell:
             raise ParseError("array cell cannot name a local method",
                              first.span, expected=("::",))
         args = self._arg_list()
         cls = ast.LocalUncall if uncall else ast.LocalCall
-        return cls(first.name, args, span=self._span_from(tok.span))
+        return cls(first.name, args, self._span_from(tok.span))
 
     def _arg_list(self) -> tuple[str, ...]:
         self.expect("sym", "(")
@@ -392,25 +395,25 @@ class _Parser:
         while self.cur.kind == "sym" and self.cur.text in ops:
             op = self.advance().text
             right = self._binary(level + 1)
-            expr = ast.BinOp(op, expr, right, span=self._span_from(start))
+            expr = ast.BinOp(op, expr, right, self._span_from(start))
         return expr
 
     def _atom(self) -> ast.Expression:
         tok = self.cur
         if tok.kind == "int":
             self.advance()
-            return ast.Constant(int(tok.text), span=tok.span)
+            return ast.Constant(int(tok.text), tok.span)
         if tok.kind == "kw" and tok.text == "nil":
             self.advance()
-            return ast.Nil(span=tok.span)
+            return ast.Nil(tok.span)
         if tok.kind == "ident":
             self.advance()
             if self.accept("sym", "["):
                 index = self.expression()
                 self.expect("sym", "]")
                 return ast.ArrayElement(tok.text, index,
-                                        span=self._span_from(tok.span))
-            return ast.Variable(tok.text, span=tok.span)
+                                        self._span_from(tok.span))
+            return ast.Variable(tok.text, tok.span)
         if tok.kind == "sym" and tok.text == "(":
             self.advance()
             expr = self.expression()

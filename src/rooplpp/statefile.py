@@ -5,8 +5,9 @@ u32 stack words, u32 grow blocks, then u64 total words, heap end, frame
 top and step count, followed by the raw word array little-endian.
 
 Loading refuses a file whose length, word count or heap end does not match
-its header, or whose free lists are malformed or hold a block that is not
-zero-cleared past its link word (see `MemoryImage.check_free_blocks`).
+its header, whose frame top lies outside the frame region, or whose free
+lists are malformed or hold a block that is not zero-cleared past its link
+word (see `MemoryImage.check_free_blocks`).
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def load_state(path: str) -> MachineState:
             and (heap_end - mem.hp) % mem.top_size == 0):
         raise ConfigError(f"{path}: heap end {heap_end} does not match the "
                           "configuration")
+    if not mem.heap_max <= frame_top <= mem.stack_base:
+        raise ConfigError(f"{path}: frame top {frame_top} is outside the "
+                          f"frame region [{mem.heap_max}, {mem.stack_base}]")
     mem.words = list(word_format.unpack_from(blob, _HEADER.size))
     mem.heap_end = heap_end
     try:

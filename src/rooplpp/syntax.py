@@ -6,10 +6,7 @@ round-trips compare cleanly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
-from .errors import NO_SPAN, Span
+from .errors import NO_SPAN, Record
 
 MOD_OPS = ("+=", "-=", "^=")
 
@@ -19,40 +16,44 @@ BIN_OPS = (
 )
 
 
-def _span_field():
-    return field(default=NO_SPAN, compare=False, repr=False)
+class Node(Record):
+    """A syntax node: the trailing `span` field defaults to NO_SPAN and
+    takes no part in equality, hash or repr."""
+
+    __slots__ = ()
+    _defaults = {"span": NO_SPAN}
+    _uncompared = ("span",)
 
 
 # ---------------------------------------------------------------- types
 
-@dataclass(frozen=True)
-class TypeName:
-    pass
+class TypeName(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class IntType(TypeName):
+    __slots__ = ()
+
     def __str__(self):
         return "int"
 
 
-@dataclass(frozen=True)
 class ClassRef(TypeName):
-    name: str
+    __slots__ = ("name",)
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class IntArrayType(TypeName):
+    __slots__ = ()
+
     def __str__(self):
         return "int[]"
 
 
-@dataclass(frozen=True)
 class ClassArrayType(TypeName):
-    name: str
+    __slots__ = ("name",)
 
     def __str__(self):
         return f"{self.name}[]"
@@ -64,41 +65,28 @@ INT_ARRAY = IntArrayType()
 
 # ---------------------------------------------------------- expressions
 
-@dataclass(frozen=True)
-class Expression:
-    pass
+class Expression(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Constant(Expression):
-    value: int
-    span: Span = _span_field()
+    __slots__ = ("value", "span")
 
 
-@dataclass(frozen=True)
 class Variable(Expression):
-    name: str
-    span: Span = _span_field()
+    __slots__ = ("name", "span")
 
 
-@dataclass(frozen=True)
 class ArrayElement(Expression):
-    name: str
-    index: Expression
-    span: Span = _span_field()
+    __slots__ = ("name", "index", "span")
 
 
-@dataclass(frozen=True)
 class Nil(Expression):
-    span: Span = _span_field()
+    __slots__ = ("span",)
 
 
-@dataclass(frozen=True)
 class BinOp(Expression):
-    op: str
-    left: Expression
-    right: Expression
-    span: Span = _span_field()
+    __slots__ = ("op", "left", "right", "span")
 
 
 def vars_of(expr: Expression) -> frozenset[str]:
@@ -116,13 +104,11 @@ def vars_of(expr: Expression) -> frozenset[str]:
 
 # -------------------------------------------------------------- lvalues
 
-@dataclass(frozen=True)
-class LValue:
+class LValue(Node):
     """Assignable place: a variable or one array cell."""
 
-    name: str
-    index: Optional[Expression] = None
-    span: Span = _span_field()
+    __slots__ = ("name", "index", "span")
+    _defaults = {**Node._defaults, "index": None}
 
     @property
     def is_cell(self):
@@ -131,16 +117,14 @@ class LValue:
 
 # ---------------------------------------------------- alloc descriptors
 
-@dataclass(frozen=True)
-class AllocDesc:
+class AllocDesc(Node):
     """The d of new/delete/copy: a class, a class array or an int array.
 
     `length` is None for plain objects; `name` is None for int arrays.
     """
 
-    name: Optional[str] = None
-    length: Optional[Expression] = None
-    span: Span = _span_field()
+    __slots__ = ("name", "length", "span")
+    _defaults = {**Node._defaults, "name": None, "length": None}
 
     @property
     def is_array(self):
@@ -160,158 +144,90 @@ class AllocDesc:
 
 # ------------------------------------------------------------ statements
 
-@dataclass(frozen=True)
-class Statement:
-    pass
+class Statement(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Skip(Statement):
-    span: Span = _span_field()
+    __slots__ = ("span",)
 
 
-@dataclass(frozen=True)
 class Seq(Statement):
     """Flattened statement sequence; never directly nests another Seq."""
 
-    stmts: tuple[Statement, ...]
-    span: Span = _span_field()
+    __slots__ = ("stmts", "span")  # a tuple
 
 
-@dataclass(frozen=True)
 class Assign(Statement):
-    target: LValue
-    op: str  # one of MOD_OPS
-    expr: Expression
-    span: Span = _span_field()
+    __slots__ = ("target", "op", "expr", "span")  # op is one of MOD_OPS
 
 
-@dataclass(frozen=True)
 class Swap(Statement):
-    left: LValue
-    right: LValue
-    span: Span = _span_field()
+    __slots__ = ("left", "right", "span")
 
 
-@dataclass(frozen=True)
 class If(Statement):
-    cond: Expression
-    then_body: Statement
-    else_body: Statement
-    assertion: Expression
-    span: Span = _span_field()
+    __slots__ = ("cond", "then_body", "else_body", "assertion", "span")
 
 
-@dataclass(frozen=True)
 class Loop(Statement):
-    assertion: Expression
-    do_body: Statement
-    loop_body: Statement
-    cond: Expression
-    span: Span = _span_field()
+    __slots__ = ("assertion", "do_body", "loop_body", "cond", "span")
 
 
-@dataclass(frozen=True)
 class ObjectBlock(Statement):
-    class_name: str
-    var: str
-    body: Statement
-    span: Span = _span_field()
+    __slots__ = ("class_name", "var", "body", "span")
 
 
-@dataclass(frozen=True)
 class LocalBlock(Statement):
-    var_type: TypeName
-    var: str
-    entry: Expression
-    body: Statement
-    exit: Expression
-    span: Span = _span_field()
+    __slots__ = ("var_type", "var", "entry", "body", "exit", "span")
 
 
-@dataclass(frozen=True)
 class New(Statement):
-    desc: AllocDesc
-    target: LValue
-    span: Span = _span_field()
+    __slots__ = ("desc", "target", "span")
 
 
-@dataclass(frozen=True)
 class Delete(Statement):
-    desc: AllocDesc
-    target: LValue
-    span: Span = _span_field()
+    __slots__ = ("desc", "target", "span")
 
 
-@dataclass(frozen=True)
 class Copy(Statement):
-    desc: AllocDesc
-    source: LValue
-    target: LValue
-    span: Span = _span_field()
+    __slots__ = ("desc", "source", "target", "span")
 
 
-@dataclass(frozen=True)
 class Uncopy(Statement):
-    desc: AllocDesc
-    source: LValue
-    target: LValue
-    span: Span = _span_field()
+    __slots__ = ("desc", "source", "target", "span")
 
 
-@dataclass(frozen=True)
 class LocalCall(Statement):
-    method: str
-    args: tuple[str, ...]
-    span: Span = _span_field()
+    __slots__ = ("method", "args", "span")  # args: a tuple of variable names
 
 
-@dataclass(frozen=True)
 class LocalUncall(Statement):
-    method: str
-    args: tuple[str, ...]
-    span: Span = _span_field()
+    __slots__ = ("method", "args", "span")
 
 
-@dataclass(frozen=True)
 class ObjectCall(Statement):
-    callee: LValue
-    method: str
-    args: tuple[str, ...]
-    span: Span = _span_field()
+    __slots__ = ("callee", "method", "args", "span")
 
 
-@dataclass(frozen=True)
 class ObjectUncall(Statement):
-    callee: LValue
-    method: str
-    args: tuple[str, ...]
-    span: Span = _span_field()
+    __slots__ = ("callee", "method", "args", "span")
 
 
 # ------------------------------------------------------------ top level
 
-@dataclass(frozen=True)
-class MethodDecl:
-    name: str
-    params: tuple[tuple[TypeName, str], ...]
-    body: Statement
-    span: Span = _span_field()
+class MethodDecl(Node):
+    __slots__ = ("name", "params", "body", "span")  # params: ((type, name), ...)
 
 
-@dataclass(frozen=True)
-class ClassDecl:
-    name: str
-    parent: Optional[str]
-    fields: tuple[tuple[TypeName, str], ...]
-    methods: tuple[MethodDecl, ...]
-    span: Span = _span_field()
+class ClassDecl(Node):
+    """`parent` is None for a root class; `fields` is ((type, name), ...)."""
+
+    __slots__ = ("name", "parent", "fields", "methods", "span")
 
 
-@dataclass(frozen=True)
-class Program:
-    classes: tuple[ClassDecl, ...]
-    span: Span = _span_field()
+class Program(Node):
+    __slots__ = ("classes", "span")
 
 
 def seq(stmts, span=NO_SPAN) -> Statement:
@@ -324,4 +240,4 @@ def seq(stmts, span=NO_SPAN) -> Statement:
             flat.append(s)
     if len(flat) == 1:
         return flat[0]
-    return Seq(tuple(flat), span=span)
+    return Seq(tuple(flat), span)

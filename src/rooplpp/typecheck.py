@@ -8,19 +8,18 @@ exists (e.g. `1 + nil`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .classes import ClassMap, array_type_of
 from .errors import NO_SPAN, TypeError_
 from . import syntax as ast
 from .syntax import vars_of
 
 
-@dataclass
 class TypeEnv:
-    bindings: dict[str, ast.TypeName]
-    current_class: str
-    field_names: frozenset[str]
+    def __init__(self, bindings: dict[str, ast.TypeName], current_class: str,
+                 field_names: frozenset[str]):
+        self.bindings = bindings
+        self.current_class = current_class
+        self.field_names = field_names
 
     def extend(self, name, ty) -> "TypeEnv":
         new = dict(self.bindings)

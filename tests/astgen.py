@@ -16,7 +16,7 @@ Two flavours:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from rooplpp import parse
 from rooplpp import syntax as ast
@@ -387,7 +387,7 @@ def make_program(seed: int, length=8) -> tuple[ast.Program, ast.Statement]:
     program = skeleton_program()
     main_cls = program.classes[1]
     new_methods = tuple(
-        replace(m, body=body) if m.name == "main" else m
+        m.replace(body=body) if m.name == "main" else m
         for m in main_cls.methods)
-    new_main = replace(main_cls, methods=new_methods)
+    new_main = main_cls.replace(methods=new_methods)
     return ast.Program((program.classes[0], new_main)), body

@@ -131,11 +131,10 @@ def test_criterion_3_reversibility():
 
 
 def _blank_run(program, config):
-    from dataclasses import replace
     main = program.classes[1]
-    methods = tuple(replace(m, body=ast.Skip()) if m.name == "main" else m
+    methods = tuple(m.replace(body=ast.Skip()) if m.name == "main" else m
                     for m in main.methods)
-    blank = ast.Program((program.classes[0], replace(main, methods=methods)))
+    blank = ast.Program((program.classes[0], main.replace(methods=methods)))
     return run_program(blank, build_class_map(blank), config).state
 
 
@@ -348,13 +347,12 @@ def test_criterion_8_differential_oracles():
 
 def _single_mirror_program(program):
     """BinaryTree corpus with the second mirror call removed."""
-    from dataclasses import replace
     tree = program.classes[1]
     main = next(m for m in tree.methods if m.name == "main")
     stmts = list(main.body.stmts)
     assert isinstance(stmts[-1], ast.ObjectCall) or \
         isinstance(stmts[-1], ast.LocalCall)
     trimmed = ast.Seq(tuple(stmts[:-1]))
-    methods = tuple(replace(m, body=trimmed) if m.name == "main" else m
+    methods = tuple(m.replace(body=trimmed) if m.name == "main" else m
                     for m in tree.methods)
-    return ast.Program((program.classes[0], replace(tree, methods=methods)))
+    return ast.Program((program.classes[0], tree.replace(methods=methods)))

@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -232,6 +233,22 @@ def test_resume_corrupt_free_block_exit_4(tmp_path):
     assert "CorruptFree" in result.stderr
 
 
+def test_resume_frame_top_out_of_range_exit_4(tmp_path):
+    # LinkedList's main method calls, so a resumed reverse run pushes frames
+    state = tmp_path / "good.state"
+    cli("run", "--save-state", str(state), str(corpus_path("LinkedList")))
+    blob = bytearray(state.read_bytes())
+    struct.pack_into("<Q", blob, 32, 10**9)   # frame top
+    patched = tmp_path / "patched.state"
+    patched.write_bytes(bytes(blob))
+    result = cli("run", "--resume", str(patched), "--reverse",
+                 str(corpus_path("LinkedList")))
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ") and "frame top" in result.stderr
+
+
 @pytest.mark.parametrize("flag", ["--save-state", "--trace"])
 def test_unwritable_output_path_exit_4(tmp_path, flag):
     target = tmp_path / "missing" / "out"
@@ -313,3 +330,91 @@ def test_nesting_too_deep_exit_3(tmp_path, command, source):
 def test_invert_parse_error_exit_3():
     result = cli("invert", str(FIXTURES_DIR / "static" / "truncated.rplpp"))
     assert result.returncode == 3
+
+
+# ------------------------------------------------------------ usage errors
+
+@pytest.mark.parametrize("argv", [
+    ["frob", "x"],
+    [],
+    ["run"],
+    ["run", "--bogus", "P"],
+    ["run", "--freelists", "abc", "P"],
+    ["run", "--step-limit", "-1", "P"],
+    ["run", "--step-limit", "many", "P"],
+    ["run", "--word-bits", "8", "P"],
+    ["check", "P", "extra"],
+])
+def test_bad_usage_exit_4_with_one_line(argv):
+    argv = [str(corpus_path("Fibonacci")) if a == "P" else a for a in argv]
+    result = cli(*argv)
+    assert result.returncode == 4
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ")
+
+
+def test_negative_step_limit_names_the_flag():
+    result = cli("run", "--step-limit", "-1", str(corpus_path("Fibonacci")))
+    assert "--step-limit" in result.stderr
+    assert "StepLimitExceeded" not in result.stderr
+
+
+def test_zero_step_limit_still_runs_into_the_limit():
+    result = cli("run", "--step-limit", "0", str(corpus_path("Fibonacci")))
+    assert result.returncode == 1
+    assert "StepLimitExceeded" in result.stderr
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["run", "-h"], ["check", "--help"]])
+def test_help_exits_0(argv):
+    result = cli(*argv)
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: rooplpp")
+
+
+# ---------------------------------------------------------------- start-up
+
+_LOADED_AT_EXIT = """
+import atexit, runpy, sys
+atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))
+sys.argv = ["rooplpp", *sys.argv[1:]]
+runpy.run_module("rooplpp.cli", run_name="__main__")
+"""
+
+
+def _modules_after(*args):
+    result = subprocess.run([sys.executable, "-c", _LOADED_AT_EXIT, *args],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return set(result.stderr.split())
+
+
+def test_check_loads_no_back_end():
+    loaded = _modules_after("check", str(corpus_path("BinaryTree")))
+    assert "rooplpp.typecheck" in loaded           # the probe sees imports
+    for name in ("dataclasses", "json", "rooplpp.machine", "rooplpp.heap",
+                 "rooplpp.statefile", "rooplpp.inverter", "rooplpp.printer"):
+        assert name not in loaded, name
+
+
+def test_invert_loads_neither_checker_nor_interpreter():
+    loaded = _modules_after("invert", str(corpus_path("BinaryTree")))
+    assert "rooplpp.inverter" in loaded
+    for name in ("dataclasses", "rooplpp.typecheck", "rooplpp.machine",
+                 "rooplpp.heap", "rooplpp.statefile"):
+        assert name not in loaded, name
+
+
+def test_package_exports_resolve_lazily():
+    probe = ("import sys, rooplpp; "
+             "print(sorted(m for m in sys.modules if m.startswith('rooplpp')))")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True)
+    assert result.stdout.split() == ["['rooplpp']"]
+    import rooplpp
+    for name in rooplpp.__all__:
+        assert getattr(rooplpp, name) is not None, name
+    assert set(rooplpp.__all__) <= set(dir(rooplpp))
+    with pytest.raises(AttributeError):
+        rooplpp.no_such_name

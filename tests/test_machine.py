@@ -100,11 +100,10 @@ def world():
 
 def run_body(body, direction=FORWARD, config=SMALL):
     program, class_map = world()
-    from dataclasses import replace
     main = program.classes[1]
-    methods = tuple(replace(m, body=parse_statement(body))
+    methods = tuple(m.replace(body=parse_statement(body))
                     if m.name == "main" else m for m in main.methods)
-    patched = ast.Program((program.classes[0], replace(main, methods=methods)))
+    patched = ast.Program((program.classes[0], main.replace(methods=methods)))
     class_map = build_class_map(patched)
     errors = check_program(patched, class_map)
     assert not errors, errors
@@ -592,11 +591,10 @@ class Main
 # ------------------------------------------ reversibility property checks
 
 def _baseline_words(program, config):
-    from dataclasses import replace
     main = program.classes[1]
-    methods = tuple(replace(m, body=ast.Skip()) if m.name == "main" else m
+    methods = tuple(m.replace(body=ast.Skip()) if m.name == "main" else m
                     for m in main.methods)
-    blank = ast.Program((program.classes[0], replace(main, methods=methods)))
+    blank = ast.Program((program.classes[0], main.replace(methods=methods)))
     return run_program(blank, build_class_map(blank), config).state
 
 

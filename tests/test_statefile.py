@@ -90,3 +90,33 @@ def test_nonzero_free_block_interior_rejected(tmp_path):
     save_state(str(path), result.state)
     with pytest.raises(ConfigError, match="CorruptFree"):
         load_state(str(path))
+
+
+def _with_frame_top(tmp_path, frame_top):
+    result = _run("Fibonacci")
+    path = tmp_path / "m.state"
+    save_state(str(path), result.state)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<Q", blob, 32, frame_top)   # frame top, after heap end
+    path.write_bytes(bytes(blob))
+    return path, result.state.memory
+
+
+@pytest.mark.parametrize("where", ["below_heap_max", "above_stack_base",
+                                   "huge"])
+def test_frame_top_outside_frame_region_rejected(tmp_path, where):
+    mem = _run("Fibonacci").state.memory
+    frame_top = {"below_heap_max": mem.heap_max - 1,
+                 "above_stack_base": mem.stack_base + 1,
+                 "huge": 10**9}[where]
+    path, _ = _with_frame_top(tmp_path, frame_top)
+    with pytest.raises(ConfigError, match="frame top"):
+        load_state(str(path))
+
+
+@pytest.mark.parametrize("edge", ["heap_max", "stack_base"])
+def test_frame_top_at_region_edges_accepted(tmp_path, edge):
+    mem = _run("Fibonacci").state.memory
+    frame_top = getattr(mem, edge)
+    path, _ = _with_frame_top(tmp_path, frame_top)
+    assert load_state(str(path)).frame_top == frame_top
