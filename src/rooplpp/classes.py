@@ -11,11 +11,10 @@ from .errors import ClassError, Record
 from . import syntax as ast
 
 
-def next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p <<= 1
-    return p
+def block_words(n: int) -> int:
+    """Words in the buddy block that holds n words: the smallest power of
+    two that is at least n and at least 2."""
+    return max(2, 1 << (n - 1).bit_length())
 
 
 class ClassInfo(Record):
@@ -31,8 +30,8 @@ class ClassInfo(Record):
 
     @property
     def alloc_words(self) -> int:
-        # header word + reference count + fields, rounded up to a power of two
-        return max(2, next_pow2(self.payload_words + 2))
+        # header word + reference count + fields
+        return block_words(self.payload_words + 2)
 
     def field_offset(self, name: str) -> int:
         for i, (_, fname) in enumerate(self.fields):

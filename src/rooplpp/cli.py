@@ -26,6 +26,10 @@ def _read_source(path):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
+    except UnicodeDecodeError as exc:
+        print(f"{path}: syntax error: not UTF-8 text (byte {exc.start})",
+              file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
 
 
 def _parse(path):
@@ -72,15 +76,11 @@ def cmd_run(args):
     from .statefile import load_state, save_state
 
     program, class_map = _front_end(args.path)
-    try:
-        config = MemoryConfig(word_bits=args.word_bits,
-                              num_freelists=args.freelists,
-                              stack_words=args.stack_words,
-                              grow_blocks=8 if args.heap_grow else 0)
-        config.validate()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    config = MemoryConfig(word_bits=args.word_bits,
+                          num_freelists=args.freelists,
+                          stack_words=args.stack_words,
+                          grow_blocks=8 if args.heap_grow else 0)
+    config.validate()  # a ConfigError exits 4 from `main`
 
     state = None
     if args.resume:

@@ -1,4 +1,4 @@
-"""Word-addressed memory with the buddy allocator and its exact inverse.
+"""Word-addressed memory with a reversible buddy allocator.
 
 Arena layout (word addresses):
 
@@ -8,37 +8,31 @@ Arena layout (word addresses):
     ...                optional growth room (whole top-size blocks)
     stack region       `stack_words` words at the top; frames grow downward
 
-Free blocks chain through their first word (0 terminates).  Deallocation
-runs the allocator statement-by-statement in reverse, so a block merges
-with its split partner only when that partner is at the head of its free
-list and adjacent below; the partner must also be the only block in the
-list (its link word must be zero), otherwise the inverse control flow is
-inconsistent and deallocation fails with CorruptFree.
+Free blocks chain through their first word (0 terminates).  A request
+takes a block of `classes.block_words` words.  `malloc` pops the first
+non-empty list at or above that size, then splits downward: each lower
+half heads the list below and the upper half goes on.  `free` undoes it:
+while the head of the block's list is its partner directly below, it
+merges with that partner, which must be the only block on the list (its
+link word zero), else CorruptFree; then it pushes the block.  So a free
+right after a malloc restores every word.
 
 Free-block invariant: every word of a free block other than its link word
-is zero.  It holds by induction over allocator steps: `free` refuses a
-block that is not zero-cleared, a merge joins two such blocks, and
-`malloc` zeroes the link word of the block it pops.  So each merge level
-reads only the partner's link word, and `free` costs O(number of free
-lists) word reads, not O(heap).  Words that did not come from the
-allocator can break the invariant; `check_free_blocks` sweeps every free
-block for that case, and `statefile.load_state` runs it on every state it
-loads.
-
-Derived branch predicates for the inverse of the inner conditional, taken
-mechanically from the reversible conditional semantics (evaluate the exit
-assertion, run the inverted branch, require the entry condition to match):
-
-    exit assertion true  (list empty, or head not adjacent below `p`)
-        -> inverse of the pop: push `p`; afterwards the head must be nonzero
-    exit assertion false (head == p - csize)
-        -> inverse of the split: pop the partner, recursively free the
-           merged double block; afterwards the list head must be zero
+is zero.  `free` refuses a block that is not zero-cleared, a merge joins
+two such blocks, and `malloc` zeroes the link word it pops, so each merge
+level reads only the partner's link word: `free` costs O(number of free
+lists) word reads, not O(heap).  `check_free_blocks`, which
+`statefile.load_state` runs, sweeps every free block for words written
+outside the allocator.
 """
 
 from __future__ import annotations
 
+from .classes import block_words
 from .errors import ConfigError, MemoryFault, Record
+
+# machine limit on arena words (`stack_base`): 128 MiB of Python list
+MAX_ARENA_WORDS = 1 << 24
 
 
 class MemoryConfig(Record):
@@ -58,6 +52,16 @@ class MemoryConfig(Record):
             raise ConfigError(f"stack of {self.stack_words} words is too small")
         if self.grow_blocks < 0:
             raise ConfigError("grow_blocks must be non-negative")
+        if self.num_freelists >= 24 or self.arena_words() > MAX_ARENA_WORDS:
+            raise ConfigError(
+                f"{self.num_freelists} free lists, {self.grow_blocks} growth "
+                f"blocks and {self.stack_words} stack words exceed the arena "
+                f"limit of {MAX_ARENA_WORDS} words")
+
+    def arena_words(self) -> int:
+        """List heads, heap with its growth room, and stack: `stack_base`."""
+        return (1 + self.num_freelists + self.stack_words
+                + (1 << self.num_freelists) * (1 + self.grow_blocks))
 
 
 class FreeListSnapshot(Record):
@@ -93,7 +97,7 @@ class MemoryImage:
         self.top_size = 1 << self.num_freelists
         self.heap_end = self.hp + self.top_size
         self.heap_max = self.hp + self.top_size * (1 + config.grow_blocks)
-        self.stack_base = self.heap_max + config.stack_words
+        self.stack_base = config.arena_words()
         if self.stack_base > self.mask:
             raise ConfigError(
                 f"{self.stack_base} words do not fit a {self.word_bits}-bit "
@@ -120,85 +124,50 @@ class MemoryImage:
 
     # ------------------------------------------------------- allocator
 
-    def _csize_for(self, osize: int) -> int:
-        csize = 2
-        while csize < osize:
-            csize <<= 1
-        return csize
-
     def malloc(self, osize: int) -> int:
-        """Allocate the smallest power-of-two block holding osize words."""
+        """Allocate the smallest block holding osize words: pop the first
+        non-empty list at or above its size class, then split downward."""
         if osize < 1:
             raise ValueError(f"osize must be positive, got {osize}")
-        while True:
-            try:
-                p = self._malloc1(0, osize, 0, 2)
-                break
-            except _NoBlock:
-                if self.config.grow_blocks == 0 or osize > self.top_size:
-                    raise MemoryFault(
-                        "OutOfMemory",
-                        f"no block of {osize} words available") from None
-                self._append_top_block()
-        block = self._csize_for(osize)
-        for a in range(p, p + block):
-            if self.words[a] != 0:
-                raise MemoryFault("CorruptFree",
-                                  f"allocated block at {p} not zero-cleared")
-        return p
-
-    def _append_top_block(self):
-        if self.heap_end + self.top_size > self.heap_max:
-            raise MemoryFault("OutOfMemory", "heap growth limit reached")
-        addr = self.heap_end
-        self.heap_end += self.top_size
-        head_slot = self.flp + self.num_freelists - 1
-        self.words[addr] = self.words[head_slot]
-        self.words[head_slot] = addr
-
-    def _malloc1(self, p, osize, counter, csize):
-        flp = self.flp
-        if csize < osize:
-            if counter + 1 >= self.num_freelists:
-                raise _NoBlock()
-            return self._malloc1(p, osize, counter + 1, csize << 1)
-        slot = flp + counter
-        head = self.words[slot]
-        if head != 0:
-            # pop the head; its link word becomes the new head and is zeroed
-            p += head
-            self.words[slot] = (head - p) & self.mask
-            self.words[slot], self.words[p] = self.words[p], self.words[slot]
-            if not (self.words[slot] == 0 or p - csize != self.words[slot]):
-                raise MemoryFault(
-                    "CorruptFree",
-                    f"free list {csize} holds adjacent blocks {p} and {p - csize}")
-            return p
-        # split: take a double block, keep the lower half on this list
-        if counter + 1 >= self.num_freelists:
-            raise _NoBlock()
-        p = self._malloc1(p, osize, counter + 1, csize << 1)
-        self.words[slot] = (self.words[slot] + p) & self.mask
-        p += csize
+        words, flp, nf = self.words, self.flp, self.num_freelists
+        want = level = block_words(osize).bit_length() - 2
+        while level < nf and not words[flp + level]:
+            level += 1
+        if level >= nf:
+            if self.config.grow_blocks == 0 or osize > self.top_size:
+                raise MemoryFault("OutOfMemory",
+                                  f"no block of {osize} words available")
+            if self.heap_end + self.top_size > self.heap_max:
+                raise MemoryFault("OutOfMemory", "heap growth limit reached")
+            level = nf - 1  # the last list is empty: append a block to it
+            words[flp + level] = self.heap_end
+            words[self.heap_end] = 0
+            self.heap_end += self.top_size
+        slot, csize = flp + level, 2 << level
+        p = words[slot]
+        link = words[slot] = words[p]
+        words[p] = 0
+        if link and link == p - csize:
+            raise MemoryFault(
+                "CorruptFree",
+                f"free list {csize} holds adjacent blocks {p} and {p - csize}")
+        # split: the lower half heads the list below, go on with the upper
+        while level > want:
+            level -= 1
+            csize >>= 1
+            words[flp + level] = p
+            p += csize
+        if any(words[p:p + csize]):
+            raise MemoryFault("CorruptFree",
+                              f"allocated block at {p} not zero-cleared")
         return p
 
     def free(self, addr: int, osize: int):
-        """Exact statement-wise inverse of malloc for a zero-cleared block."""
+        """Return a zero-cleared block: while the head of its list is its
+        partner directly below, merge with it; then push the block."""
         if osize < 1:
             raise ValueError(f"osize must be positive, got {osize}")
-        csize = self._csize_for(osize)
-        self._check_block(addr, csize)
-        for a in range(addr, addr + csize):
-            if self.words[a] != 0:
-                raise MemoryFault("CorruptFree",
-                                  f"freed block at {addr} not zero-cleared "
-                                  f"(word {a} = {self.words[a]})")
-        p = self._free1(addr, osize, 0, 2)
-        if p != 0:
-            raise MemoryFault("CorruptFree",
-                              f"inverse allocation left pointer {p}, not 0")
-
-    def _check_block(self, addr, csize):
+        csize = block_words(osize)
         # non-LIFO merges can leave blocks off their power-of-two grid, so
         # only even parity is invariant
         if not self.hp <= addr < self.heap_end:
@@ -209,42 +178,34 @@ class MemoryImage:
         if addr + csize > self.heap_end:
             raise MemoryFault("CorruptFree",
                               f"block at {addr} overruns the heap")
-
-    def _free1(self, p, osize, counter, csize):
-        if counter >= self.num_freelists:
-            raise MemoryFault("CorruptFree",
-                              "merge cascaded past the largest size class")
-        if csize < osize:
-            return self._free1(p, osize, counter + 1, csize << 1)
-        slot = self.flp + counter
-        head = self.words[slot]
-        if head == 0 or p - csize != head:
-            # inverse of the pop: push p, old head becomes p's link word
-            self.words[slot], self.words[p] = self.words[p], self.words[slot]
-            self.words[slot] = (self.words[slot] + p) & self.mask
-            p -= self.words[slot]
-            if self.words[slot] == 0:
+        self._check_zero("freed", addr, addr, addr + csize)
+        words, p = self.words, addr
+        slot = first = self.flp + csize.bit_length() - 2
+        while True:
+            if slot >= self.flp + self.num_freelists:
                 raise MemoryFault("CorruptFree",
-                                  "push left an empty free list")
-            return p
-        # inverse of the split: merge with the partner below, which must be
-        # the sole block in this list; past its link word the partner is
-        # zero by the free-block invariant, so the merged block is clean
-        p -= csize
-        self.words[slot] = (head - p) & self.mask
-        if self.words[slot] != 0:
-            raise MemoryFault("CorruptFree",
-                              f"merge partner {p} is not the list head")
-        if self.words[p] != 0:
-            raise MemoryFault(
-                "CorruptFree",
-                f"merge partner {p} is not the only block in its free "
-                f"list (word {p} = {self.words[p]})")
-        p = self._free1(p, osize, counter + 1, csize << 1)
-        if self.words[slot] != 0:
+                                  "merge cascaded past the largest size class")
+            head = words[slot]
+            if not head or head != p - csize:
+                break
+            # the partner must be the only block on its list; past its link
+            # word it is zero by the free-block invariant
+            p = head
+            words[slot] = 0
+            if words[p]:
+                raise MemoryFault(
+                    "CorruptFree",
+                    f"merge partner {p} is not the only block in its free "
+                    f"list (word {p} = {words[p]})")
+            slot += 1
+            csize <<= 1
+        words[p] = head
+        words[slot] = p
+        # a stray pointer to a list-head word can make the merged block one
+        # of the heads the merge emptied
+        if first <= p < slot and head:
             raise MemoryFault("CorruptFree",
                               "merge left a non-empty free list behind")
-        return p
 
     # ----------------------------------------------------- inspection
 
@@ -289,20 +250,22 @@ class MemoryImage:
         relies on instead of scanning).  Raises MemoryFault("CorruptFree")
         at the first violation.
         """
-        words = self.words
         for i in range(self.num_freelists):
             for addr in self._free_chain(i):
-                end = addr + (2 << i)
-                # bounded slices: one slice of a top-size block would copy
-                # the whole heap, and indexing word by word is 4x slower
-                for start in range(addr + 1, end, 1024):
-                    chunk = words[start:min(start + 1024, end)]
-                    if any(chunk):
-                        a = start + next(k for k, w in enumerate(chunk) if w)
-                        raise MemoryFault(
-                            "CorruptFree",
-                            f"free block at {addr} not zero-cleared "
-                            f"(word {a} = {words[a]})")
+                self._check_zero("free", addr, addr + 1, addr + (2 << i))
+
+    def _check_zero(self, what, addr, start, end):
+        """Raise CorruptFree at the first non-zero word in [start, end)."""
+        words = self.words
+        # bounded slices: one slice of a top-size block would copy the
+        # whole heap, and indexing word by word is 4x slower
+        for base in range(start, end, 1024):
+            chunk = words[base:min(base + 1024, end)]
+            if any(chunk):
+                a = base + next(k for k, w in enumerate(chunk) if w)
+                raise MemoryFault("CorruptFree",
+                                  f"{what} block at {addr} not zero-cleared "
+                                  f"(word {a} = {words[a]})")
 
     def dump_free_lists(self) -> str:
         return "\n".join(
@@ -330,10 +293,6 @@ class MemoryImage:
 
     def same_words(self, other: "MemoryImage") -> bool:
         return self.words == other.words and self.heap_end == other.heap_end
-
-
-class _NoBlock(Exception):
-    """Internal: the recursion ran past the largest size class."""
 
 
 def init_memory(config: MemoryConfig = MemoryConfig()) -> MemoryImage:

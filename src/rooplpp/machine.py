@@ -18,11 +18,12 @@ by reference) and the local blocks.
 from __future__ import annotations
 
 import sys
+import zlib
 
-from .classes import ClassMap
-from .errors import ExecutionError, MemoryFault, RuntimeErrorKind
+from .classes import ClassMap, block_words
+from .errors import ConfigError, ExecutionError, MemoryFault, RuntimeErrorKind
 from .heap import MemoryConfig, MemoryImage, init_memory
-from .inverter import INVERSE_KIND, invert_stmt
+from .inverter import INVERSE_KIND, invert_program, invert_stmt
 from .typecheck import main_class_of
 from . import syntax as ast
 
@@ -111,6 +112,7 @@ class MachineState:
         self.step_limit = step_limit
         self.live_slots: list[tuple[int, ast.TypeName]] = []
         self.tracer = None
+        self.program_crc = None  # crc32 of repr(program) of the last run
         self._touched: list[int] = []
 
     def signed(self, word):
@@ -592,13 +594,20 @@ def run_program(program: ast.Program, class_map: ClassMap,
 
     A pre-built `state` (e.g. from a state file) resumes execution over
     existing memory; otherwise a fresh image is initialized and the main
-    object is placed in the frame region.
+    object is placed in the frame region.  A state last run by a program
+    other than this one or its inverse, or whose references fail
+    `check_refcounts` before its first run here, raises ConfigError.
     """
     main_cls = main_class_of(program)
     info = class_map[main_cls]
+    checksum = _checksum(program)
     fresh = state is None
     if fresh:
         state = MachineState(init_memory(config), step_limit=step_limit)
+    elif state.program_crc not in (None, checksum) and \
+            state.program_crc != _checksum(invert_program(program)):
+        raise ConfigError("the state was saved by a different program")
+    state.program_crc = checksum
     state.tracer = tracer
     obj_addr = state.memory.stack_base - 2 - len(info.fields)
     this_slot = obj_addr - 1
@@ -613,6 +622,8 @@ def run_program(program: ast.Program, class_map: ClassMap,
     root = (this_slot, ast.ClassRef(main_cls))
     if root not in state.live_slots:
         state.live_slots.append(root)
+        if not fresh:
+            _check_resumed(state, class_map, this_slot)
     interp = Interpreter(class_map, state)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 100_000))
@@ -629,11 +640,27 @@ def run_program(program: ast.Program, class_map: ClassMap,
     return RunResult(fields, state.steps, state, obj_addr, env)
 
 
+def _checksum(program):
+    return zlib.crc32(repr(program).encode())  # reprs ignore spans
+
+
+def _check_resumed(state, class_map, this_slot):
+    """Frames must lie below the main object, and every reference must
+    pass `check_refcounts`, before the executor trusts the words."""
+    if state.frame_top > this_slot:
+        raise ConfigError(f"frame top {state.frame_top} is above the main "
+                          f"object's slot {this_slot}")
+    try:
+        check_refcounts(state, class_map)
+    except (AssertionError, MemoryFault) as exc:
+        raise ConfigError(f"bad reference in the state: {exc}") from None
+
+
 def check_refcounts(state: MachineState, class_map: ClassMap):
     """Debug sweep: reference counts of every object and array reachable
     from the live typed slots must equal the number of slots holding the
-    address.  Returns (counts, kinds) keyed by address; raises on
-    mismatch."""
+    address, and each must lie inside memory.  Returns (counts, kinds)
+    keyed by address; raises AssertionError or MemoryFault otherwise."""
     mem = state.memory
     counts: dict[int, int] = {}
     kinds: dict[int, ast.TypeName] = {}
@@ -655,12 +682,21 @@ def check_refcounts(state: MachineState, class_map: ClassMap):
     while queue:
         addr, ty = queue.pop()
         if isinstance(ty, ast.ClassRef):
-            info = class_map.by_id(mem.read_word(addr))
+            try:
+                info = class_map.by_id(mem.read_word(addr))
+            except KeyError:
+                raise AssertionError(
+                    f"word at {addr} is not an object header") from None
+            size = len(info.fields)
+        else:
+            size = mem.read_word(addr)  # array length
+        if addr + 2 + size > mem.stack_base:
+            raise AssertionError(f"block at {addr} overruns memory")
+        if isinstance(ty, ast.ClassRef):
             for i, (fty, _) in enumerate(info.fields):
                 visit_slot(addr + 2 + i, fty)
         elif isinstance(ty, ast.ClassArrayType):
-            length = mem.read_word(addr)
-            for i in range(length):
+            for i in range(size):
                 visit_slot(addr + 2 + i, ast.ClassRef(ty.name))
     for addr, n in counts.items():
         stored = mem.read_word(addr + 1)
@@ -673,7 +709,6 @@ def check_refcounts(state: MachineState, class_map: ClassMap):
 
 def live_heap_words(state: MachineState, class_map: ClassMap) -> int:
     """Total block words of live heap objects reachable from the roots."""
-    from .classes import next_pow2
     mem = state.memory
     _, kinds = check_refcounts(state, class_map)
     total = 0
@@ -683,5 +718,5 @@ def live_heap_words(state: MachineState, class_map: ClassMap) -> int:
         if isinstance(ty, ast.ClassRef):
             total += class_map.by_id(mem.read_word(addr)).alloc_words
         else:
-            total += max(2, next_pow2(mem.read_word(addr) + 2))
+            total += block_words(mem.read_word(addr) + 2)
     return total

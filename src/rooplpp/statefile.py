@@ -1,8 +1,9 @@
 """Versioned binary machine-state dumps for resume/save.
 
-Layout: magic ``RPPM``, u16 version, u8 word bits, u8 free-list count,
-u32 stack words, u32 grow blocks, then u64 total words, heap end, frame
-top and step count, followed by the raw word array little-endian.
+Layout (version 2): magic ``RPPM``, u16 version, u8 word bits, u8
+free-list count, u32 stack words, u32 grow blocks, then u64 total words,
+heap end, frame top and step count, u32 `MachineState.program_crc` (0 if
+no program ran; `run_program` checks it), then the words little-endian.
 
 Loading refuses a file whose length, word count or heap end does not match
 its header, whose frame top lies outside the frame region, or whose free
@@ -19,9 +20,9 @@ from .heap import MemoryConfig, MemoryImage
 from .machine import MachineState
 
 MAGIC = b"RPPM"
-VERSION = 1
+VERSION = 2
 
-_HEADER = struct.Struct("<4sHBBII4Q")
+_HEADER = struct.Struct("<4sHBBII4QI")
 _WORD_FORMATS = {16: "H", 32: "I", 64: "Q"}
 
 
@@ -30,7 +31,7 @@ def save_state(path: str, state: MachineState):
     header = _HEADER.pack(MAGIC, VERSION, mem.word_bits, mem.num_freelists,
                           mem.config.stack_words, mem.config.grow_blocks,
                           len(mem.words), mem.heap_end, state.frame_top,
-                          state.steps)
+                          state.steps, state.program_crc or 0)
     words = struct.pack(f"<{len(mem.words)}{_WORD_FORMATS[mem.word_bits]}",
                         *mem.words)
     with open(path, "wb") as fh:
@@ -44,20 +45,22 @@ def load_state(path: str) -> MachineState:
     if len(blob) < _HEADER.size or blob[:4] != MAGIC:
         raise ConfigError(f"{path} is not a machine-state file")
     (_, version, word_bits, num_freelists, stack_words, grow_blocks,
-     total, heap_end, frame_top, steps) = _HEADER.unpack_from(blob)
+     total, heap_end, frame_top, steps, crc) = _HEADER.unpack_from(blob)
     if version != VERSION:
         raise ConfigError(f"unsupported state-file version {version}")
     config = MemoryConfig(word_bits=word_bits, num_freelists=num_freelists,
                           stack_words=stack_words, grow_blocks=grow_blocks)
-    mem = MemoryImage(config)
-    if total != mem.stack_base:
+    config.validate()
+    # checked before the image is built, so a bad header allocates nothing
+    if total != config.arena_words():
         raise ConfigError(f"{path}: word count {total} does not match the "
-                          f"configuration ({mem.stack_base})")
+                          f"configuration ({config.arena_words()})")
     word_format = struct.Struct(f"<{total}{_WORD_FORMATS[word_bits]}")
     if len(blob) != _HEADER.size + word_format.size:
         raise ConfigError(f"{path}: {len(blob)} bytes, expected "
                           f"{_HEADER.size + word_format.size} for {total} "
                           "words")
+    mem = MemoryImage(config)
     if not (mem.heap_end <= heap_end <= mem.heap_max
             and (heap_end - mem.hp) % mem.top_size == 0):
         raise ConfigError(f"{path}: heap end {heap_end} does not match the "
@@ -74,4 +77,5 @@ def load_state(path: str) -> MachineState:
     state = MachineState(mem)
     state.frame_top = frame_top
     state.steps = steps
+    state.program_crc = crc or None
     return state

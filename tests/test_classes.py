@@ -1,6 +1,7 @@
 import pytest
 
 from rooplpp import ClassError, array_type_of, build_class_map, parse
+from rooplpp.classes import block_words
 from rooplpp import syntax as ast
 
 SHAPES = """
@@ -39,8 +40,8 @@ def test_field_offsets_start_after_header(shapes):
 
 def test_allocation_words(shapes):
     assert shapes.allocation_words("Shape") == 4        # 2 fields + header
-    assert shapes.allocation_words("Circle") == 8       # next_pow2(5)
-    assert shapes.allocation_words("Rectangle") == 8    # next_pow2(6)
+    assert shapes.allocation_words("Circle") == 8       # block_words(5)
+    assert shapes.allocation_words("Rectangle") == 8    # block_words(6)
 
 
 def test_header_only_class_allocates_two_words():
@@ -157,3 +158,12 @@ def test_unknown_field_type_rejected():
     with pytest.raises(ClassError) as exc:
         build_class_map(parse("class A Ghost g method m() skip"))
     assert exc.value.kind == "UnknownClass"
+
+
+def test_block_words_is_the_one_rounding_rule():
+    assert [block_words(n) for n in range(0, 10)] == \
+        [2, 2, 2, 4, 4, 8, 8, 8, 8, 16]
+    for n in range(1, 600):
+        size = block_words(n)
+        assert size >= max(n, 2) and size & (size - 1) == 0
+        assert size == 2 or size // 2 < n

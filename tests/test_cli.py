@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import struct
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rooplpp.statefile import load_state, save_state
 
@@ -247,6 +252,107 @@ def test_resume_frame_top_out_of_range_exit_4(tmp_path):
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error: ") and "frame top" in result.stderr
+
+
+def _one_error_line(result, code=4):
+    assert result.returncode == code
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    return result.stderr
+
+
+def test_resume_bad_pointer_exit_4(tmp_path):
+    saved = tmp_path / "good.state"
+    cli("run", "--save-state", str(saved), str(corpus_path("LinkedList")))
+    state = load_state(str(saved))
+    assert state.memory.words[1025] != 0          # a cell's `next` field
+    state.memory.words[1025] = 10**9
+    bad = tmp_path / "bad.state"
+    save_state(str(bad), state)
+    result = cli("run", "--resume", str(bad), "--reverse",
+                 str(corpus_path("LinkedList")))
+    assert _one_error_line(result) == (
+        "error: bad reference in the state: read at 1000000000 out of "
+        "bounds\n")
+
+
+def test_resume_under_another_program_exit_4(tmp_path):
+    saved = tmp_path / "list.state"
+    cli("run", "--save-state", str(saved), str(corpus_path("LinkedList")))
+    result = cli("run", "--resume", str(saved), "--reverse",
+                 str(corpus_path("Fibonacci")))
+    assert _one_error_line(result) == (
+        "error: the state was saved by a different program\n")
+
+
+def test_resume_under_the_inverse_program(tmp_path):
+    # the inverted program run forward undoes the original's run
+    saved = tmp_path / "list.state"
+    cli("run", "--save-state", str(saved), str(corpus_path("LinkedList")))
+    inverse = tmp_path / "inverse.rplpp"
+    inverse.write_text(cli("invert", str(corpus_path("LinkedList"))).stdout)
+    result = cli("run", "--resume", str(saved), str(inverse))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["head = 0", "listLength = 0",
+                                          "total = 0", "count = 0"]
+
+
+_LIST_STATE = {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_mutated_state_resumes_to_an_exit_code(rng):
+    # byte-mutated LinkedList states end in SystemExit 0-4 in-process
+    from rooplpp.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.state")
+        if not _LIST_STATE:
+            with contextlib.redirect_stdout(io.StringIO()):
+                with pytest.raises(SystemExit):
+                    main(["run", "--save-state", path,
+                          str(corpus_path("LinkedList"))])
+            with open(path, "rb") as fh:
+                blob = _LIST_STATE["blob"] = fh.read()
+            # the non-zero 32-bit words after the 52-byte header
+            _LIST_STATE["nonzero"] = [
+                at for at in range(52, len(blob), 4) if any(blob[at:at + 4])]
+        blob = bytearray(_LIST_STATE["blob"])
+        for _ in range(rng.randint(1, 4)):
+            where = rng.random()
+            at = rng.randrange(52) if where < 0.3 else \
+                rng.choice(_LIST_STATE["nonzero"]) + rng.randrange(4) \
+                if where < 0.8 else rng.randrange(len(blob))
+            blob[at] = rng.randrange(256)
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--resume", path, "--reverse", "--step-limit",
+                      "100000", str(corpus_path("LinkedList"))])
+    assert exc.value.code in range(5), out.getvalue()
+
+
+def test_non_utf8_source_exit_3(tmp_path):
+    path = tmp_path / "latin1.rplpp"
+    path.write_bytes("// café\nclass Main\n".encode("latin-1"))
+    for command in ("check", "run", "invert"):
+        assert _one_error_line(cli(command, str(path)), 3) == (
+            f"{path}: syntax error: not UTF-8 text (byte 6)\n")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--word-bits", "64", "--freelists", "30"],
+    ["--freelists", "24"],
+    ["--stack-words", str(2**24)],
+    ["--freelists", "23", "--heap-grow"],
+])
+def test_arena_over_the_machine_limit_exit_4(flags):
+    # validate refuses these before any word list is built
+    result = cli("run", *flags, str(corpus_path("Fibonacci")))
+    assert "exceed the arena limit of 16777216 words" in _one_error_line(result)
 
 
 @pytest.mark.parametrize("flag", ["--save-state", "--trace"])

@@ -52,6 +52,25 @@ def test_bad_config_rejected(config):
         init_memory(config)
 
 
+@pytest.mark.parametrize("config", [
+    MemoryConfig(num_freelists=24),
+    MemoryConfig(num_freelists=10**9),
+    MemoryConfig(stack_words=1 << 24),
+    MemoryConfig(num_freelists=22, grow_blocks=4),
+    MemoryConfig(word_bits=64, num_freelists=30),
+])
+def test_arena_over_the_machine_limit_rejected(config):
+    # validate alone: no word list of this size is ever built
+    with pytest.raises(ConfigError, match="arena limit of 16777216 words"):
+        config.validate()
+
+
+def test_arena_just_under_the_machine_limit_validates():
+    config = MemoryConfig(num_freelists=23, stack_words=(1 << 23) - 24)
+    assert config.arena_words() == 1 << 24
+    config.validate()
+
+
 # ---------------------------------------------------------------- malloc
 
 def test_first_small_allocation_splits_down():
@@ -78,6 +97,18 @@ def test_canonical_allocation_sequence():
     assert mem.malloc(4) == hp + 8
     assert sizes_present(mem) == {2}
     assert mem.snapshot_free_lists().addresses(2) == (hp + 12,)
+
+
+def test_pop_leaving_empty_list_at_address_csize_is_not_adjacent():
+    # with 3 free lists hp = 4, so the second 4-word block sits at 4 and
+    # `p - csize` is 0, the value of the list head the pop leaves behind
+    mem = init_memory(MemoryConfig(num_freelists=3, stack_words=8))
+    baseline = mem.clone()
+    assert (mem.malloc(4), mem.malloc(4)) == (8, 4)
+    assert mem.snapshot_free_lists().sizes_present() == ()
+    mem.free(4, 4)
+    mem.free(8, 4)
+    assert mem.same_words(baseline)
 
 
 def test_request_rounding_and_minimum():

@@ -656,3 +656,24 @@ def test_refcounts_survive_rewind_replay_cycles():
     replay = run_program(program, class_map, state=rewound.state)
     assert replay.fields["total"] == 55
     check_refcounts(replay.state, class_map)
+
+
+def test_refcount_sweep_refuses_a_block_past_memory():
+    program = parse(corpus_path("RTM").read_text())
+    class_map = build_class_map(program)
+    result = run_program(program, class_map)
+    mem = result.state.memory
+    tape = mem.words[result.main_address + 2]     # RTM's first field
+    mem.words[tape] = mem.stack_base               # the array's length
+    with pytest.raises(AssertionError, match=f"block at {tape} overruns"):
+        check_refcounts(result.state, class_map)
+
+
+def test_refcount_sweep_refuses_a_bad_object_header():
+    program = parse(corpus_path("LinkedList").read_text())
+    class_map = build_class_map(program)
+    result = run_program(program, class_map)
+    head = result.state.memory.words[result.main_address + 2]
+    result.state.memory.words[head] = 99
+    with pytest.raises(AssertionError, match="not an object header"):
+        check_refcounts(result.state, class_map)

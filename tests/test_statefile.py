@@ -2,7 +2,9 @@ import struct
 
 import pytest
 
-from rooplpp import ConfigError, MemoryConfig, build_class_map, parse, run_program
+from rooplpp import (ConfigError, MachineState, MemoryConfig, build_class_map,
+                     init_memory, parse, run_program)
+from rooplpp import statefile
 from rooplpp.statefile import load_state, save_state
 
 from conftest import corpus_path
@@ -120,3 +122,40 @@ def test_frame_top_at_region_edges_accepted(tmp_path, edge):
     frame_top = getattr(mem, edge)
     path, _ = _with_frame_top(tmp_path, frame_top)
     assert load_state(str(path)).frame_top == frame_top
+
+
+def test_program_checksum_round_trip(tmp_path):
+    result = _run("Fibonacci")
+    path = tmp_path / "m.state"
+    save_state(str(path), result.state)
+    assert load_state(str(path)).program_crc == result.state.program_crc
+    assert result.state.program_crc is not None
+    # a state no program ran stores 0 and loads as None
+    save_state(str(path), MachineState(init_memory(MemoryConfig())))
+    assert load_state(str(path)).program_crc is None
+
+
+def test_version_1_rejected(tmp_path):
+    path = tmp_path / "m.state"
+    save_state(str(path), _run("Fibonacci").state)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<H", blob, 4, 1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigError, match="version 1"):
+        load_state(str(path))
+
+
+@pytest.mark.parametrize("num_freelists", [20, 23, 30])
+def test_header_checked_before_the_image_is_built(tmp_path, monkeypatch,
+                                                  num_freelists):
+    path = tmp_path / "m.state"
+    save_state(str(path), _run("Fibonacci").state)
+    blob = bytearray(path.read_bytes())
+    blob[7] = num_freelists                       # u8 free-list count
+    path.write_bytes(bytes(blob))
+
+    def no_image(config):
+        raise AssertionError("built an image for a bad header")
+    monkeypatch.setattr(statefile, "MemoryImage", no_image)
+    with pytest.raises(ConfigError, match="word count|arena limit"):
+        load_state(str(path))
