@@ -19,7 +19,7 @@ _EXPORTS = {
     "FreeListSnapshot": "heap", "MemoryConfig": "heap",
     "MemoryImage": "heap", "init_memory": "heap",
     "invert_program": "inverter", "invert_stmt": "inverter",
-    "BACKWARD": "machine", "FORWARD": "machine", "Env": "machine",
+    "BACKWARD": "machine", "FORWARD": "machine",
     "Interpreter": "machine", "MachineState": "machine",
     "apply_binop": "machine", "check_refcounts": "machine",
     "live_heap_words": "machine", "run_program": "machine",

@@ -33,18 +33,6 @@ class ClassInfo(Record):
         # header word + reference count + fields
         return block_words(self.payload_words + 2)
 
-    def field_offset(self, name: str) -> int:
-        for i, (_, fname) in enumerate(self.fields):
-            if fname == name:
-                return 2 + i
-        raise KeyError(name)
-
-    def field_type(self, name: str) -> ast.TypeName:
-        for ty, fname in self.fields:
-            if fname == name:
-                return ty
-        raise KeyError(name)
-
 
 class ClassMap:
     """Finite map class name -> resolved fields/methods, plus subtyping."""
@@ -75,9 +63,6 @@ class ClassMap:
                 return True
             cur = self.entries[cur.parent] if cur.parent else None
         return False
-
-    def allocation_words(self, name: str) -> int:
-        return self[name].alloc_words
 
 
 def array_type_of(ty: ast.TypeName) -> ast.TypeName:

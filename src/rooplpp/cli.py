@@ -210,8 +210,6 @@ def main(argv=None):
     args = build_arg_parser().parse_args(argv)
     try:
         code = args.func(args)
-    except SystemExit:
-        raise
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_IO

@@ -23,7 +23,8 @@ two such blocks, and `malloc` zeroes the link word it pops, so each merge
 level reads only the partner's link word: `free` costs O(number of free
 lists) word reads, not O(heap).  `check_free_blocks`, which
 `statefile.load_state` runs, sweeps every free block for words written
-outside the allocator.
+outside the allocator.  It, the snapshot and the dump all walk the lists
+with `_free_chain`, which refuses a cycle or a stray address.
 """
 
 from __future__ import annotations
@@ -71,12 +72,6 @@ class FreeListSnapshot(Record):
 
     def sizes_present(self) -> tuple[int, ...]:
         return tuple(size for size, addrs in self.lists if addrs)
-
-    def addresses(self, size) -> tuple[int, ...]:
-        for s, addrs in self.lists:
-            if s == size:
-                return addrs
-        raise KeyError(size)
 
     @property
     def total_free_words(self) -> int:
@@ -209,33 +204,24 @@ class MemoryImage:
 
     # ----------------------------------------------------- inspection
 
-    def _free_chain(self, i, strict=True):
-        """Yield the block addresses on free list i, head first.
-
-        A strict walk raises CorruptFree at a cycle or at an address that is
-        not a block of the list's size inside the heap.  A tolerant walk,
-        for dumping a corrupt image, stops at an address outside memory or
-        after heap_end hops instead.
-        """
+    def _free_chain(self, i):
+        """Yield the block addresses on free list i, head first; raise
+        CorruptFree at a cycle or at an address that is not a block of the
+        list's size inside the heap."""
         size = 2 << i
         seen = set()
-        hops = 0
         addr = self.words[self.flp + i]
         while addr != 0:
-            if strict:
-                if addr in seen:
-                    raise MemoryFault("CorruptFree",
-                                      f"free list {size} contains a cycle at {addr}")
-                if not self.hp <= addr <= self.heap_end - size or \
-                        (addr - self.hp) % 2:
-                    raise MemoryFault("CorruptFree",
-                                      f"free list {size} holds bad address {addr}")
-                seen.add(addr)
-            elif hops > self.heap_end:
-                return
+            if addr in seen:
+                raise MemoryFault("CorruptFree",
+                                  f"free list {size} contains a cycle at {addr}")
+            if not self.hp <= addr <= self.heap_end - size or \
+                    (addr - self.hp) % 2:
+                raise MemoryFault("CorruptFree",
+                                  f"free list {size} holds bad address {addr}")
+            seen.add(addr)
             yield addr
-            hops += 1
-            addr = self.words[addr] if 0 < addr < self.stack_base else 0
+            addr = self.words[addr]
 
     def snapshot_free_lists(self) -> FreeListSnapshot:
         return FreeListSnapshot(tuple(
@@ -268,15 +254,13 @@ class MemoryImage:
                                   f"(word {a} = {words[a]})")
 
     def dump_free_lists(self) -> str:
+        """One line per free list; a corrupt list raises CorruptFree."""
         return "\n".join(
             f"2^{i + 1}: " + " -> ".join(
-                [str(addr) for addr in self._free_chain(i, strict=False)]
-                + ["0"])
+                [str(addr) for addr in self._free_chain(i)] + ["0"])
             for i in range(self.num_freelists))
 
-    def hex_dump(self, start=None, end=None) -> str:
-        start = 0 if start is None else start
-        end = self.stack_base if end is None else end
+    def hex_dump(self, start: int, end: int) -> str:
         digits = self.word_bits // 4
         lines = []
         for base in range(start, end, 8):

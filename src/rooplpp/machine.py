@@ -12,7 +12,8 @@ from its source-level inverse, so uncall and a reversed run execute
 forward code.  A compiled body runs over a frame: the addresses of the
 words holding its variables.  Index 0 is the this-slot, then come the
 fields (`obj + 2 + i`), the parameters (the caller's slots, so passing is
-by reference) and the local blocks.
+by reference) and the local blocks.  `main` runs the same way, over the
+main object's frame, but pushes no frame word and no call-stack label.
 """
 
 from __future__ import annotations
@@ -94,16 +95,6 @@ def apply_binop(op: str, v1: int, v2: int, word_bits: int = 32) -> int:
     return ops[op](v1, v2)
 
 
-class Env:
-    """Variable -> (slot address, declared type); this_slot holds the
-    address of the word containing the current object's address."""
-
-    def __init__(self, bindings: dict[str, tuple[int, ast.TypeName]],
-                 this_slot: int | None = None):
-        self.bindings = bindings
-        self.this_slot = this_slot
-
-
 class MachineState:
     def __init__(self, memory: MemoryImage, step_limit: int = 10_000_000):
         self.memory = memory
@@ -119,22 +110,14 @@ class MachineState:
         bits = self.memory.word_bits
         return word - (1 << bits) if word & (1 << (bits - 1)) else word
 
-    def push_frame_word(self, span):
-        if self.frame_top - 1 < self.memory.heap_max:
-            raise ExecutionError(E.STACK_OVERFLOW,
-                                 "frame region collided with the heap", span)
-        self.frame_top -= 1
-        return self.frame_top
-
 
 class RunResult:
     def __init__(self, fields: dict[str, int], steps: int,
-                 state: MachineState, main_address: int, env: Env):
+                 state: MachineState, main_address: int):
         self.fields = fields
         self.steps = steps
         self.state = state
         self.main_address = main_address
-        self.env = env
 
 
 class Interpreter:
@@ -157,38 +140,30 @@ class Interpreter:
             state._touched.append(addr)
         self.put = words.__setitem__ if self.tracer is None else poke
 
-    def exec_stmt(self, env: Env, stmt: ast.Statement, direction=FORWARD):
-        """Run one statement in `env`; backward runs its inverse."""
-        names, frame = self._env_frame(env)
-        self._compile(stmt, names, direction == BACKWARD)(frame)
-
-    def eval_expr(self, env: Env, expr: ast.Expression) -> int:
-        names, frame = self._env_frame(env)
-        return self._expr(expr, names)(frame)
-
-    @staticmethod
-    def _env_frame(env):
-        names = {name: 1 + i for i, name in enumerate(env.bindings)}
-        return names, [env.this_slot, *(a for a, _ in env.bindings.values())]
-
     def _method(self, info, name, backward):
-        """(body, field count, label) of `name` on `info`, compiled once."""
+        """(body, field count, label) of `name` on `info`, compiled once; a
+        backward body is compiled from the inverse of the method's body."""
         key = (info.class_id, name, backward)
         if key not in self.methods:
             mdecl = info.methods[name]
             names = {x: 1 + i for i, (_, x) in
                      enumerate(info.fields + mdecl.params)}  # params win
-            run = self._compile(mdecl.body, names, backward)
+            self.backward = backward  # read by _stmt for the trace records
+            run = self._stmt(invert_stmt(mdecl.body) if backward
+                             else mdecl.body, names)
             self.methods[key] = run, len(info.fields), f"{info.name}::{name}"
         return self.methods[key]
 
-    def _compile(self, stmt, names, backward):
-        """Compile `stmt`, or its inverse for a backward body."""
-        self.backward = backward  # read by _stmt for the trace records
-        return self._stmt(invert_stmt(stmt) if backward else stmt, names)
-
     def fail(self, kind, message, span):
         raise ExecutionError(kind, message, span, trace=tuple(self.call_stack))
+
+    def push_frame_word(self, span):
+        st = self.state
+        if st.frame_top - 1 < self.mem.heap_max:
+            self.fail(E.STACK_OVERFLOW, "frame region collided with the heap",
+                      span)
+        st.frame_top -= 1
+        return st.frame_top
 
     # ------------------------------------------------------ expressions
     # Each compiles to a closure from the frame to a word.
@@ -384,11 +359,11 @@ class Interpreter:
         st, words, put, fail = self.state, self.words, self.put, self.fail
         live, mask, span, ty = st.live_slots, self.mem.mask, stmt.span, \
             stmt.var_type
-        counted = not isinstance(ty, ast.IntType)
+        counted, push = not isinstance(ty, ast.IntType), self.push_frame_word
 
         def local(a):
             v1 = entry(a)
-            slot = st.push_frame_word(span)
+            slot = push(span)
             put(slot, v1)
             if counted and v1 != 0:
                 put(v1 + 1, (words[v1 + 1] + 1) & mask)
@@ -422,9 +397,10 @@ class Interpreter:
         new = self._c_New(ast.New(desc, target, span=span), names)
         delete = self._c_Delete(ast.Delete(desc, target, span=span), names)
         st, live, ty = self.state, self.state.live_slots, desc.declared_type()
+        push = self.push_frame_word
 
         def block(a):
-            slot = st.push_frame_word(span)
+            slot = push(span)
             live.append((slot, ty))
             a.append(slot)
             new(a)
@@ -555,7 +531,7 @@ class Interpreter:
         method, span, fail = stmt.method, stmt.span, self.fail
         args = tuple(names[arg] for arg in stmt.args)
         st, words, stack = self.state, self.words, self.call_stack
-        targets = {}
+        push, targets = self.push_frame_word, {}
 
         def call(a):
             slot = a[0] if callee is None else callee(a)
@@ -571,7 +547,7 @@ class Interpreter:
                 run, nf, label = self._method(info, method, uncall)
                 targets[words[obj]] = run, nf, f"{label} at {span}"
             run, nf, frame = targets[words[obj]]
-            st.push_frame_word(span)
+            push(span)
             stack.append(frame)
             try:
                 run([slot, *range(obj + 2, obj + 2 + nf),
@@ -616,9 +592,6 @@ def run_program(program: ast.Program, class_map: ClassMap,
         state.memory.write_word(obj_addr, info.class_id)
         state.memory.write_word(obj_addr + 1, 1)
         state.memory.write_word(this_slot, obj_addr)
-    bindings = {fname: (obj_addr + 2 + i, fty)
-                for i, (fty, fname) in enumerate(info.fields)}
-    env = Env(bindings, this_slot=this_slot)
     root = (this_slot, ast.ClassRef(main_cls))
     if root not in state.live_slots:
         state.live_slots.append(root)
@@ -628,7 +601,8 @@ def run_program(program: ast.Program, class_map: ClassMap,
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 100_000))
     try:
-        interp.exec_stmt(env, info.methods["main"].body, direction)
+        body, nf, _ = interp._method(info, "main", direction == BACKWARD)
+        body([this_slot, *range(obj_addr + 2, obj_addr + 2 + nf)])
     except RecursionError:
         raise ExecutionError(E.STACK_OVERFLOW,
                              "call nesting exceeded the host limit",
@@ -637,7 +611,7 @@ def run_program(program: ast.Program, class_map: ClassMap,
         sys.setrecursionlimit(old_limit)
     fields = {fname: state.signed(state.memory.read_word(obj_addr + 2 + i))
               for i, (fty, fname) in enumerate(info.fields)}
-    return RunResult(fields, state.steps, state, obj_addr, env)
+    return RunResult(fields, state.steps, state, obj_addr)
 
 
 def _checksum(program):

@@ -9,9 +9,8 @@ Grammar sketch (statements juxtapose into sequences):
     d     ::= C | C "[" e "]" | "int" "[" e "]"
     y     ::= x | x "[" e "]"
 
-Precedence, loosest first: `||` < `&&` < `|` < `&` <
-comparison (`< > <= >= = !=`) < additive (`+ - ^`) < `* / %`.
-All operators associate left; parentheses group.
+Binary operators bind as `syntax.PRECEDENCE` says and associate left;
+parentheses group.
 """
 
 from __future__ import annotations
@@ -373,28 +372,14 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------
 
-    _LEVELS = [
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("&",),
-        ("<", ">", "<=", ">=", "=", "!="),
-        ("+", "-", "^"),
-        ("*", "/", "%"),
-    ]
-
-    def expression(self) -> ast.Expression:
-        return self._binary(0)
-
-    def _binary(self, level) -> ast.Expression:
-        if level == len(self._LEVELS):
-            return self._atom()
-        ops = self._LEVELS[level]
+    def expression(self, floor=1) -> ast.Expression:
+        """Precedence climbing: fold operators binding at least `floor`;
+        a right operand takes only tighter ones, so all associate left."""
         start = self.cur.span
-        expr = self._binary(level + 1)
-        while self.cur.kind == "sym" and self.cur.text in ops:
+        expr = self._atom()
+        while ast.PRECEDENCE.get(self.cur.text, 0) >= floor:
             op = self.advance().text
-            right = self._binary(level + 1)
+            right = self.expression(ast.PRECEDENCE[op] + 1)
             expr = ast.BinOp(op, expr, right, self._span_from(start))
         return expr
 

@@ -4,13 +4,6 @@ from __future__ import annotations
 
 from . import syntax as ast
 
-_PRECEDENCE = {
-    "||": 1, "&&": 2, "|": 3, "&": 4,
-    "<": 5, ">": 5, "<=": 5, ">=": 5, "=": 5, "!=": 5,
-    "+": 6, "-": 6, "^": 6,
-    "*": 7, "/": 7, "%": 7,
-}
-
 _INDENT = "    "
 
 
@@ -24,7 +17,7 @@ def print_expr(expr: ast.Expression, ambient: int = 0) -> str:
     if isinstance(expr, ast.ArrayElement):
         return f"{expr.name}[{print_expr(expr.index)}]"
     if isinstance(expr, ast.BinOp):
-        prec = _PRECEDENCE[expr.op]
+        prec = ast.PRECEDENCE[expr.op]
         left = print_expr(expr.left, prec)
         # left-associative: a right child at equal precedence needs parens
         right = print_expr(expr.right, prec + 1)

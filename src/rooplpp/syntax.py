@@ -10,10 +10,13 @@ from .errors import NO_SPAN, Record
 
 MOD_OPS = ("+=", "-=", "^=")
 
-BIN_OPS = (
-    "+", "-", "^", "*", "/", "%", "&", "|", "&&", "||",
-    "<", ">", "=", "!=", "<=", ">=",
-)
+# binding strength per operator, loosest 1, for the parser and the printer
+PRECEDENCE = {
+    "+": 6, "-": 6, "^": 6, "*": 7, "/": 7, "%": 7, "&": 4, "|": 3,
+    "&&": 2, "||": 1, "<": 5, ">": 5, "=": 5, "!=": 5, "<=": 5, ">=": 5,
+}
+
+BIN_OPS = tuple(PRECEDENCE)
 
 
 class Node(Record):

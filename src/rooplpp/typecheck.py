@@ -14,23 +14,10 @@ from . import syntax as ast
 from .syntax import vars_of
 
 
-class TypeEnv:
-    def __init__(self, bindings: dict[str, ast.TypeName], current_class: str,
-                 field_names: frozenset[str]):
-        self.bindings = bindings
-        self.current_class = current_class
-        self.field_names = field_names
-
-    def extend(self, name, ty) -> "TypeEnv":
-        new = dict(self.bindings)
-        new[name] = ty
-        return TypeEnv(new, self.current_class, self.field_names)
-
-    def lookup(self, name):
-        return self.bindings.get(name)
-
-
 class Checker:
+    """A type environment `env` maps variable names to types; `check_method`
+    sets `current_class` and `field_names` for the method it checks."""
+
     def __init__(self, class_map: ClassMap):
         self.class_map = class_map
         self.errors: list[TypeError_] = []
@@ -52,7 +39,7 @@ class Checker:
 
     # ----------------------------------------------------- expressions
 
-    def check_expr(self, env: TypeEnv, expr: ast.Expression,
+    def check_expr(self, env: dict[str, ast.TypeName], expr: ast.Expression,
                    expected: ast.TypeName | None = None) -> ast.TypeName | None:
         """Type of expr, or None after reporting an error.
 
@@ -67,12 +54,12 @@ class Checker:
                 return None
             return expected
         if isinstance(expr, ast.Variable):
-            ty = env.lookup(expr.name)
+            ty = env.get(expr.name)
             if ty is None:
                 self.error("T-Var", f"unbound variable {expr.name}", expr.span)
             return ty
         if isinstance(expr, ast.ArrayElement):
-            ty = env.lookup(expr.name)
+            ty = env.get(expr.name)
             if ty is None:
                 self.error("T-ArrElemVar", f"unbound variable {expr.name}",
                            expr.span)
@@ -130,7 +117,7 @@ class Checker:
 
     # ------------------------------------------------------ statements
 
-    def check_stmt(self, env: TypeEnv, stmt: ast.Statement):
+    def check_stmt(self, env: dict[str, ast.TypeName], stmt: ast.Statement):
         method = getattr(self, "_check_" + type(stmt).__name__, None)
         if method is None:
             raise TypeError(f"not a statement: {stmt!r}")
@@ -145,7 +132,7 @@ class Checker:
 
     def _check_Assign(self, env, stmt: ast.Assign):
         target = stmt.target
-        ty = env.lookup(target.name)
+        ty = env.get(target.name)
         if ty is None:
             self.error("T-AssVar", f"unbound variable {target.name}", stmt.span)
             return
@@ -176,7 +163,7 @@ class Checker:
         self.expect_int(env, stmt.expr, "T-AssVar", "right-hand side")
 
     def _lvalue_type(self, env, lv: ast.LValue, rule) -> ast.TypeName | None:
-        ty = env.lookup(lv.name)
+        ty = env.get(lv.name)
         if ty is None:
             self.error(rule, f"unbound variable {lv.name}", lv.span)
             return None
@@ -221,12 +208,12 @@ class Checker:
             self.error("T-ObjBlock", f"unknown class {stmt.class_name}",
                        stmt.span)
             return
-        prior = env.lookup(stmt.var)
+        prior = env.get(stmt.var)
         if prior is not None and prior != ast.ClassRef(stmt.class_name):
             self.warnings.append(
                 f"{stmt.span}: construct {stmt.class_name} {stmt.var} shadows "
                 f"a {prior} variable")
-        self.check_stmt(env.extend(stmt.var, ast.ClassRef(stmt.class_name)),
+        self.check_stmt({**env, stmt.var: ast.ClassRef(stmt.class_name)},
                         stmt.body)
 
     def _check_LocalBlock(self, env, stmt: ast.LocalBlock):
@@ -244,7 +231,7 @@ class Checker:
                 self.error("T-LocalBlock",
                            f"{what} has type {et}, expected {ty}",
                            getattr(expr, "span", stmt.span))
-        self.check_stmt(env.extend(stmt.var, ty), stmt.body)
+        self.check_stmt({**env, stmt.var: ty}, stmt.body)
 
     def _desc_type(self, env, desc: ast.AllocDesc, rule) -> ast.TypeName | None:
         if not desc.is_array:
@@ -303,13 +290,13 @@ class Checker:
             self.error(rule, "argument list must contain unique variables",
                        stmt.span)
         if forbid_fields:
-            bad = [a for a in args if a in env.field_names]
+            bad = [a for a in args if a in self.field_names]
             if bad:
                 self.error(rule,
                            f"class fields cannot be passed to a local method: "
                            f"{', '.join(bad)}", stmt.span)
         for arg, (pty, pname) in zip(args, mdecl.params):
-            aty = env.lookup(arg)
+            aty = env.get(arg)
             if aty is None:
                 self.error(rule, f"unbound argument {arg}", stmt.span)
                 continue
@@ -319,10 +306,10 @@ class Checker:
                            f"{pname} wants {pty}", stmt.span)
 
     def _check_local_call(self, env, stmt, rule):
-        info = self.class_map[env.current_class]
+        info = self.class_map[self.current_class]
         mdecl = info.methods.get(stmt.method)
         if mdecl is None:
-            self.error(rule, f"class {env.current_class} has no method "
+            self.error(rule, f"class {self.current_class} has no method "
                        f"{stmt.method}", stmt.span)
             return
         self._check_call_args(env, stmt, mdecl, rule, forbid_fields=True)
@@ -361,11 +348,10 @@ class Checker:
 
     def check_method(self, class_name: str, mdecl: ast.MethodDecl):
         info = self.class_map[class_name]
-        bindings = {fname: fty for fty, fname in info.fields}
+        env = {fname: fty for fty, fname in info.fields}
+        self.current_class, self.field_names = class_name, frozenset(env)
         for pty, pname in mdecl.params:
-            bindings[pname] = pty
-        env = TypeEnv(bindings, class_name,
-                      frozenset(fname for _, fname in info.fields))
+            env[pname] = pty
         self.check_stmt(env, mdecl.body)
 
 

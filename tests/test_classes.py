@@ -33,20 +33,21 @@ def test_resolved_fields_own_then_inherited(shapes):
 
 
 def test_field_offsets_start_after_header(shapes):
-    circle = shapes["Circle"]
-    assert circle.field_offset("radius") == 2
-    assert {circle.field_offset(f) for f in ("radius", "x", "y")} == {2, 3, 4}
+    # field i of the object at address a is the word a + 2 + i
+    offsets = {f: 2 + i for i, (_, f) in enumerate(shapes["Circle"].fields)}
+    assert offsets["radius"] == 2
+    assert sorted(offsets.values()) == [2, 3, 4]
 
 
 def test_allocation_words(shapes):
-    assert shapes.allocation_words("Shape") == 4        # 2 fields + header
-    assert shapes.allocation_words("Circle") == 8       # block_words(5)
-    assert shapes.allocation_words("Rectangle") == 8    # block_words(6)
+    assert shapes["Shape"].alloc_words == 4        # 2 fields + header
+    assert shapes["Circle"].alloc_words == 8       # block_words(5)
+    assert shapes["Rectangle"].alloc_words == 8    # block_words(6)
 
 
 def test_header_only_class_allocates_two_words():
     cmap = build_class_map(parse("class Empty method nop() skip"))
-    assert cmap.allocation_words("Empty") == 2
+    assert cmap["Empty"].alloc_words == 2
 
 
 def test_alloc_words_always_power_of_two(shapes):

@@ -156,6 +156,18 @@ class Main
     assert result.stdout.splitlines() == ["n = 0", "hits = 0"]
 
 
+def test_frame_overflow_names_the_call_stack():
+    result = cli("run", str(FIXTURES_DIR / "errors" / "stack_overflow.rplpp"))
+    assert result.returncode == 1
+    lines = result.stderr.splitlines()
+    assert lines[0].endswith(
+        ":6:9: StackOverflow: frame region collided with the heap")
+    # main's own call of dive, then one line per recursive call
+    assert lines[1] == "  in Main::dive at 10:9"
+    assert set(lines[2:]) == {"  in Main::dive at 6:9"}
+    assert len(lines) > 100
+
+
 def test_run_step_limit_flag():
     result = cli("run", "--step-limit", "2000",
                  str(FIXTURES_DIR / "errors" / "step_limit.rplpp"))
@@ -420,8 +432,16 @@ def _nested_ifs(depth):
     return f"class Main\n    int x\n\n    method main()\n        {body}\n"
 
 
+def test_check_accepts_400_nested_parentheses(tmp_path):
+    path = tmp_path / "nested.rplpp"
+    path.write_text(_nested_parens(400))
+    result = cli("check", str(path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
+
+
 @pytest.mark.parametrize("command", ["check", "run", "invert"])
-@pytest.mark.parametrize("source", [_nested_parens(3000), _nested_ifs(1500)],
+@pytest.mark.parametrize("source", [_nested_parens(5000), _nested_ifs(1500)],
                          ids=["parens", "ifs"])
 def test_nesting_too_deep_exit_3(tmp_path, command, source):
     path = tmp_path / "deep.rplpp"

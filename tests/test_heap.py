@@ -23,7 +23,7 @@ def test_init_default_heap_is_one_1024_block():
     mem = init_memory(MemoryConfig())
     snap = mem.snapshot_free_lists()
     assert snap.sizes_present() == (1024,)
-    assert snap.addresses(1024) == (mem.hp,)
+    assert dict(snap.lists)[1024] == (mem.hp,)
     assert snap.total_free_words == 1024
 
 
@@ -31,7 +31,7 @@ def test_init_small_heap_is_one_16_block():
     mem = fresh()
     snap = mem.snapshot_free_lists()
     assert snap.sizes_present() == (16,)
-    assert snap.addresses(16) == (mem.hp,)
+    assert dict(snap.lists)[16] == (mem.hp,)
 
 
 def test_init_words_zero_except_last_free_list():
@@ -80,10 +80,11 @@ def test_first_small_allocation_splits_down():
     addr = mem.malloc(2)
     assert addr == hp + 14
     snap = mem.snapshot_free_lists()
-    assert snap.addresses(8) == (hp,)
-    assert snap.addresses(4) == (hp + 8,)
-    assert snap.addresses(2) == (hp + 12,)
-    assert snap.addresses(16) == ()
+    lists = dict(snap.lists)
+    assert lists[8] == (hp,)
+    assert lists[4] == (hp + 8,)
+    assert lists[2] == (hp + 12,)
+    assert lists[16] == ()
 
 
 def test_canonical_allocation_sequence():
@@ -96,7 +97,7 @@ def test_canonical_allocation_sequence():
     assert sizes_present(mem) == {4, 2}
     assert mem.malloc(4) == hp + 8
     assert sizes_present(mem) == {2}
-    assert mem.snapshot_free_lists().addresses(2) == (hp + 12,)
+    assert dict(mem.snapshot_free_lists().lists)[2] == (hp + 12,)
 
 
 def test_pop_leaving_empty_list_at_address_csize_is_not_adjacent():
@@ -169,10 +170,11 @@ def test_non_opposite_deallocation_differs_but_conserves():
     mem.free(c, 4)
     mem.free(d, 2)
     snap = mem.snapshot_free_lists()
-    assert snap.addresses(2) == (hp + 12, hp + 14)
-    assert snap.addresses(4) == (hp + 8,)
-    assert snap.addresses(8) == (hp,)
-    assert snap.addresses(16) == ()
+    lists = dict(snap.lists)
+    assert lists[2] == (hp + 12, hp + 14)
+    assert lists[4] == (hp + 8,)
+    assert lists[8] == (hp,)
+    assert lists[16] == ()
     assert snap.total_free_words == 16
     assert not mem.same_words(fresh())
 
@@ -225,8 +227,9 @@ def test_unaligned_merge_is_reachable_and_consistent():
     mem.free(y, 2)
     mem.free(x, 2)
     snap = mem.snapshot_free_lists()
-    assert snap.addresses(4) == (hp + 10,)
-    assert snap.addresses(8) == (hp,)
+    lists = dict(snap.lists)
+    assert lists[4] == (hp + 10,)
+    assert lists[8] == (hp,)
     assert snap.total_free_words == 12
     # the inverse splits it back apart at the same addresses
     assert mem.malloc(2) == x

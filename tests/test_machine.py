@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from rooplpp import (BACKWARD, FORWARD, ExecutionError, Interpreter,
-                     MemoryConfig, RuntimeErrorKind, apply_binop,
-                     build_class_map, check_program, check_refcounts,
-                     invert_stmt, parse, parse_statement, run_program)
+from rooplpp import (BACKWARD, FORWARD, ExecutionError, MemoryConfig,
+                     RuntimeErrorKind, apply_binop, build_class_map,
+                     check_program, check_refcounts, invert_program, parse,
+                     parse_statement, run_program)
 from rooplpp import syntax as ast
 
 from astgen import make_program
@@ -138,16 +138,15 @@ x += nums[2]
 
 
 def test_expression_evaluation_is_pure():
-    program, class_map = world()
-    result = run_body("new int[3] nums nums[1] += 4")
-    state = result.state
-    before = list(state.memory.words)
-    interp = Interpreter(class_map, state)
-    value = interp.eval_expr(result.env,
-                             ast.BinOp("+", ast.ArrayElement(
-                                 "nums", ast.Constant(1)), ast.Constant(1)))
-    assert value == 5
-    assert state.memory.words == before
+    # evaluating `nums[1] + 1` as a condition and as an assertion leaves
+    # every memory word as it was
+    before = run_body("new int[3] nums nums[1] += 4")
+    after = run_body("new int[3] nums nums[1] += 4 "
+                     "if nums[1] + 1 = 5 then skip else skip "
+                     "fi nums[1] + 1 = 5")
+    assert after.state.memory.words == before.state.memory.words
+    assert run_body("new int[3] nums nums[1] += 4 "
+                    "x += nums[1] + 1").fields["x"] == 5
 
 
 # -------------------------------------------------- assignment and swaps
@@ -600,13 +599,13 @@ def _baseline_words(program, config):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_forward_then_inverted_forward_restores(seed):
-    program, body = make_program(seed, length=6)
+    program, _ = make_program(seed, length=6)
     class_map = build_class_map(program)
     assert check_program(program, class_map) == []
     config = SMALL
     result = run_program(program, class_map, config)
-    interp = Interpreter(class_map, result.state)
-    interp.exec_stmt(result.env, invert_stmt(body), FORWARD)
+    inverse = invert_program(program)
+    run_program(inverse, build_class_map(inverse), config, state=result.state)
     reference = _baseline_words(program, config)
     assert result.state.memory.words == reference.memory.words
     assert result.state.memory.heap_end == reference.memory.heap_end
@@ -615,15 +614,14 @@ def test_forward_then_inverted_forward_restores(seed):
 
 @pytest.mark.parametrize("seed", range(30, 50))
 def test_backward_equals_inverted_forward(seed):
-    program, body = make_program(seed, length=6)
+    program, _ = make_program(seed, length=6)
     class_map = build_class_map(program)
-    forward = run_program(program, class_map, SMALL)
-    via_backward = forward.state
-    interp = Interpreter(class_map, via_backward)
-    interp.exec_stmt(forward.env, body, BACKWARD)
+    via_backward = run_program(program, class_map, SMALL).state
+    run_program(program, class_map, SMALL, direction=BACKWARD,
+                state=via_backward)
     forward2 = run_program(program, class_map, SMALL)
-    interp2 = Interpreter(class_map, forward2.state)
-    interp2.exec_stmt(forward2.env, invert_stmt(body), FORWARD)
+    inverse = invert_program(program)
+    run_program(inverse, build_class_map(inverse), SMALL, state=forward2.state)
     assert via_backward.memory.words == forward2.state.memory.words
 
 

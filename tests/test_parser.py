@@ -141,6 +141,36 @@ def test_positions_attached():
     assert assign.expr.span.col == 14
 
 
+def _binop_spans(expr):
+    """(op, (line, col, end_line, end_col), left, right) down the BinOps."""
+    if not isinstance(expr, ast.BinOp):
+        return type(expr).__name__
+    s = expr.span
+    return (expr.op, (s.line, s.col, s.end_line, s.end_col),
+            _binop_spans(expr.left), _binop_spans(expr.right))
+
+
+# a BinOp spans from the first token of its left operand, an opening
+# parenthesis included, to the last token of its right operand
+@pytest.mark.parametrize("source, expected", [
+    ("a + b * c", ("+", (1, 1, 1, 10), "Variable",
+                   ("*", (1, 5, 1, 10), "Variable", "Variable"))),
+    ("a - b - c", ("-", (1, 1, 1, 10),
+                   ("-", (1, 1, 1, 6), "Variable", "Variable"), "Variable")),
+    ("(a + b) * c", ("*", (1, 1, 1, 12),
+                     ("+", (1, 2, 1, 7), "Variable", "Variable"), "Variable")),
+    ("a * (b + c)", ("*", (1, 1, 1, 12), "Variable",
+                     ("+", (1, 6, 1, 11), "Variable", "Variable"))),
+    ("((a))  || b && c = 1",
+     ("||", (1, 1, 1, 21), "Variable",
+      ("&&", (1, 11, 1, 21), "Variable",
+       ("=", (1, 16, 1, 21), "Variable", "Constant")))),
+    ("x[i + 1] % (2)", ("%", (1, 1, 1, 15), "ArrayElement", "Constant")),
+])
+def test_binop_spans(source, expected):
+    assert _binop_spans(parse_expression(source)) == expected
+
+
 def _spans_valid(node, n_lines):
     """Checks every span under node; returns how many it checked."""
     checked = 0
