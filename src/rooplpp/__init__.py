@@ -21,8 +21,8 @@ _EXPORTS = {
     "invert_program": "inverter", "invert_stmt": "inverter",
     "BACKWARD": "machine", "FORWARD": "machine",
     "Interpreter": "machine", "MachineState": "machine",
-    "apply_binop": "machine", "check_refcounts": "machine",
-    "live_heap_words": "machine", "run_program": "machine",
+    "apply_binop": "emit", "check_refcounts": "machine",
+    "run_program": "machine",
     "parse": "parser", "parse_expression": "parser",
     "parse_statement": "parser",
     "pretty_print": "printer",

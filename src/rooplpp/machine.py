@@ -1,19 +1,14 @@
-"""Executor: each method body is compiled once into closures.
+"""Executor: each method body runs as one generated Python function.
 
 Values are machine words; object values are the addresses of their
 headers and 0 encodes nil.  An object at address a stores its class id at
 a and a reference count at a+1, fields follow.  An array stores its
 length at a and a reference count at a+1, cells follow.
 
-A body is compiled into nested Python closures (Feeley & Lapalme, "Using
-closures for code generation", 1987) on its first invocation, once per
-(concrete class, method, direction) and run.  A backward body is compiled
-from its source-level inverse, so uncall and a reversed run execute
-forward code.  A compiled body runs over a frame: the addresses of the
-words holding its variables.  Index 0 is the this-slot, then come the
-fields (`obj + 2 + i`), the parameters (the caller's slots, so passing is
-by reference) and the local blocks.  `main` runs the same way, over the
-main object's frame, but pushes no frame word and no call-stack label.
+A body is emitted (`emit.Emitter`) and compiled on its first invocation,
+once per (concrete class, method, direction), a backward body from its
+source-level inverse.  `main` runs the same way, over the main object,
+but pushes no frame word and no call-stack label.
 """
 
 from __future__ import annotations
@@ -21,78 +16,18 @@ from __future__ import annotations
 import sys
 import zlib
 
-from .classes import ClassMap, block_words
+from .classes import ClassMap
 from .errors import ConfigError, ExecutionError, MemoryFault, RuntimeErrorKind
 from .heap import MemoryConfig, MemoryImage, init_memory
-from .inverter import INVERSE_KIND, invert_program, invert_stmt
+from .emit import BACKWARD, FORWARD, Emitter, division
+from .inverter import invert_program, invert_stmt
 from .typecheck import main_class_of
 from . import syntax as ast
 
 E = RuntimeErrorKind
 
-FORWARD = "forward"
-BACKWARD = "backward"
-
-# trace records of a backward body name the source statement's kind
-_SOURCE_KIND = {a.__name__: b.__name__ for a, b in INVERSE_KIND.items()}
 _FAULT_KINDS = {"NilFault": E.NIL_DEREFERENCE, "AddressFault": E.ADDRESS_FAULT,
                 "OutOfMemory": E.OUT_OF_MEMORY, "CorruptFree": E.CORRUPT_FREE}
-
-
-def _operators(word_bits: int) -> dict:
-    """Binary operator table over two's-complement words: arithmetic wraps
-    at the word width and comparisons return 1 when the relation holds."""
-    mask = (1 << word_bits) - 1
-    sign = 1 << (word_bits - 1)
-
-    def signed(v):
-        return v - (1 << word_bits) if v & sign else v
-
-    # truncating division: the quotient is negative when the signs differ
-    # and the remainder takes the dividend's sign; `//` by 0 raises
-    def divide(v1, v2):
-        if v1 < sign and v2 < sign:
-            return v1 // v2
-        q = abs(signed(v1)) // abs(signed(v2))
-        return (-q if (v1 ^ v2) & sign else q) & mask
-
-    def remainder(v1, v2):
-        if v1 < sign and v2 < sign:
-            return v1 % v2
-        r = abs(signed(v1)) % abs(signed(v2))
-        return (-r if v1 & sign else r) & mask
-
-    # flipping the sign bit maps two's-complement order to unsigned order
-    return {
-        "+": lambda v1, v2: (v1 + v2) & mask,
-        "-": lambda v1, v2: (v1 - v2) & mask,
-        "*": lambda v1, v2: (v1 * v2) & mask,
-        "^": lambda v1, v2: v1 ^ v2,
-        "&": lambda v1, v2: v1 & v2,
-        "|": lambda v1, v2: v1 | v2,
-        "/": divide,
-        "%": remainder,
-        "&&": lambda v1, v2: 1 if v1 and v2 else 0,
-        "||": lambda v1, v2: 1 if v1 or v2 else 0,
-        "<": lambda v1, v2: 1 if (v1 ^ sign) < (v2 ^ sign) else 0,
-        ">": lambda v1, v2: 1 if (v1 ^ sign) > (v2 ^ sign) else 0,
-        "<=": lambda v1, v2: 1 if (v1 ^ sign) <= (v2 ^ sign) else 0,
-        ">=": lambda v1, v2: 1 if (v1 ^ sign) >= (v2 ^ sign) else 0,
-        "=": lambda v1, v2: 1 if v1 == v2 else 0,
-        "!=": lambda v1, v2: 1 if v1 != v2 else 0,
-    }
-
-
-_OPERATORS = {bits: _operators(bits) for bits in (16, 32, 64)}
-
-
-def apply_binop(op: str, v1: int, v2: int, word_bits: int = 32) -> int:
-    """`op` from the operator table of `word_bits`-wide words; `/` and `%`
-    by zero raise ZeroDivisionError."""
-    ops = _OPERATORS.get(word_bits) or _operators(word_bits)
-    if op not in ops:
-        raise ValueError(f"unknown operator {op!r}")
-    return ops[op](v1, v2)
 
 
 class MachineState:
@@ -101,7 +36,7 @@ class MachineState:
         self.frame_top = memory.stack_base
         self.steps = 0
         self.step_limit = step_limit
-        self.live_slots: list[tuple[int, ast.TypeName]] = []
+        self.live_slots: list[tuple[int, ast.TypeName]] = []  # the roots
         self.tracer = None
         self.program_crc = None  # crc32 of repr(program) of the last run
         self._touched: list[int] = []
@@ -121,443 +56,185 @@ class RunResult:
 
 
 class Interpreter:
-    """Compiles statements to closures over one machine state and runs
-    them.  Method bodies are cached per (class id, method, direction) for
-    the interpreter's life, one run; `state.tracer` is read once, here."""
+    """Runs method bodies, each emitted and compiled once per (class id,
+    method, direction), over one machine state for one run; with
+    `state.tracer` set, read once here, in their traced variant.  Emitted
+    code calls the helpers below through the globals `F` and `A` (failed
+    checks), `X` (dispatch miss), `N`, `D` and `U` (new, delete, copy) and
+    `T` (trace record), each with a site: the span, the local blocks
+    pushed and what else the emitter knew, by index."""
 
     def __init__(self, class_map: ClassMap, state: MachineState):
-        self.class_map = class_map
-        self.state = state
-        self.mem = state.memory
-        self.words = words = state.memory.words
-        self.ops = _OPERATORS[self.mem.word_bits]  # widths are validated
-        self.call_stack: list[str] = []
+        self.class_map, self.state = class_map, state
+        self.mem = mem = state.memory
+        self.words = words = mem.words
         self.methods: dict[tuple[int, str, bool], tuple] = {}
+        self.sites: list[tuple] = []
         self.tracer = state.tracer
 
         def poke(addr, value):
             words[addr] = value
             state._touched.append(addr)
         self.put = words.__setitem__ if self.tracer is None else poke
+        self.globals = {"w": words, "F": self.fail, "A": self.cell_fault,
+                        "X": self.dispatch, "N": self.new, "D": self.delete,
+                        "U": self.copy, **division(mem.word_bits)}
+        if self.tracer is not None:
+            self.globals.update(P=poke, T=self.record, S=state)
 
     def _method(self, info, name, backward):
-        """(body, field count, label) of `name` on `info`, compiled once; a
-        backward body is compiled from the inverse of the method's body."""
+        """(function, label) of `name` on `info`, emitted once; a backward
+        body is emitted from the inverse of the method's body."""
         key = (info.class_id, name, backward)
         if key not in self.methods:
-            mdecl = info.methods[name]
-            names = {x: 1 + i for i, (_, x) in
-                     enumerate(info.fields + mdecl.params)}  # params win
-            self.backward = backward  # read by _stmt for the trace records
-            run = self._stmt(invert_stmt(mdecl.body) if backward
-                             else mdecl.body, names)
-            self.methods[key] = run, len(info.fields), f"{info.name}::{name}"
+            mdecl, fields = info.methods[name], info.fields
+            names = {x: "o + %d" % i for i, (_, x) in enumerate(fields, 2)}
+            params = ["p%d" % i for i in range(len(mdecl.params))]
+            names.update(zip((x for _, x in mdecl.params), params))
+            body = invert_stmt(mdecl.body) if backward else mdecl.body
+            run = Emitter(self, backward).compile(
+                ["t", "o", *params, "n", "b"], body, names)
+            self.methods[key] = run, info.name + "::" + name
         return self.methods[key]
 
-    def fail(self, kind, message, span):
-        raise ExecutionError(kind, message, span, trace=tuple(self.call_stack))
+    def error(self, site, kind, message):
+        """Raise `kind` at `site`, with the count, frame base and call stack
+        read off the Python stack: the innermost emitted function failed,
+        and each that is making a call holds its label in `lb`.  The frame
+        top keeps the local blocks' words pushed and the calls' popped."""
+        frames, frame = [], sys._getframe()
+        while frame is not None:
+            if frame.f_code.co_filename == "<rooplpp>":
+                frames.append(frame)
+            frame = frame.f_back
+        trace = tuple(caller.f_locals["lb"] for callee, caller in
+                      zip(frames, frames[1:]) if callee.f_code.co_name == "m")
+        span, pushed = self.sites[site][:2]
+        here = frames[0].f_locals
+        self.state.steps = here["n"]
+        self.state.frame_top = here["b"] - pushed + len(trace)
+        raise ExecutionError(kind, message, span, trace=trace[::-1])
 
-    def push_frame_word(self, span):
-        st = self.state
-        if st.frame_top - 1 < self.mem.heap_max:
-            self.fail(E.STACK_OVERFLOW, "frame region collided with the heap",
-                      span)
-        st.frame_top -= 1
-        return st.frame_top
+    def fail(self, site, *values):
+        """Raise the error of check `site`; a message that names run-time
+        values is a function of them."""
+        _, _, kind, message = self.sites[site]
+        self.error(site, kind, message(*values) if values else message)
 
-    # ------------------------------------------------------ expressions
-    # Each compiles to a closure from the frame to a word.
+    def cell_fault(self, site, array, index):
+        name = self.sites[site][2]
+        if not array:
+            self.error(site, E.UNINITIALIZED_ARRAY,
+                       "array %s has not been allocated" % name)
+        self.error(site, E.INDEX_OUT_OF_BOUNDS, "index %d outside [0, %d) of"
+                   " %s" % (self.state.signed(index), self.words[array], name))
 
-    def _expr(self, expr, names):
-        words = self.words
-        if isinstance(expr, ast.Constant):
-            value = expr.value & self.mem.mask
-            return lambda a: value
-        if isinstance(expr, ast.Nil):
-            return lambda a: 0
-        if isinstance(expr, ast.Variable):
-            k = names[expr.name]
-            return lambda a: words[a[k]]
-        if isinstance(expr, ast.ArrayElement):
-            cell = self._cell(expr.name, expr.index, expr.span, names)
-            return lambda a: words[cell(a)]
-        if isinstance(expr, ast.BinOp):
-            return self._binop(expr, names)
-        raise TypeError(f"not an expression: {expr!r}")
+    def dispatch(self, site, obj, base):
+        """(function, label) of the call at `site` on the object `obj`."""
+        span, pushed, cache, method, backward = self.sites[site]
+        if obj == 0:
+            self.error(site, E.UNINITIALIZED_OBJECT,
+                       "call of %s on a nil reference" % method)
+        info = self._class_at(site, obj)
+        if method not in info.methods:
+            self.error(site, E.UNINITIALIZED_OBJECT,
+                       "class %s has no method %s" % (info.name, method))
+        if info.class_id not in cache:
+            run, label = self._method(info, method, backward)
+            cache[info.class_id] = run, "%s at %s" % (label, span)
+        if base - pushed - 1 < self.mem.heap_max:  # no room for the call
+            self.error(site, E.STACK_OVERFLOW,
+                       "frame region collided with the heap")
+        return cache[info.class_id]
 
-    def _binop(self, expr, names):
-        words, left, right = self.words, expr.left, expr.right
-        c = right.value & self.mem.mask \
-            if isinstance(right, ast.Constant) else None
-        f = op = self.ops[expr.op]
-        if expr.op in ("/", "%") and not c:
-            fail, span = self.fail, expr.span
+    def record(self, site):
+        _, _, where, rule, direction = self.sites[site]
+        touched = self.state._touched  # an enclosing statement may append
+        self.tracer({"span": [*where], "rule": rule, "direction": direction,
+                     "touched": sorted(set(touched)) if len(touched) > 1
+                     else touched[:]})
 
-            def f(v1, v2):
-                if v2 == 0:
-                    fail(E.DIVISION_BY_ZERO, f"division by zero in {expr.op}",
-                         span)
-                return op(v1, v2)
-        # variable and constant operands are read in place
-        lf, rf = self._expr(left, names), self._expr(right, names)
-        lk = names[left.name] if isinstance(left, ast.Variable) else None
-        if c is not None:
-            if lk is not None:
-                return lambda a: f(words[a[lk]], c)
-            return lambda a: f(lf(a), c)
-        if lk is not None and isinstance(right, ast.Variable):
-            rk = names[right.name]
-            return lambda a: f(words[a[lk]], words[a[rk]])
-        return lambda a: f(lf(a), rf(a))
-
-    def _cell(self, name, index_expr, span, names):
-        """Closure giving the checked address of `name[index]`."""
-        words, fail, signed = self.words, self.fail, self.state.signed
-        sign = 1 << (self.mem.word_bits - 1)
-        k, index = names[name], self._expr(index_expr, names)
-
-        def cell(a):
-            base = words[a[k]]
-            if base == 0:
-                fail(E.UNINITIALIZED_ARRAY,
-                     f"array {name} has not been allocated", span)
-            length = words[base]
-            i = index(a)
-            if i >= length or i >= sign:
-                fail(E.INDEX_OUT_OF_BOUNDS,
-                     f"index {signed(i)} outside [0, {length}) of {name}",
-                     span)
-            return base + 2 + i
-        return cell
-
-    def _lvalue(self, lv, names):
-        """Closure giving the address of the word `lv` names."""
-        if lv.is_cell:
-            return self._cell(lv.name, lv.index, lv.span, names)
-        k = names[lv.name]
-        return lambda a: a[k]
-
-    def _length(self, desc, names, span):
-        """Closure giving the positive length of an array descriptor."""
-        length, fail, signed = self._expr(desc.length, names), self.fail, \
-            self.state.signed
-
-        def checked(a):
-            n = signed(length(a))
-            if n < 1:
-                fail(E.INVALID_ARRAY_LENGTH,
-                     f"array length {n} is not positive", span)
-            return n
-        return checked
-
-    # ------------------------------------------------------- statements
-    # Each compiles to a closure that runs it over the frame.  A local
-    # block appends its slot to the frame and pops it on exit, so its
-    # index is one past every name in scope.
-
-    def _stmt(self, stmt, names):
-        if isinstance(stmt, ast.Seq):
-            parts = tuple(self._stmt(s, names) for s in stmt.stmts)
-
-            def seq(a):
-                for part in parts:
-                    part(a)
-            return seq
-        kind = type(stmt).__name__
-        act = getattr(self, "_c_" + kind)(stmt, names)
-        st, fail, span, tracer = self.state, self.fail, stmt.span, self.tracer
-        rule = _SOURCE_KIND.get(kind, kind) if self.backward else kind
-        direction = BACKWARD if self.backward else FORWARD
-        where = (span.line, span.col, span.end_line, span.end_col)
-
-        def step(a):
-            st.steps += 1
-            if st.steps > st.step_limit:
-                fail(E.STEP_LIMIT_EXCEEDED,
-                     f"exceeded {st.step_limit} steps", span)
-            if tracer is None:
-                return act(a)
-            st._touched = []
-            act(a)
-            # an enclosing statement may still append to this list
-            touched = st._touched
-            tracer({"span": [*where], "rule": rule, "direction": direction,
-                    "touched": sorted(set(touched)) if len(touched) > 1
-                    else touched[:]})
-        return step
-
-    def _c_Skip(self, stmt, names):
-        return lambda a: None
-
-    def _c_Assign(self, stmt, names):
-        f, value = self.ops[stmt.op[0]], self._expr(stmt.expr, names)
-        words, put, target = self.words, self.put, \
-            self._lvalue(stmt.target, names)
-
-        def assign(a):
-            addr = target(a)
-            put(addr, f(words[addr], value(a)))
-        return assign
-
-    def _c_Swap(self, stmt, names):
-        left = self._lvalue(stmt.left, names)
-        right = self._lvalue(stmt.right, names)
-        words, put = self.words, self.put
-
-        def swap(a):
-            la, ra = left(a), right(a)
-            lv, rv = words[la], words[ra]
-            put(la, rv)
-            put(ra, lv)
-        return swap
-
-    def _c_If(self, stmt, names):
-        cond = self._expr(stmt.cond, names)
-        assertion = self._expr(stmt.assertion, names)
-        then = self._stmt(stmt.then_body, names)
-        other = self._stmt(stmt.else_body, names)
-        fail, span = self.fail, stmt.span
-
-        def if_(a):
-            taken = cond(a) != 0
-            (then if taken else other)(a)
-            after = assertion(a) != 0
-            if after != taken:
-                fail(E.ASSERTION_FAILED_IF,
-                     f"exit assertion is {'true' if after else 'false'} "
-                     f"after the {'then' if taken else 'else'} branch", span)
-        return if_
-
-    def _c_Loop(self, stmt, names):
-        entry = self._expr(stmt.assertion, names)
-        exit_ = self._expr(stmt.cond, names)
-        do = self._stmt(stmt.do_body, names)
-        loop = self._stmt(stmt.loop_body, names)
-        fail, span = self.fail, stmt.span
-
-        def from_(a):
-            if entry(a) == 0:
-                fail(E.ASSERTION_FAILED_LOOP_ENTRY,
-                     "loop entry assertion is false", span)
-            do(a)
-            while exit_(a) == 0:
-                loop(a)
-                if entry(a) != 0:
-                    fail(E.ASSERTION_FAILED_LOOP,
-                         "loop entry assertion became true again", span)
-                do(a)
-        return from_
-
-    @staticmethod
-    def _scope(names, var):
-        return {**names, var: max(names.values(), default=0) + 1}
-
-    def _c_LocalBlock(self, stmt, names):
-        entry = self._expr(stmt.entry, names)
-        exit_ = self._expr(stmt.exit, names)  # the local is out of scope
-        inner = self._stmt(stmt.body, self._scope(names, stmt.var))
-        st, words, put, fail = self.state, self.words, self.put, self.fail
-        live, mask, span, ty = st.live_slots, self.mem.mask, stmt.span, \
-            stmt.var_type
-        counted, push = not isinstance(ty, ast.IntType), self.push_frame_word
-
-        def local(a):
-            v1 = entry(a)
-            slot = push(span)
-            put(slot, v1)
-            if counted and v1 != 0:
-                put(v1 + 1, (words[v1 + 1] + 1) & mask)
-            live.append((slot, ty))
-            a.append(slot)
-            inner(a)
-            a.pop()
-            v2 = exit_(a)
-            cur = words[slot]
-            if cur != v2:
-                fail(E.DELOCAL_MISMATCH,
-                     f"{stmt.var} holds {st.signed(cur)}, delocal expects "
-                     f"{st.signed(v2)}", span)
-            if counted and cur != 0:
-                if words[cur + 1] < 2:
-                    fail(E.CORRUPT_FREE,
-                         "reference count would drop below one", span)
-                put(cur + 1, words[cur + 1] - 1)
-            live.pop()
-            put(slot, 0)
-            st.frame_top += 1
-        return local
-
-    def _c_ObjectBlock(self, stmt, names):
-        # construct c x  s  destruct x  is new/delete around a local nil
-        # block: allocate at entry and deallocate at exit in either direction
-        names = self._scope(names, stmt.var)
-        inner = self._stmt(stmt.body, names)
-        desc, span = ast.AllocDesc(stmt.class_name), stmt.span
-        target = ast.LValue(stmt.var, span=span)
-        new = self._c_New(ast.New(desc, target, span=span), names)
-        delete = self._c_Delete(ast.Delete(desc, target, span=span), names)
-        st, live, ty = self.state, self.state.live_slots, desc.declared_type()
-        push = self.push_frame_word
-
-        def block(a):
-            slot = push(span)
-            live.append((slot, ty))
-            a.append(slot)
-            new(a)
-            inner(a)
-            delete(a)
-            a.pop()
-            live.pop()
-            st.frame_top += 1
-        return block
-
-    # ------------------------------------------------- new/delete/copy
-
-    def _c_New(self, stmt, names):
-        target, desc, span = self._lvalue(stmt.target, names), stmt.desc, \
-            stmt.span
-        words, put, fail = self.words, self.put, self.fail
-        length = self._length(desc, names, span) if desc.is_array else None
-        info = None if desc.is_array else self.class_map[desc.name]
-        what = "array" if info is None else desc.name
-
-        def new(a):
-            slot = target(a)
-            if words[slot] != 0:
-                fail(E.NEW_TARGET_NOT_NIL, f"target of new {what} is not nil",
-                     span)
-            header = info.class_id if length is None else length(a)
-            size = info.alloc_words if length is None else header + 2
-            try:
-                addr = self.mem.malloc(size)
-            except MemoryFault as fault:
-                fail(_FAULT_KINDS[fault.kind], fault.message, span)
-            put(addr, header)
-            put(addr + 1, 1)
-            put(slot, addr)
-        return new
-
-    def _c_Delete(self, stmt, names):
-        target, desc, span = self._lvalue(stmt.target, names), stmt.desc, \
-            stmt.span
-        words, put, fail = self.words, self.put, self.fail
-        length = self._length(desc, names, span) if desc.is_array else None
-
-        def delete(a):
-            slot = target(a)
-            addr = words[slot]
-            if addr == 0:
-                fail(E.NIL_DEREFERENCE, "delete of a nil array" if length
-                     else f"delete {desc.name} on a nil reference", span)
-            info = None if length else self._class_at(addr, span)
-            payload = length(a) if length else info.payload_words
-            if length and words[addr] != payload:
-                fail(E.ARRAY_LENGTH_MISMATCH, f"delete names length {payload}"
-                     f", array was allocated with {words[addr]}", span)
-            if words[addr + 1] != 1:
-                fail(E.DANGLING_REFERENCE_ON_DELETE,
-                     f"{'array' if length else 'object'} still has "
-                     f"{words[addr + 1]} references", span)
-            cells = words[addr + 2:addr + 2 + payload]
-            if any(cells):
-                i = next(i for i, w in enumerate(cells) if w)
-                if info is None:
-                    fail(E.NON_ZERO_CELLS_ON_DELETE,
-                         f"cell {i} is not zero-cleared", span)
-                fail(E.NON_ZERO_FIELDS_ON_DELETE,
-                     f"field {info.fields[i][1]} is not zero-cleared", span)
-            put(addr, 0)
-            put(addr + 1, 0)
-            try:
-                self.mem.free(addr, payload + 2 if length
-                              else info.alloc_words)
-            except MemoryFault as fault:
-                fail(_FAULT_KINDS[fault.kind], fault.message, span)
-            put(slot, 0)
-        return delete
-
-    def _class_at(self, addr, span):
+    def _class_at(self, site, addr):
         try:
             return self.class_map.by_id(self.words[addr])
         except KeyError:
-            self.fail(E.CORRUPT_FREE,
-                      f"word at {addr} is not an object header", span)
+            self.error(site, E.CORRUPT_FREE,
+                       "word at %d is not an object header" % addr)
 
-    def _c_Copy(self, stmt, names):
-        source = self._lvalue(stmt.source, names)
-        target = self._lvalue(stmt.target, names)
-        desc, uncopy = stmt.desc, isinstance(stmt, ast.Uncopy)
-        length = self._expr(desc.length, names) if desc.is_array else None
-        nil_kind = E.UNINITIALIZED_ARRAY if desc.is_array \
-            else E.UNINITIALIZED_OBJECT
-        words, put, fail, span = self.words, self.put, self.fail, stmt.span
-        verb, mask = type(stmt).__name__.lower(), self.mem.mask
+    def _length(self, site, value):
+        length = self.state.signed(value)
+        if length < 1:
+            self.error(site, E.INVALID_ARRAY_LENGTH,
+                       "array length %d is not positive" % length)
+        return length
 
-        def copy(a):
-            if length is not None:
-                length(a)  # only for its errors
-            src, dst = source(a), target(a)
-            value = words[src]
-            if value == 0:
-                fail(nil_kind, f"{verb} from a nil reference", span)
-            if not uncopy:
-                if words[dst] != 0:
-                    fail(E.COPY_TARGET_NOT_NIL, "copy target is not nil",
-                         span)
-                put(dst, value)
-                put(value + 1, (words[value + 1] + 1) & mask)
-                return
-            if words[dst] != value:
-                fail(E.UNCOPY_MISMATCH,
-                     "uncopy operands reference different values", span)
-            if words[value + 1] < 2:
-                fail(E.UNCOPY_MISMATCH,
-                     "reference count would drop below one", span)
-            put(value + 1, words[value + 1] - 1)
-            put(dst, 0)
-        return copy
+    def _heap(self, site, operation, *args):
+        try:
+            return operation(*args)  # looked up per call: tools wrap them
+        except MemoryFault as fault:
+            self.error(site, _FAULT_KINDS[fault.kind], fault.message)
 
-    _c_Uncopy = _c_Copy
+    def new(self, site, slot, length=None):
+        """Allocate the object or array of `site` into the word at `slot`."""
+        _, _, desc, info = self.sites[site]
+        if self.words[slot]:
+            self.error(site, E.NEW_TARGET_NOT_NIL, "target of new "
+                       + (desc.name if info else "array") + " is not nil")
+        header = info.class_id if info else self._length(site, length)
+        addr = self._heap(site, self.mem.malloc,
+                          info.alloc_words if info else header + 2)
+        self.put(addr, header)
+        self.put(addr + 1, 1)
+        self.put(slot, addr)
 
-    # ------------------------------------------------------------ calls
+    def delete(self, site, slot, length=None):
+        """Free the zero-cleared, unshared object or array at `slot`."""
+        desc = self.sites[site][2]
+        words, array = self.words, desc.is_array
+        addr = words[slot]
+        if addr == 0:
+            self.error(site, E.NIL_DEREFERENCE, "delete of a nil array" if
+                       array else "delete %s on a nil reference" % desc.name)
+        info = None if array else self._class_at(site, addr)
+        size = self._length(site, length) if array else info.payload_words
+        if array and words[addr] != size:
+            self.error(site, E.ARRAY_LENGTH_MISMATCH, "delete names length %d,"
+                       " array was allocated with %d" % (size, words[addr]))
+        if words[addr + 1] != 1:
+            self.error(site, E.DANGLING_REFERENCE_ON_DELETE,
+                       "%s still has %d references" % (
+                           "array" if array else "object", words[addr + 1]))
+        for i, word in enumerate(words[addr + 2:addr + 2 + size]):
+            if word:
+                kind = E.NON_ZERO_CELLS_ON_DELETE if array else \
+                    E.NON_ZERO_FIELDS_ON_DELETE
+                self.error(site, kind, ("cell %d" % i if array else "field " +
+                           info.fields[i][1]) + " is not zero-cleared")
+        self.put(addr, 0)
+        self.put(addr + 1, 0)
+        self._heap(site, self.mem.free, addr,
+                   size + 2 if array else info.alloc_words)
+        self.put(slot, 0)
 
-    def _c_LocalCall(self, stmt, names):
-        """Dispatch on the receiver's class id (cached per call site) to the
-        callee body for the call's direction; its frame holds the receiver's
-        fields and the caller's argument slots."""
-        uncall = isinstance(stmt, (ast.LocalUncall, ast.ObjectUncall))
-        callee = self._lvalue(stmt.callee, names) \
-            if isinstance(stmt, (ast.ObjectCall, ast.ObjectUncall)) else None
-        method, span, fail = stmt.method, stmt.span, self.fail
-        args = tuple(names[arg] for arg in stmt.args)
-        st, words, stack = self.state, self.words, self.call_stack
-        push, targets = self.push_frame_word, {}
-
-        def call(a):
-            slot = a[0] if callee is None else callee(a)
-            obj = words[slot]
-            if obj == 0:
-                fail(E.UNINITIALIZED_OBJECT,
-                     f"call of {method} on a nil reference", span)
-            if words[obj] not in targets:
-                info = self._class_at(obj, span)
-                if method not in info.methods:
-                    fail(E.UNINITIALIZED_OBJECT,
-                         f"class {info.name} has no method {method}", span)
-                run, nf, label = self._method(info, method, uncall)
-                targets[words[obj]] = run, nf, f"{label} at {span}"
-            run, nf, frame = targets[words[obj]]
-            push(span)
-            stack.append(frame)
-            try:
-                run([slot, *range(obj + 2, obj + 2 + nf),
-                     *map(a.__getitem__, args)])
-            finally:
-                stack.pop()
-                st.frame_top += 1
-        return call
-
-    _c_LocalUncall = _c_ObjectCall = _c_ObjectUncall = _c_LocalCall
+    def copy(self, site, src, dst):
+        """copy or uncopy the reference in the word at `src` to `dst`."""
+        _, _, desc, uncopy = self.sites[site]
+        words, value = self.words, self.words[src]
+        for failed, kind, message in (
+                (value == 0, E.UNINITIALIZED_ARRAY if desc.is_array else
+                 E.UNINITIALIZED_OBJECT,
+                 ("uncopy" if uncopy else "copy") + " from a nil reference"),
+                (not uncopy and words[dst], E.COPY_TARGET_NOT_NIL,
+                 "copy target is not nil"),
+                (uncopy and words[dst] != value, E.UNCOPY_MISMATCH,
+                 "uncopy operands reference different values"),
+                (uncopy and words[value + 1] < 2, E.UNCOPY_MISMATCH,
+                 "reference count would drop below one")):
+            if failed:
+                self.error(site, kind, message)
+        self.put(dst, 0 if uncopy else value)
+        self.put(value + 1, words[value + 1] - 1 if uncopy
+                 else (words[value + 1] + 1) & self.mem.mask)
 
 
 def run_program(program: ast.Program, class_map: ClassMap,
@@ -601,9 +278,14 @@ def run_program(program: ast.Program, class_map: ClassMap,
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 100_000))
     try:
-        body, nf, _ = interp._method(info, "main", direction == BACKWARD)
-        body([this_slot, *range(obj_addr + 2, obj_addr + 2 + nf)])
-    except RecursionError:
+        run, _ = interp._method(info, "main", direction == BACKWARD)
+        state.steps = run(this_slot, obj_addr, state.steps, state.frame_top)
+    except RecursionError as exc:
+        tb = exc.__traceback__
+        while tb is not None:  # the count of the innermost call made
+            if tb.tb_frame.f_code.co_filename == "<rooplpp>":
+                state.steps = tb.tb_frame.f_locals["n"]
+            tb = tb.tb_next
         raise ExecutionError(E.STACK_OVERFLOW,
                              "call nesting exceeded the host limit",
                              info.methods["main"].span)
@@ -679,18 +361,3 @@ def check_refcounts(state: MachineState, class_map: ClassMap):
                 f"object at {addr} has refcount {stored}, but {n} live "
                 "bindings hold it")
     return counts, kinds
-
-
-def live_heap_words(state: MachineState, class_map: ClassMap) -> int:
-    """Total block words of live heap objects reachable from the roots."""
-    mem = state.memory
-    _, kinds = check_refcounts(state, class_map)
-    total = 0
-    for addr, ty in kinds.items():
-        if not mem.hp <= addr < mem.heap_end:
-            continue  # the main object lives in the frame region
-        if isinstance(ty, ast.ClassRef):
-            total += class_map.by_id(mem.read_word(addr)).alloc_words
-        else:
-            total += block_words(mem.read_word(addr) + 2)
-    return total

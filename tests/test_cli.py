@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -116,6 +117,26 @@ class Main
     assert payload["fields"]["a"] != 0 and payload["fields"]["b"] != 0
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS_DIR.glob(
+    "*.rplpp")))
+def test_trace_files_match_recorded_digests(tmp_path, name):
+    """The --trace files of a forward run and of its --resume --reverse
+    rewind, byte for byte: `fixtures/trace_digests.json` holds the SHA-256
+    of the files that the closure executor, before generated functions,
+    wrote for these two commands.  Record them again only for an intended
+    change of the trace, as [forward, rewind] per corpus program."""
+    state, forward, rewind = (tmp_path / n
+                              for n in ("s", "f.jsonl", "b.jsonl"))
+    path = str(corpus_path(name))
+    assert cli("run", "--save-state", str(state), "--trace", str(forward),
+               path).returncode == 0
+    assert cli("run", "--resume", str(state), "--reverse", "--trace",
+               str(rewind), path).returncode == 0
+    digests = json.loads((FIXTURES_DIR / "trace_digests.json").read_text())
+    assert [hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (forward, rewind)] == digests[name]
+
+
 def test_run_trace(tmp_path):
     trace = tmp_path / "trace.jsonl"
     result = cli("run", "--trace", str(trace), str(corpus_path("Fibonacci")))
@@ -126,9 +147,8 @@ def test_run_trace(tmp_path):
     assert any(r["rule"] == "Assign" for r in records)
 
 
-def test_deep_recursion_then_uncall_within_host_limit(tmp_path):
-    # 10,000 nested ROOPL++ calls must fit the executor's Python frame budget
-    source = """\
+def _deep_recursion(depth):
+    return f"""\
 class Main
     int n
     int hits
@@ -144,13 +164,29 @@ class Main
         fi n != 0
 
     method main()
-        n += 10000
+        n += {depth}
         call down()
         uncall down()
-        n -= 10000
+        n -= {depth}
 """
+
+
+def test_deep_recursion_then_uncall_within_host_limit(tmp_path):
+    # 10,000 nested ROOPL++ calls must fit the executor's Python frame budget
     path = tmp_path / "deep.rplpp"
-    path.write_text(source)
+    path.write_text(_deep_recursion(10000))
+    result = cli("run", "--stack-words", "200000", str(path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["n = 0", "hits = 0"]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+    "before Python 3.11 every Python call also nests a C frame, so calls "
+    "this deep need the executor's own worker thread (ROADMAP item 3)"))
+def test_40000_deep_recursion_then_uncall(tmp_path):
+    # one plain Python call per ROOPL++ call: no C stack per call on 3.11
+    path = tmp_path / "deep.rplpp"
+    path.write_text(_deep_recursion(40000))
     result = cli("run", "--stack-words", "200000", str(path))
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["n = 0", "hits = 0"]
@@ -438,6 +474,40 @@ def test_check_accepts_400_nested_parentheses(tmp_path):
     result = cli("check", str(path))
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+def _nested_loops(depth):
+    body = "x += 1"
+    for _ in range(depth):
+        body = f"from x = 0 do {body} loop skip until x = 1"
+    return f"class Main\n    int x\n\n    method main()\n        {body}\n"
+
+
+def _deep_expression(kind):
+    if kind == "chain":
+        expr = " + ".join(["x"] * 240)
+    else:
+        expr = "x"
+        for _ in range(240):
+            expr = f"({expr} + 1)"
+    return ("class Main\n    int x\n    int y\n\n    method main()\n"
+            f"        x += 2\n        y += {expr}\n")
+
+
+@pytest.mark.parametrize("source,fields", [
+    (_deep_expression("chain"), ["x = 2", "y = 480"]),
+    (_deep_expression("parens"), ["x = 2", "y = 242"]),
+    (_nested_ifs(150), ["x = 1"]),
+    (_nested_loops(150), ["x = 1"]),
+], ids=["chain", "parens", "ifs", "loops"])
+def test_run_nesting_deeper_than_a_python_function(tmp_path, source, fields):
+    # past the brackets, indentation levels and nested loops that Python
+    # compiles in one expression or function
+    path = tmp_path / "deep.rplpp"
+    path.write_text(source)
+    result = cli("run", str(path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == fields
 
 
 @pytest.mark.parametrize("command", ["check", "run", "invert"])

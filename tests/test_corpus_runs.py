@@ -5,7 +5,9 @@ heap words, and width-independence."""
 import pytest
 
 from rooplpp import (BACKWARD, MemoryConfig, build_class_map, check_program,
-                     invert_program, live_heap_words, parse, run_program)
+                     check_refcounts, invert_program, parse, run_program)
+from rooplpp.classes import block_words
+from rooplpp.syntax import ClassRef
 
 from conftest import corpus_path
 from oracles import fib_pair
@@ -17,6 +19,21 @@ EXPECTED_FIELDS = {
     "DoublyLinkedList": {"length": 10},
     "RTM": {"pos": 3, "state": 3, "steps": 3},
 }
+
+
+def live_heap_words(state, class_map) -> int:
+    """Total block words of live heap objects reachable from the roots."""
+    mem = state.memory
+    _, kinds = check_refcounts(state, class_map)
+    total = 0
+    for addr, ty in kinds.items():
+        if not mem.hp <= addr < mem.heap_end:
+            continue  # the main object lives in the frame region
+        if isinstance(ty, ClassRef):
+            total += class_map.by_id(mem.read_word(addr)).alloc_words
+        else:
+            total += block_words(mem.read_word(addr) + 2)
+    return total
 
 
 def run_corpus(name, config=MemoryConfig(), direction="forward", state=None):

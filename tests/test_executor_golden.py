@@ -1,10 +1,10 @@
 """Differential check of the executor against recorded results.
 
 `fixtures/executor_golden.json` was written by the direction-aware tree
-walker that preceded the closure compiler; only the call depth of
-`errors/stack_overflow` was rewritten since, when a frame-region overflow
-began to name the call stack.  Every case is re-run here and
-must reproduce, exactly: a hash of the heap words, the free lists, the step
+walker that preceded the closure compiler and the generated functions
+that replaced it; only the call depth of `errors/stack_overflow` was
+rewritten since, when a frame-region overflow began to name the call
+stack.  Every case is re-run here and must reproduce, exactly: a hash of the heap words, the free lists, the step
 count, the frame top, a hash of the `--trace` records, and the error kind,
 span, message and call depth of a failing run.
 

@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 
-from rooplpp import (BACKWARD, FORWARD, ExecutionError, MemoryConfig,
+from rooplpp import (BACKWARD, FORWARD, ExecutionError, Interpreter,
+                     MachineState, MemoryConfig, MemoryImage,
                      RuntimeErrorKind, apply_binop, build_class_map,
-                     check_program, check_refcounts, invert_program, parse,
-                     parse_statement, run_program)
+                     check_program, check_refcounts, init_memory,
+                     invert_program, main_class_of, parse, parse_statement,
+                     run_program)
 from rooplpp import syntax as ast
 
 from astgen import make_program
@@ -675,3 +678,106 @@ def test_refcount_sweep_refuses_a_bad_object_header():
     result.state.memory.words[head] = 99
     with pytest.raises(AssertionError, match="not an object header"):
         check_refcounts(result.state, class_map)
+
+
+# ------------------------------------------------- generated functions
+
+CHURN = """
+class Mark
+    method touch()
+        skip
+
+class Cell
+    Cell next
+    int data
+
+    method setData(int v)
+        data ^= v
+
+class Churn
+    Cell head
+    int round
+
+    method nest(int d)
+        if d > 0 then
+            local int n = d + 1
+            local int[] xs = nil
+            new int[n] xs
+            xs[0] += d
+            local int e = d - 1
+            call nest(e)
+            delocal int e = d - 1
+            xs[0] -= d
+            delete int[n] xs
+            delocal int[] xs = nil
+            delocal int n = d + 1
+        else
+            construct Mark m
+                call m::touch()
+            destruct m
+        fi d > 0
+
+    method main()
+        from round = 0 do
+            round += 1
+            local int d = 4
+            call nest(d)
+            delocal int d = 4
+            new Cell head
+            delete Cell head
+        loop skip
+        until round = 3
+"""
+
+
+def test_allocator_wrapped_on_the_class_sees_every_allocation(monkeypatch):
+    # bench/traced.py times the heap by wrapping these two methods on the
+    # class while a run is in progress
+    program = parse(CHURN)
+    class_map = build_class_map(program)
+    calls = {"malloc": 0, "free": 0}
+    malloc, free = MemoryImage.malloc, MemoryImage.free
+
+    def counted_malloc(mem, osize):
+        calls["malloc"] += 1
+        return malloc(mem, osize)
+
+    def counted_free(mem, addr, osize):
+        calls["free"] += 1
+        return free(mem, addr, osize)
+
+    monkeypatch.setattr(MemoryImage, "malloc", counted_malloc)
+    monkeypatch.setattr(MemoryImage, "free", counted_free)
+    result = run_program(program, class_map, SMALL)
+    monkeypatch.undo()
+    kinds = Counter()
+    run_program(program, class_map, SMALL,
+                tracer=lambda record: kinds.update([record["rule"]]))
+    assert result.fields["round"] == 3
+    assert calls == {"malloc": kinds["New"] + kinds["ObjectBlock"],
+                     "free": kinds["Delete"] + kinds["ObjectBlock"]}
+    assert calls["malloc"] == 18
+
+
+def _code_names(code):
+    """Global and attribute names read by `code` and the code it nests."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _code_names(const)
+    return names
+
+
+def test_untraced_code_holds_no_trace_code():
+    program = parse(corpus_path("LinkedList").read_text())
+    class_map = build_class_map(program)
+    info = class_map[main_class_of(program)]
+    names = {}
+    for tracer in (None, print):
+        state = MachineState(init_memory(MemoryConfig()))
+        state.tracer = tracer
+        run, _ = Interpreter(class_map, state)._method(info, "main", False)
+        names[tracer] = _code_names(run.__code__)
+    trace_names = {"P", "T", "_touched"}  # the logging put and the record
+    assert trace_names <= names[print]
+    assert not trace_names & names[None]

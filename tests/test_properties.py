@@ -1,51 +1,62 @@
-"""Hypothesis property tests for the operator table and the allocator."""
+"""Hypothesis property tests for the operator table and the allocator.
 
-from hypothesis import given, settings, strategies as st
+The operator properties hold at every word width, and `apply_binop`
+evaluates the same Python text the executor emits for each operator."""
+
+from hypothesis import assume, given, settings, strategies as st
 
 from rooplpp import MemoryConfig, apply_binop, init_memory
 
-words = st.integers(min_value=0, max_value=2**32 - 1)
-nonzero_words = words.filter(lambda w: (w & 0x7FFFFFFF) != 0 or w == 0x80000000)
+widths = st.sampled_from((16, 32, 64))
+raw = st.integers(min_value=0, max_value=2**64 - 1)
 
 
-@given(words, words)
-def test_add_sub_invert(a, b):
-    assert apply_binop("-", apply_binop("+", a, b), b) == a
-    assert apply_binop("+", apply_binop("-", a, b), b) == a
+def word(bits, value):
+    return value & ((1 << bits) - 1)
 
 
-@given(words, words)
-def test_xor_is_self_inverse(a, b):
-    assert apply_binop("^", apply_binop("^", a, b), b) == a
+@given(widths, raw, raw)
+def test_add_sub_invert(bits, a, b):
+    a, b = word(bits, a), word(bits, b)
+    assert apply_binop("-", apply_binop("+", a, b, bits), b, bits) == a
+    assert apply_binop("+", apply_binop("-", a, b, bits), b, bits) == a
 
 
-@given(words, words)
-def test_comparisons_are_boolean_and_coherent(a, b):
-    lt = apply_binop("<", a, b)
-    gt = apply_binop(">", a, b)
-    le = apply_binop("<=", a, b)
-    ge = apply_binop(">=", a, b)
-    eq = apply_binop("=", a, b)
-    ne = apply_binop("!=", a, b)
+@given(widths, raw, raw)
+def test_xor_is_self_inverse(bits, a, b):
+    a, b = word(bits, a), word(bits, b)
+    assert apply_binop("^", apply_binop("^", a, b, bits), b, bits) == a
+
+
+@given(widths, raw, raw)
+def test_comparisons_are_boolean_and_coherent(bits, a, b):
+    a, b = word(bits, a), word(bits, b)
+    lt, gt, le, ge, eq, ne = (apply_binop(op, a, b, bits)
+                              for op in ("<", ">", "<=", ">=", "=", "!="))
     for v in (lt, gt, le, ge, eq, ne):
         assert v in (0, 1)
     assert eq + ne == 1
     assert lt + gt + eq == 1          # trichotomy on signed words
     assert le == lt | eq
     assert ge == gt | eq
+    signed = [v - (1 << bits) if v >> (bits - 1) else v for v in (a, b)]
+    assert lt == (1 if signed[0] < signed[1] else 0)
 
 
-@given(words, words)
-def test_logical_operators(a, b):
-    assert apply_binop("&&", a, b) == (1 if a and b else 0)
-    assert apply_binop("||", a, b) == (0 if not a and not b else 1)
+@given(widths, raw, raw)
+def test_logical_operators(bits, a, b):
+    a, b = word(bits, a), word(bits, b)
+    assert apply_binop("&&", a, b, bits) == (1 if a and b else 0)
+    assert apply_binop("||", a, b, bits) == (0 if not a and not b else 1)
 
 
-@given(words, nonzero_words)
-def test_division_identity(a, b):
-    q = apply_binop("/", a, b)
-    r = apply_binop("%", a, b)
-    back = apply_binop("+", apply_binop("*", q, b), r)
+@given(widths, raw, raw)
+def test_division_identity(bits, a, b):
+    a, b = word(bits, a), word(bits, b)
+    assume(b != 0)
+    q = apply_binop("/", a, b, bits)
+    r = apply_binop("%", a, b, bits)
+    back = apply_binop("+", apply_binop("*", q, b, bits), r, bits)
     assert back == a
 
 
