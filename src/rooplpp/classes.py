@@ -171,13 +171,11 @@ def build_class_map(program: ast.Program) -> ClassMap:
 
     # class reference fields/params must resolve
     def check_type(ty, where, span):
-        if isinstance(ty, ast.ClassRef) and ty.name not in cmap:
+        name = getattr(ty, "name", None)
+        if name is not None and name not in cmap:
+            kind = "array " if isinstance(ty, ast.ClassArrayType) else ""
             raise ClassError("UnknownClass",
-                             f"{where} has unknown class type {ty.name}", span)
-        if isinstance(ty, ast.ClassArrayType) and ty.name not in cmap:
-            raise ClassError("UnknownClass",
-                             f"{where} has unknown class array type {ty.name}[]",
-                             span)
+                             f"{where} has unknown class {kind}type {ty}", span)
 
     for cls in program.classes:
         for ty, fname in cls.fields:

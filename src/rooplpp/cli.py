@@ -19,32 +19,15 @@ from .parser import parse
 OK, EXIT_RUNTIME, EXIT_TYPE, EXIT_PARSE, EXIT_IO = 0, 1, 2, 3, 4
 
 
-def _read_source(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-    except UnicodeDecodeError as exc:
-        print(f"{path}: syntax error: not UTF-8 text (byte {exc.start})",
-              file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+# errors printed after the source path, and the code each exits with
+_SOURCE_ERRORS = {ParseError: EXIT_PARSE, ClassError: EXIT_TYPE,
+                  ExecutionError: EXIT_RUNTIME}
 
 
 def _parse(path):
-    source = _read_source(path)
-    try:
-        program = parse(source)
-    except ParseError as exc:
-        print(f"{path}:{exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-    try:
-        class_map = build_class_map(program)
-    except ClassError as exc:
-        print(f"{path}:{exc}", file=sys.stderr)
-        raise SystemExit(EXIT_TYPE)
-    return program, class_map
+    with open(path, encoding="utf-8") as fh:
+        program = parse(fh.read())
+    return program, build_class_map(program)
 
 
 def _front_end(path):
@@ -80,25 +63,17 @@ def cmd_run(args):
                           num_freelists=args.freelists,
                           stack_words=args.stack_words,
                           grow_blocks=8 if args.heap_grow else 0)
-    config.validate()  # a ConfigError exits 4 from `main`
+    config.validate()
 
     state = None
     if args.resume:
-        try:
-            state = load_state(args.resume)
-        except (ConfigError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        state = load_state(args.resume)
         state.step_limit = args.step_limit
 
     trace_fh = None
     tracer = None
     if args.trace:
-        try:
-            trace_fh = open(args.trace, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        trace_fh = open(args.trace, "w", encoding="utf-8")
         tracer = lambda record: print(json.dumps(record), file=trace_fh)
 
     direction = BACKWARD if args.reverse else FORWARD
@@ -106,19 +81,12 @@ def cmd_run(args):
         result = run_program(program, class_map, config, direction=direction,
                              step_limit=args.step_limit, tracer=tracer,
                              state=state)
-    except ExecutionError as exc:
-        print(f"{args.path}:{exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     finally:
         if trace_fh is not None:
             trace_fh.close()
 
     if args.save_state:
-        try:
-            save_state(args.save_state, result.state)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        save_state(args.save_state, result.state)
 
     mem = result.state.memory
     if args.json:
@@ -210,7 +178,14 @@ def main(argv=None):
     args = build_arg_parser().parse_args(argv)
     try:
         code = args.func(args)
-    except ConfigError as exc:
+    except tuple(_SOURCE_ERRORS) as exc:
+        print(f"{args.path}:{exc}", file=sys.stderr)
+        code = _SOURCE_ERRORS[type(exc)]
+    except UnicodeDecodeError as exc:
+        print(f"{args.path}: syntax error: not UTF-8 text (byte {exc.start})",
+              file=sys.stderr)
+        code = EXIT_PARSE
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_IO
     except RecursionError:

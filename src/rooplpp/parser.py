@@ -67,9 +67,9 @@ def tokenize(source: str) -> list[Token]:
                 i += 1
             continue
         start = Span(line, col, line, col)
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             text = source[i:j]
             tokens.append(Token("int", text, Span(line, col, line, col + len(text))))

@@ -10,12 +10,10 @@ _INDENT = "    "
 def print_expr(expr: ast.Expression, ambient: int = 0) -> str:
     if isinstance(expr, ast.Constant):
         return str(expr.value)
-    if isinstance(expr, ast.Variable):
-        return expr.name
+    if isinstance(expr, (ast.Variable, ast.ArrayElement)):
+        return _place(expr)
     if isinstance(expr, ast.Nil):
         return "nil"
-    if isinstance(expr, ast.ArrayElement):
-        return f"{expr.name}[{print_expr(expr.index)}]"
     if isinstance(expr, ast.BinOp):
         prec = ast.PRECEDENCE[expr.op]
         left = print_expr(expr.left, prec)
@@ -28,10 +26,10 @@ def print_expr(expr: ast.Expression, ambient: int = 0) -> str:
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _lvalue(lv: ast.LValue) -> str:
-    if lv.is_cell:
-        return f"{lv.name}[{print_expr(lv.index)}]"
-    return lv.name
+def _place(place) -> str:
+    """A variable, array element or lvalue."""
+    index = getattr(place, "index", None)
+    return place.name if index is None else f"{place.name}[{print_expr(index)}]"
 
 
 def _desc(d: ast.AllocDesc) -> str:
@@ -55,9 +53,9 @@ def print_stmt(stmt: ast.Statement, depth: int = 0) -> list[str]:
             lines.extend(print_stmt(s, depth))
         return lines
     if isinstance(stmt, ast.Assign):
-        return [f"{pad}{_lvalue(stmt.target)} {stmt.op} {print_expr(stmt.expr)}"]
+        return [f"{pad}{_place(stmt.target)} {stmt.op} {print_expr(stmt.expr)}"]
     if isinstance(stmt, ast.Swap):
-        return [f"{pad}{_lvalue(stmt.left)} <=> {_lvalue(stmt.right)}"]
+        return [f"{pad}{_place(stmt.left)} <=> {_place(stmt.right)}"]
     if isinstance(stmt, ast.If):
         return (
             [f"{pad}if {print_expr(stmt.cond)} then"]
@@ -87,21 +85,21 @@ def print_stmt(stmt: ast.Statement, depth: int = 0) -> list[str]:
             + [f"{pad}delocal {stmt.var_type} {stmt.var} = {print_expr(stmt.exit)}"]
         )
     if isinstance(stmt, ast.New):
-        return [f"{pad}new {_desc(stmt.desc)} {_lvalue(stmt.target)}"]
+        return [f"{pad}new {_desc(stmt.desc)} {_place(stmt.target)}"]
     if isinstance(stmt, ast.Delete):
-        return [f"{pad}delete {_desc(stmt.desc)} {_lvalue(stmt.target)}"]
+        return [f"{pad}delete {_desc(stmt.desc)} {_place(stmt.target)}"]
     if isinstance(stmt, ast.Copy):
-        return [f"{pad}copy {_desc(stmt.desc)} {_lvalue(stmt.source)} {_lvalue(stmt.target)}"]
+        return [f"{pad}copy {_desc(stmt.desc)} {_place(stmt.source)} {_place(stmt.target)}"]
     if isinstance(stmt, ast.Uncopy):
-        return [f"{pad}uncopy {_desc(stmt.desc)} {_lvalue(stmt.source)} {_lvalue(stmt.target)}"]
+        return [f"{pad}uncopy {_desc(stmt.desc)} {_place(stmt.source)} {_place(stmt.target)}"]
     if isinstance(stmt, ast.LocalCall):
         return [f"{pad}call {stmt.method}{_args(stmt.args)}"]
     if isinstance(stmt, ast.LocalUncall):
         return [f"{pad}uncall {stmt.method}{_args(stmt.args)}"]
     if isinstance(stmt, ast.ObjectCall):
-        return [f"{pad}call {_lvalue(stmt.callee)}::{stmt.method}{_args(stmt.args)}"]
+        return [f"{pad}call {_place(stmt.callee)}::{stmt.method}{_args(stmt.args)}"]
     if isinstance(stmt, ast.ObjectUncall):
-        return [f"{pad}uncall {_lvalue(stmt.callee)}::{stmt.method}{_args(stmt.args)}"]
+        return [f"{pad}uncall {_place(stmt.callee)}::{stmt.method}{_args(stmt.args)}"]
     raise TypeError(f"not a statement: {stmt!r}")
 
 

@@ -13,6 +13,16 @@ from .errors import NO_SPAN, TypeError_
 from . import syntax as ast
 from .syntax import vars_of
 
+# The rule of each statement kind whose check is shared: new/delete,
+# copy/uncopy and all four calls.  New and delete have an object rule and
+# an array rule.
+RULES = {
+    "New": ("T-ObjNew", "T-ArrNew"), "Delete": ("T-ObjDlt", "T-ArrDlt"),
+    "Copy": "T-Cp", "Uncopy": "T-Ucp",
+    "LocalCall": "T-Call", "LocalUncall": "T-Uc",
+    "ObjectCall": "T-CallO", "ObjectUncall": "T-Uco",
+}
+
 
 class Checker:
     """A type environment `env` maps variable names to types; `check_method`
@@ -54,37 +64,40 @@ class Checker:
                 return None
             return expected
         if isinstance(expr, ast.Variable):
-            ty = env.get(expr.name)
-            if ty is None:
-                self.error("T-Var", f"unbound variable {expr.name}", expr.span)
-            return ty
+            return self.place_type(env, expr, "T-Var")
         if isinstance(expr, ast.ArrayElement):
-            ty = env.get(expr.name)
-            if ty is None:
-                self.error("T-ArrElemVar", f"unbound variable {expr.name}",
-                           expr.span)
-                return None
-            if not isinstance(ty, (ast.IntArrayType, ast.ClassArrayType)):
-                self.error("T-ArrElemVar",
-                           f"{expr.name} has type {ty}, not an array", expr.span)
-                return None
-            self.expect_int(env, expr.index, "T-ArrElemVar", "array index")
-            return array_type_of(ty)
+            return self.place_type(env, expr, "T-ArrElemVar")
         if isinstance(expr, ast.BinOp):
             return self.check_binop(env, expr)
         raise TypeError(f"not an expression: {expr!r}")
 
-    def check_binop(self, env, expr: ast.BinOp) -> ast.TypeName | None:
-        lt = None if isinstance(expr.left, ast.Nil) else self.check_expr(env, expr.left)
-        rt = None if isinstance(expr.right, ast.Nil) else self.check_expr(env, expr.right)
-        left_nil = isinstance(expr.left, ast.Nil)
-        right_nil = isinstance(expr.right, ast.Nil)
-        if left_nil and right_nil:
-            self.error("T-Nil", "cannot compare nil with nil", expr.span)
+    def place_type(self, env, place, rule) -> ast.TypeName | None:
+        """Type of a variable, array element or lvalue, or None after
+        reporting an error under `rule`."""
+        ty = env.get(place.name)
+        if ty is None:
+            self.error(rule, f"unbound variable {place.name}", place.span)
             return None
-        if left_nil:
+        index = getattr(place, "index", None)
+        if index is None:
+            return ty
+        if not isinstance(ty, (ast.IntArrayType, ast.ClassArrayType)):
+            self.error(rule, f"{place.name} has type {ty}, not an array",
+                       place.span)
+            return None
+        self.expect_int(env, index, rule, "array index")
+        return array_type_of(ty)
+
+    def check_binop(self, env, expr: ast.BinOp) -> ast.TypeName | None:
+        # a nil operand adopts the type of the other one, checked first
+        if isinstance(expr.left, ast.Nil):
+            if isinstance(expr.right, ast.Nil):
+                self.error("T-Nil", "cannot compare nil with nil", expr.span)
+                return None
+            rt = self.check_expr(env, expr.right)
             lt = self.check_expr(env, expr.left, expected=rt)
-        if right_nil:
+        else:
+            lt = self.check_expr(env, expr.left)
             rt = self.check_expr(env, expr.right, expected=lt)
         if lt is None or rt is None:
             return None
@@ -162,23 +175,9 @@ class Checker:
                        stmt.span)
         self.expect_int(env, stmt.expr, "T-AssVar", "right-hand side")
 
-    def _lvalue_type(self, env, lv: ast.LValue, rule) -> ast.TypeName | None:
-        ty = env.get(lv.name)
-        if ty is None:
-            self.error(rule, f"unbound variable {lv.name}", lv.span)
-            return None
-        if lv.is_cell:
-            if not isinstance(ty, (ast.IntArrayType, ast.ClassArrayType)):
-                self.error(rule, f"{lv.name} has type {ty}, not an array",
-                           lv.span)
-                return None
-            self.expect_int(env, lv.index, rule, "array index")
-            return array_type_of(ty)
-        return ty
-
     def _check_Swap(self, env, stmt: ast.Swap):
-        lt = self._lvalue_type(env, stmt.left, "T-SwpVar")
-        rt = self._lvalue_type(env, stmt.right, "T-SwpVar")
+        lt = self.place_type(env, stmt.left, "T-SwpVar")
+        rt = self.place_type(env, stmt.right, "T-SwpVar")
         if lt is None or rt is None:
             return
         if lt == rt:
@@ -203,10 +202,16 @@ class Checker:
         self.check_stmt(env, stmt.loop_body)
         self.expect_int(env, stmt.cond, "T-Loop", "until condition")
 
+    def known_class(self, name, rule, span) -> bool:
+        """False after reporting `name` as an unknown class; None, which
+        names no class, is known."""
+        if name is None or name in self.class_map:
+            return True
+        self.error(rule, f"unknown class {name}", span)
+        return False
+
     def _check_ObjectBlock(self, env, stmt: ast.ObjectBlock):
-        if stmt.class_name not in self.class_map:
-            self.error("T-ObjBlock", f"unknown class {stmt.class_name}",
-                       stmt.span)
+        if not self.known_class(stmt.class_name, "T-ObjBlock", stmt.span):
             return
         prior = env.get(stmt.var)
         if prior is not None and prior != ast.ClassRef(stmt.class_name):
@@ -218,11 +223,8 @@ class Checker:
 
     def _check_LocalBlock(self, env, stmt: ast.LocalBlock):
         ty = stmt.var_type
-        if isinstance(ty, ast.ClassRef) and ty.name not in self.class_map:
-            self.error("T-LocalBlock", f"unknown class {ty.name}", stmt.span)
-            return
-        if isinstance(ty, ast.ClassArrayType) and ty.name not in self.class_map:
-            self.error("T-LocalBlock", f"unknown class {ty.name}", stmt.span)
+        if not self.known_class(getattr(ty, "name", None), "T-LocalBlock",
+                                stmt.span):
             return
         for expr, what in ((stmt.entry, "local initializer"),
                            (stmt.exit, "delocal expression")):
@@ -234,37 +236,27 @@ class Checker:
         self.check_stmt({**env, stmt.var: ty}, stmt.body)
 
     def _desc_type(self, env, desc: ast.AllocDesc, rule) -> ast.TypeName | None:
-        if not desc.is_array:
-            if desc.name not in self.class_map:
-                self.error(rule, f"unknown class {desc.name}", desc.span)
-                return None
-            return ast.ClassRef(desc.name)
-        if not desc.is_int_array and desc.name not in self.class_map:
-            self.error(rule, f"unknown class {desc.name}", desc.span)
+        if not self.known_class(desc.name, rule, desc.span):
             return None
-        self.expect_int(env, desc.length, rule, "array length")
+        if desc.is_array:
+            self.expect_int(env, desc.length, rule, "array length")
         return desc.declared_type()
 
-    def _check_new_delete(self, env, stmt, rule_obj, rule_arr):
-        rule = rule_arr if stmt.desc.is_array else rule_obj
+    def _check_new_delete(self, env, stmt):
+        rule = RULES[type(stmt).__name__][stmt.desc.is_array]
         want = self._desc_type(env, stmt.desc, rule)
-        got = self._lvalue_type(env, stmt.target, rule)
+        got = self.place_type(env, stmt.target, rule)
         if want is None or got is None:
             return
         if got != want:
             self.error(rule, f"target has type {got}, descriptor says {want}",
                        stmt.span)
 
-    def _check_New(self, env, stmt):
-        self._check_new_delete(env, stmt, "T-ObjNew", "T-ArrNew")
-
-    def _check_Delete(self, env, stmt):
-        self._check_new_delete(env, stmt, "T-ObjDlt", "T-ArrDlt")
-
-    def _check_copy_uncopy(self, env, stmt, rule):
+    def _check_copy_uncopy(self, env, stmt):
+        rule = RULES[type(stmt).__name__]
         want = self._desc_type(env, stmt.desc, rule)
-        st = self._lvalue_type(env, stmt.source, rule)
-        tt = self._lvalue_type(env, stmt.target, rule)
+        st = self.place_type(env, stmt.source, rule)
+        tt = self.place_type(env, stmt.target, rule)
         if want is None or st is None or tt is None:
             return
         # both operands must carry exactly the declared type
@@ -273,14 +265,31 @@ class Checker:
                        f"operands have types {st} and {tt}, descriptor says {want}",
                        stmt.span)
 
-    def _check_Copy(self, env, stmt):
-        self._check_copy_uncopy(env, stmt, "T-Cp")
-
-    def _check_Uncopy(self, env, stmt):
-        self._check_copy_uncopy(env, stmt, "T-Ucp")
-
-    def _check_call_args(self, env, stmt, mdecl, rule, forbid_fields):
+    def _check_call(self, env, stmt):
+        """A local call names a method of the current class; an object
+        call one of its callee's class."""
+        rule = RULES[type(stmt).__name__]
+        callee = getattr(stmt, "callee", None)
+        if callee is None:
+            class_name = self.current_class
+        else:
+            cty = self.place_type(env, callee, rule)
+            if cty is None:
+                return
+            if not isinstance(cty, ast.ClassRef):
+                self.error(rule, f"callee has type {cty}, not an object",
+                           stmt.span)
+                return
+            class_name = cty.name
+        mdecl = self.class_map[class_name].methods.get(stmt.method)
+        if mdecl is None:
+            self.error(rule, f"class {class_name} has no method {stmt.method}",
+                       stmt.span)
+            return
         args = stmt.args
+        if callee is not None and not callee.is_cell and callee.name in args:
+            self.error(rule, f"callee {callee.name} cannot also be an "
+                       "argument", stmt.span)
         if len(args) != len(mdecl.params):
             self.error(rule,
                        f"{stmt.method} takes {len(mdecl.params)} arguments, "
@@ -289,12 +298,11 @@ class Checker:
         if len(set(args)) != len(args):
             self.error(rule, "argument list must contain unique variables",
                        stmt.span)
-        if forbid_fields:
-            bad = [a for a in args if a in self.field_names]
-            if bad:
-                self.error(rule,
-                           f"class fields cannot be passed to a local method: "
-                           f"{', '.join(bad)}", stmt.span)
+        bad = [a for a in args if a in self.field_names]
+        if callee is None and bad:
+            self.error(rule,
+                       f"class fields cannot be passed to a local method: "
+                       f"{', '.join(bad)}", stmt.span)
         for arg, (pty, pname) in zip(args, mdecl.params):
             aty = env.get(arg)
             if aty is None:
@@ -305,44 +313,10 @@ class Checker:
                            f"argument {arg} has type {aty}, parameter "
                            f"{pname} wants {pty}", stmt.span)
 
-    def _check_local_call(self, env, stmt, rule):
-        info = self.class_map[self.current_class]
-        mdecl = info.methods.get(stmt.method)
-        if mdecl is None:
-            self.error(rule, f"class {self.current_class} has no method "
-                       f"{stmt.method}", stmt.span)
-            return
-        self._check_call_args(env, stmt, mdecl, rule, forbid_fields=True)
-
-    def _check_LocalCall(self, env, stmt):
-        self._check_local_call(env, stmt, "T-Call")
-
-    def _check_LocalUncall(self, env, stmt):
-        self._check_local_call(env, stmt, "T-Uc")
-
-    def _check_object_call(self, env, stmt, rule):
-        cty = self._lvalue_type(env, stmt.callee, rule)
-        if cty is None:
-            return
-        if not isinstance(cty, ast.ClassRef):
-            self.error(rule, f"callee has type {cty}, not an object", stmt.span)
-            return
-        info = self.class_map[cty.name]
-        mdecl = info.methods.get(stmt.method)
-        if mdecl is None:
-            self.error(rule, f"class {cty.name} has no method {stmt.method}",
-                       stmt.span)
-            return
-        if not stmt.callee.is_cell and stmt.callee.name in stmt.args:
-            self.error(rule, f"callee {stmt.callee.name} cannot also be an "
-                       "argument", stmt.span)
-        self._check_call_args(env, stmt, mdecl, rule, forbid_fields=False)
-
-    def _check_ObjectCall(self, env, stmt):
-        self._check_object_call(env, stmt, "T-CallO")
-
-    def _check_ObjectUncall(self, env, stmt):
-        self._check_object_call(env, stmt, "T-Uco")
+    _check_New = _check_Delete = _check_new_delete
+    _check_Copy = _check_Uncopy = _check_copy_uncopy
+    _check_LocalCall = _check_LocalUncall = _check_call
+    _check_ObjectCall = _check_ObjectUncall = _check_call
 
     # --------------------------------------------------------- programs
 

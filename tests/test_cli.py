@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import random
+import re
 import struct
 import subprocess
 import sys
@@ -324,6 +326,43 @@ def test_resume_bad_pointer_exit_4(tmp_path):
         "bounds\n")
 
 
+CELL_ARRAY = """\
+class Cell
+    int data
+
+    method nop()
+        skip
+
+class Main
+    Cell[] cells
+
+    method main()
+        new Cell[1] cells
+        local Cell c = nil
+            new Cell c
+            cells[0] <=> c
+        delocal Cell c = nil
+"""
+
+
+def test_resume_sweeps_the_objects_of_a_class_array(tmp_path):
+    path = tmp_path / "cells.rplpp"
+    path.write_text(CELL_ARRAY)
+    saved = tmp_path / "cells.state"
+    assert cli("run", "--save-state", str(saved), str(path)).returncode == 0
+    result = cli("run", "--resume", str(saved), "--reverse", str(path))
+    assert (result.returncode, result.stdout) == (0, "cells = 0\n")
+    state = load_state(str(saved))
+    assert state.memory.words[1031 + 2] == 1027   # cells[0] holds the object
+    state.memory.words[1027 + 1] = 2              # the object's refcount
+    bad = tmp_path / "bad.state"
+    save_state(str(bad), state)
+    result = cli("run", "--resume", str(bad), "--reverse", str(path))
+    assert _one_error_line(result) == (
+        "error: bad reference in the state: object at 1027 has refcount 2, "
+        "but 1 live bindings hold it\n")
+
+
 def test_resume_under_another_program_exit_4(tmp_path):
     saved = tmp_path / "list.state"
     cli("run", "--save-state", str(saved), str(corpus_path("LinkedList")))
@@ -389,6 +428,73 @@ def test_non_utf8_source_exit_3(tmp_path):
     for command in ("check", "run", "invert"):
         assert _one_error_line(cli(command, str(path)), 3) == (
             f"{path}: syntax error: not UTF-8 text (byte 6)\n")
+
+
+def test_digit_that_int_rejects_exit_3(tmp_path):
+    # `²` is a digit to str.isdigit but not to int(); `٣` is Arabic-Indic 3
+    path = tmp_path / "digits.rplpp"
+    source = "class Main\n    int x\n\n    method main()\n        x += {}\n"
+    path.write_text(source.format("²"), encoding="utf-8")
+    for command in ("check", "run"):
+        assert _one_error_line(cli(command, str(path)), 3) == (
+            f"{path}:5:14: syntax error: unexpected character '²'\n")
+    path.write_text(source.format("٣"), encoding="utf-8")
+    assert cli("run", str(path)).stdout == "x = 3\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that refuses writes")
+def test_trace_write_failure_exit_4():
+    result = cli("run", "--trace", "/dev/full", str(corpus_path("Fibonacci")))
+    assert _one_error_line(result) == (
+        "error: [Errno 28] No space left on device\n")
+
+
+_FUZZ_TOKEN = re.compile(r"//.*|\w+|<=>|::|[-+^]=|&&|\|\||[<>!]=|\S")
+_NON_ASCII = "²፯٣é\u00a0\u200b\u2028𝟘Ω€"
+
+
+def _fuzzed(source, rng):
+    """`source` after one to three edits: delete or duplicate a token,
+    swap it for another of its kind, or put a non-ASCII character before
+    it."""
+    def kind(text):
+        return text[0].isdigit(), text[0].isalpha() or text[0] == "_"
+
+    for _ in range(rng.randint(1, 3)):
+        tokens = [m for m in _FUZZ_TOKEN.finditer(source)
+                  if not m.group().startswith("//")]
+        m = rng.choice(tokens)
+        text = m.group()
+        edit = rng.randrange(4)
+        if edit == 0:
+            text = ""
+        elif edit == 1:
+            text = f"{text} {text}"
+        elif edit == 2:
+            text = rng.choice([t.group() for t in tokens
+                               if kind(t.group()) == kind(text)])
+        else:
+            text = rng.choice(_NON_ASCII) + text
+        source = source[:m.start()] + text + source[m.end():]
+    return source
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS_DIR.glob(
+    "*.rplpp")))
+def test_mutated_source_ends_in_an_exit_code(tmp_path, name):
+    # seeded mutants of each corpus program end in SystemExit 0-4 in-process,
+    # with an error message for every non-zero code
+    from test_frontend_golden import run_cli
+
+    source = corpus_path(name).read_text()
+    path = tmp_path / "mutant.rplpp"
+    for seed in range(100):
+        path.write_text(_fuzzed(source, random.Random(f"{name}/{seed}")),
+                        encoding="utf-8")
+        for argv in (["check"], ["invert"], ["run", "--step-limit", "2000"]):
+            code, _, err = run_cli(*argv, str(path))
+            assert code in range(5) and (code == 0 or err), (seed, argv, err)
 
 
 @pytest.mark.parametrize("flags", [

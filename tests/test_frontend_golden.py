@@ -139,14 +139,6 @@ def test_frontend_matches_golden(golden, group):
                             for k in mismatched[:3]]
 
 
-def test_golden_reaches_every_exit_code(golden):
-    codes = {answers["check"][0] for answers in golden.values()}
-    assert codes == {0, 2, 3}
-    mutant_codes = [v["check"][0] for k, v in golden.items()
-                    if k.startswith("mutant/")]
-    assert mutant_codes.count(2) > 100 and mutant_codes.count(0) > 10
-
-
 # Rejections that no source text reaches, because the caller tests for
 # them first; tests/test_classes.py calls them directly.
 _API_ONLY = ("no class named", "is not an array type")
@@ -159,9 +151,7 @@ def _rejection_lines():
                            (classes, "raise ClassError")):
         text = Path(module.__file__).read_text().splitlines()
         for number, line in enumerate(text, 1):
-            if marker in line and not any(
-                    s in " ".join(text[number - 1:number + 1])
-                    for s in _API_ONLY):
+            if marker in line and not any(s in line for s in _API_ONLY):
                 lines.add((module.__file__, number))
     return lines
 

@@ -152,6 +152,32 @@ def test_expression_evaluation_is_pure():
                     "x += nums[1] + 1").fields["x"] == 5
 
 
+TWO_ARRAYS = """
+class Main
+    int[] a
+    int[] b
+    int x
+    int y
+
+    method main()
+        BODY
+"""
+
+
+@pytest.mark.parametrize("body,kind,message", [
+    ("x += a[b[0]]", E.UNINITIALIZED_ARRAY, "array a has not been allocated"),
+    ("new int[2] a x += a[b[0]]", E.UNINITIALIZED_ARRAY,
+     "array b has not been allocated"),
+    ("new int[2] a x += a[1 / y]", E.DIVISION_BY_ZERO, "division by zero in /"),
+])
+def test_index_that_can_fail_is_checked_after_its_array(body, kind, message):
+    # the array's own check runs before the code of an index that can fail
+    program = parse(TWO_ARRAYS.replace("BODY", body))
+    with pytest.raises(ExecutionError) as exc:
+        run_program(program, build_class_map(program), SMALL)
+    assert (exc.value.kind, exc.value.message) == (kind, message)
+
+
 # -------------------------------------------------- assignment and swaps
 
 def test_assign_forward_and_backward():
@@ -196,6 +222,12 @@ def test_if_assertion_must_match_branch():
     err = expect_error("if x = 0 then x += 1 else skip fi x = 0",
                        E.ASSERTION_FAILED_IF)
     assert "then" in err.message
+
+
+def test_failed_if_assertion_after_the_else_branch():
+    err = expect_error("if x = 1 then skip else x += 1 fi x = 1",
+                       E.ASSERTION_FAILED_IF)
+    assert err.message == "exit assertion is true after the else branch"
 
 
 def test_loop_counts():
