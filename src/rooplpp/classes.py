@@ -74,15 +74,18 @@ def array_type_of(ty: ast.TypeName) -> ast.TypeName:
     raise ClassError("NotAnArray", f"{ty} is not an array type")
 
 
+def _field_spans(cls: ast.ClassDecl):
+    """The span of each field of `cls`, its own if the parser gave one."""
+    return cls.field_spans or (cls.span,) * len(cls.fields)
+
+
 def build_class_map(program: ast.Program) -> ClassMap:
-    decls: dict[str, ast.ClassDecl] = {}
-    order: list[str] = []
+    decls: dict[str, ast.ClassDecl] = {}  # in declaration order
     for cls in program.classes:
         if cls.name in decls:
             raise ClassError("DuplicateClass",
                              f"class {cls.name} declared twice", cls.span)
         decls[cls.name] = cls
-        order.append(cls.name)
 
     for cls in program.classes:
         if cls.parent is not None and cls.parent not in decls:
@@ -103,7 +106,7 @@ def build_class_map(program: ast.Program) -> ClassMap:
                                  m.span)
 
     # cycle detection over the inherits graph
-    for name in order:
+    for name in decls:
         slow = name
         seen = set()
         while decls[slow].parent is not None:
@@ -120,54 +123,49 @@ def build_class_map(program: ast.Program) -> ClassMap:
         if name in resolved:
             return resolved[name]
         cls = decls[name]
-        own_fields = list(cls.fields)
-        own_names = set()
-        for _, fname in own_fields:
-            if fname in own_names:
+        fields = list(cls.fields)
+        own_spans = {}
+        for (_, fname), span in zip(fields, _field_spans(cls)):
+            if fname in own_spans:
                 raise ClassError("DuplicateField",
                                  f"field {fname} declared twice in {name}",
-                                 cls.span)
-            own_names.add(fname)
+                                 span)
+            own_spans[fname] = span
         methods: dict[str, ast.MethodDecl] = {m.name: m for m in cls.methods}
-        fields = own_fields
         if cls.parent is not None:
             parent = resolve(cls.parent)
             for ty, fname in parent.fields:
-                if fname in own_names:
+                if fname in own_spans:
                     # shadowing an inherited field would make the merged
                     # field set ambiguous; reject outright
                     raise ClassError(
                         "DuplicateField",
                         f"field {fname} in {name} shadows {cls.parent}.{fname}",
-                        cls.span)
+                        own_spans[fname])
                 fields = fields + [(ty, fname)]
             for mname, mdecl in parent.methods.items():
                 if mname not in methods:
                     methods[mname] = mdecl
-        info = ClassInfo(name, order.index(name) + 1, cls.parent,
+        info = ClassInfo(name, list(decls).index(name) + 1, cls.parent,
                          tuple(fields), methods, cls.methods)
         resolved[name] = info
         return info
 
-    for name in order:
-        resolve(name)
-
-    cmap = ClassMap({name: resolved[name] for name in order})
+    cmap = ClassMap({name: resolve(name) for name in decls})
 
     # overrides must keep the base signature or dispatch could change arity
-    for name in order:
-        cls = decls[name]
+    for name, cls in decls.items():
         if cls.parent is None:
             continue
         parent = cmap[cls.parent]
         for m in cls.methods:
             base = parent.methods.get(m.name)
-            if base is not None:
-                if tuple(ty for ty, _ in base.params) != tuple(ty for ty, _ in m.params):
-                    raise ClassError(
-                        "BadOverride",
-                        f"{name}.{m.name} overrides {cls.parent}.{m.name} "
-                        "with a different signature", m.span)
+            if base is not None and tuple(ty for ty, _ in base.params) != \
+                    tuple(ty for ty, _ in m.params):
+                raise ClassError(
+                    "BadOverride",
+                    f"{name}.{m.name} overrides {cls.parent}.{m.name} "
+                    "with a different signature", m.span)
 
     # class reference fields/params must resolve
     def check_type(ty, where, span):
@@ -178,8 +176,8 @@ def build_class_map(program: ast.Program) -> ClassMap:
                              f"{where} has unknown class {kind}type {ty}", span)
 
     for cls in program.classes:
-        for ty, fname in cls.fields:
-            check_type(ty, f"field {cls.name}.{fname}", cls.span)
+        for (ty, fname), span in zip(cls.fields, _field_spans(cls)):
+            check_type(ty, f"field {cls.name}.{fname}", span)
         for m in cls.methods:
             for ty, pname in m.params:
                 check_type(ty, f"parameter {pname} of {cls.name}.{m.name}", m.span)

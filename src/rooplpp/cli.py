@@ -9,8 +9,8 @@ type checker, `invert` skips it, and only `run` loads the interpreter.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .classes import build_class_map
 from .errors import ClassError, ConfigError, ExecutionError, ParseError
@@ -52,8 +52,8 @@ def cmd_check(args):
 
 
 def cmd_run(args):
-    import json
-
+    if args.json or args.trace:
+        import json
     from .heap import MemoryConfig
     from .machine import BACKWARD, FORWARD, run_program
     from .statefile import load_state, save_state
@@ -70,17 +70,14 @@ def cmd_run(args):
         state = load_state(args.resume)
         state.step_limit = args.step_limit
 
-    trace_fh = None
-    tracer = None
+    trace_fh = tracer = None
     if args.trace:
         trace_fh = open(args.trace, "w", encoding="utf-8")
         tracer = lambda record: print(json.dumps(record), file=trace_fh)
-
-    direction = BACKWARD if args.reverse else FORWARD
     try:
-        result = run_program(program, class_map, config, direction=direction,
-                             step_limit=args.step_limit, tracer=tracer,
-                             state=state)
+        result = run_program(
+            program, class_map, config, BACKWARD if args.reverse else FORWARD,
+            step_limit=args.step_limit, tracer=tracer, state=state)
     finally:
         if trace_fh is not None:
             trace_fh.close()
@@ -90,13 +87,9 @@ def cmd_run(args):
 
     mem = result.state.memory
     if args.json:
-        snapshot = mem.snapshot_free_lists()
-        print(json.dumps({
-            "fields": result.fields,
-            "steps": result.steps,
-            "freelists": {str(size): list(addrs)
-                          for size, addrs in snapshot.lists},
-        }))
+        print(json.dumps({"fields": result.fields, "steps": result.steps,
+                          "freelists": {str(size): list(addrs) for size, addrs
+                                        in mem.snapshot_free_lists().lists}}))
     else:
         for name, value in result.fields.items():
             print(f"{name} = {value}")
@@ -115,67 +108,130 @@ def cmd_invert(args):
     return OK
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Reports bad usage as one `error:` line and exit code 4."""
+USAGE = """\
+usage: rooplpp check|invert PATH
+       rooplpp run [--freelists N] [--word-bits 16|32|64] [--stack-words N]
+                   [--heap-grow] [--step-limit N] [--reverse] [--json]
+                   [--dump-heap] [--trace FILE] [--resume STATE]
+                   [--save-state STATE] PATH
 
-    def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+A flag goes before or after PATH as --flag VALUE or --flag=VALUE, and a
+unique prefix names it (--rev); the last of a repeated flag wins, and --
+ends the flags.
+"""
+
+# each `run` flag: its default and its value type, "int", "path" or "switch"
+RUN_FLAGS = {
+    "--freelists": (10, "int"), "--word-bits": (32, "int"),
+    "--stack-words": (1024, "int"), "--heap-grow": (False, "switch"),
+    "--step-limit": (10_000_000, "int"), "--reverse": (False, "switch"),
+    "--json": (False, "switch"), "--dump-heap": (False, "switch"),
+    "--trace": (None, "path"), "--resume": (None, "path"),
+    "--save-state": (None, "path"),
+}
 
 
-def _non_negative(text):
+def _usage_error(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_IO)
+
+
+def _flag(token, names):
+    """None if `token` is an argument, else the flag of `names` that it or
+    its unique prefix names ("" for none) and its `=value` or None.  As in
+    argparse, a negative number or a token with a space is an argument."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if token[1] == "-":
+        found = [flag for flag in names if flag.startswith(name)]
+    else:                     # as in argparse, -hh and -h=h mean -h -h
+        found = ["--help"] * (token[1] == "h")
+        value = token[3:] if token[2:3] == "=" else token[2:]
+        eq = token != "-h" and (not value or value.strip("h") != "")
+    if len(found) > 1:
+        _usage_error(f"ambiguous option: {token} could match "
+                     + ", ".join(found))
+    if found:
+        return found[0], value if eq else None
+    whole, dot, fraction = token[1:].partition(".")
+    number = (fraction if dot else whole).isdecimal() and (
+        not whole or whole.isdecimal())
+    return None if number or " " in token else ("", None)
+
+
+def _int(flag, text):
+    """--word-bits takes 16, 32 or 64 and --step-limit no negative int."""
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}")
+        value = None
+    if value is None or (value not in (16, 32, 64) if flag == "--word-bits"
+                         else value < 0 and flag == "--step-limit"):
+        _usage_error(f"argument {flag}: invalid value {text!r}")
     return value
 
 
-def build_arg_parser():
-    parser = _ArgumentParser(
-        prog="rooplpp",
-        description="ROOPL++ toolchain: check, run, invert")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_ArgumentParser)
-
-    p_check = sub.add_parser("check", help="parse and type-check a program")
-    p_check.add_argument("path")
-    p_check.set_defaults(func=cmd_check)
-
-    p_run = sub.add_parser("run", help="execute a program")
-    p_run.add_argument("path")
-    p_run.add_argument("--freelists", type=int, default=10, metavar="N",
-                       help="number of free lists (heap is 2^N words)")
-    p_run.add_argument("--word-bits", type=int, default=32,
-                       choices=(16, 32, 64))
-    p_run.add_argument("--stack-words", type=int, default=1024, metavar="N")
-    p_run.add_argument("--heap-grow", action="store_true",
-                       help="allow appending up to 8 extra top-size blocks")
-    p_run.add_argument("--step-limit", type=_non_negative, default=10_000_000,
-                       metavar="N")
-    p_run.add_argument("--reverse", action="store_true",
-                       help="execute the main method backward")
-    p_run.add_argument("--json", action="store_true")
-    p_run.add_argument("--dump-heap", action="store_true")
-    p_run.add_argument("--trace", metavar="FILE",
-                       help="write one JSON record per executed statement")
-    p_run.add_argument("--resume", metavar="STATE",
-                       help="start from a saved machine state")
-    p_run.add_argument("--save-state", metavar="STATE",
-                       help="write the final machine state")
-    p_run.set_defaults(func=cmd_run)
-
-    p_inv = sub.add_parser("invert", help="print the inverted program")
-    p_inv.add_argument("path")
-    p_inv.set_defaults(func=cmd_invert)
-    return parser
+def parse_args(argv):
+    """`argv` as the `cmd_*` functions read it: `command`, `path`, `func`
+    and, for `run`, one attribute per flag.  -h or --help prints USAGE and
+    exits 0; bad usage prints one `error:` line and exits 4, in argparse's
+    order: an ambiguous prefix, a bad value, a missing operand, the rest."""
+    commands = {"check": cmd_check, "run": cmd_run, "invert": cmd_invert}
+    command = path = None
+    flags, options, extras, i = {}, {}, [], 0
+    while i < len(argv):
+        token, i = argv[i], i + 1
+        found = (kinds[i - 1] if command else  # only --help precedes it
+                 None if token == "--" else _flag(token, ("--help",)))
+        flag, value = found or (None, None)
+        if flag in flags and flags[flag][1] != "switch":
+            if value is None:
+                if i >= cut or kinds[i]:
+                    _usage_error(f"argument {flag}: expected one argument")
+                value, i = argv[i], i + 1
+            if flags[flag][1] == "int":
+                value = _int(flag, value)
+            options[flag] = value
+        elif flag:
+            if value is not None:
+                _usage_error(f"argument {flag}: ignored explicit argument "
+                             f"{value!r}")
+            if flag == "--help":
+                print(USAGE, end="")
+                raise SystemExit(OK)
+            options[flag] = True
+        elif found:
+            extras.append(token)
+        elif command is None:
+            if token not in commands:
+                _usage_error(f"argument command: invalid choice: {token!r} "
+                             "(choose from 'check', 'run', 'invert')")
+            # what each later token is, up to the `--` at `cut`: an
+            # ambiguous prefix fails before any other error
+            command, flags = token, RUN_FLAGS if token == "run" else {}
+            cut = argv.index("--", i) if "--" in argv[i:] else len(argv)
+            kinds = [None] * len(argv)
+            kinds[i:cut] = [_flag(t, ("--help", *flags)) for t in argv[i:cut]]
+        elif i - 1 == cut:       # the path takes a `--` next to it
+            if path is not None and path_at != cut - 1:
+                extras.append(token)
+        elif path is None:
+            path, path_at = token, i - 1
+        else:
+            extras.append(token)
+    for operand, value in (("command", command), ("path", path)):
+        if value is None:
+            _usage_error(f"the following arguments are required: {operand}")
+    if extras:
+        _usage_error("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(command=command, path=path, func=commands[command],
+                           **{f[2:].replace("-", "_"): options.get(f, default)
+                              for f, (default, _) in flags.items()})
 
 
 def main(argv=None):
-    args = build_arg_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
     except tuple(_SOURCE_ERRORS) as exc:

@@ -261,13 +261,11 @@ class MemoryImage:
             for i in range(self.num_freelists))
 
     def hex_dump(self, start: int, end: int) -> str:
+        """Eight words a line, each line headed by its first address."""
         digits = self.word_bits // 4
-        lines = []
-        for base in range(start, end, 8):
-            row = self.words[base:min(base + 8, end)]
-            cells = " ".join(f"{w:0{digits}x}" for w in row)
-            lines.append(f"{base:08x}: {cells}")
-        return "\n".join(lines)
+        return "\n".join(f"{base:08x}: " + " ".join(
+            f"{w:0{digits}x}" for w in self.words[base:min(base + 8, end)])
+            for base in range(start, end, 8))
 
     def clone(self) -> "MemoryImage":
         other = MemoryImage.__new__(MemoryImage)

@@ -66,12 +66,8 @@ def invert_stmt(stmt: ast.Statement, keep_calls: bool = False) -> ast.Statement:
 
 def invert_program(program: ast.Program) -> ast.Program:
     """Invert every method body via the modified top-level inverter."""
-    classes = []
-    for cls in program.classes:
-        methods = tuple(
-            ast.MethodDecl(m.name, m.params,
-                           invert_stmt(m.body, keep_calls=True), m.span)
-            for m in cls.methods)
-        classes.append(ast.ClassDecl(cls.name, cls.parent, cls.fields,
-                                     methods, cls.span))
-    return ast.Program(tuple(classes), program.span)
+    return program.replace(classes=tuple(
+        cls.replace(methods=tuple(
+            m.replace(body=invert_stmt(m.body, keep_calls=True))
+            for m in cls.methods))
+        for cls in program.classes))

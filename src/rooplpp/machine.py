@@ -17,7 +17,8 @@ import sys
 import zlib
 
 from .classes import ClassMap
-from .errors import ConfigError, ExecutionError, MemoryFault, RuntimeErrorKind
+from .errors import (ConfigError, ExecutionError, MemoryFault, Record,
+                     RuntimeErrorKind)
 from .heap import MemoryConfig, MemoryImage, init_memory
 from .emit import BACKWARD, FORWARD, Emitter, division
 from .inverter import invert_program, invert_stmt
@@ -46,13 +47,8 @@ class MachineState:
         return word - (1 << bits) if word & (1 << (bits - 1)) else word
 
 
-class RunResult:
-    def __init__(self, fields: dict[str, int], steps: int,
-                 state: MachineState, main_address: int):
-        self.fields = fields
-        self.steps = steps
-        self.state = state
-        self.main_address = main_address
+class RunResult(Record):
+    __slots__ = ("fields", "steps", "state", "main_address")
 
 
 class Interpreter:

@@ -67,21 +67,13 @@ def tokenize(source: str) -> list[Token]:
                 i += 1
             continue
         start = Span(line, col, line, col)
-        if c.isdecimal():
-            j = i
-            while j < n and source[j].isdecimal():
+        if c.isdecimal() or c.isalpha() or c == "_":
+            word, j = not c.isdecimal(), i + 1
+            while j < n and (source[j].isalnum() or source[j] == "_" if word
+                             else source[j].isdecimal()):
                 j += 1
             text = source[i:j]
-            tokens.append(Token("int", text, Span(line, col, line, col + len(text))))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "kw" if text in KEYWORDS else "ident"
+            kind = "int" if not word else "kw" if text in KEYWORDS else "ident"
             tokens.append(Token(kind, text, Span(line, col, line, col + len(text))))
             col += j - i
             i = j
@@ -158,10 +150,12 @@ class _Parser:
         parent = None
         if self.accept("kw", "inherits"):
             parent = self.expect("ident", what="parent class name").text
-        fields = []
+        fields, spans = [], []
         while self.at_kw("int") or (self.at("ident") and self.peek().kind == "ident") \
                 or (self.at("ident") and self.peek().text == "[" and self.peek(2).text == "]"):
+            field_start = self.cur.span
             fields.append(self.typed_name("field"))
+            spans.append(self._span_from(field_start))
         methods = []
         while self.at_kw("method"):
             methods.append(self.method_decl())
@@ -169,7 +163,7 @@ class _Parser:
             raise ParseError(f"class {name} has no methods", self.cur.span,
                              expected=("method",))
         return ast.ClassDecl(name, parent, tuple(fields), tuple(methods),
-                             self._span_from(start))
+                             self._span_from(start), tuple(spans))
 
     def typed_name(self, what) -> tuple[ast.TypeName, str]:
         ty = self.type_name()
@@ -192,15 +186,9 @@ class _Parser:
     def method_decl(self) -> ast.MethodDecl:
         start = self.expect("kw", "method").span
         name = self.expect("ident", what="method name").text
-        self.expect("sym", "(")
-        params = []
-        if not self.at("sym", ")"):
-            params.append(self.typed_name("parameter"))
-            while self.accept("sym", ","):
-                params.append(self.typed_name("parameter"))
-        self.expect("sym", ")")
+        params = self._parenthesized(lambda: self.typed_name("parameter"))
         body = self.statement_seq()
-        return ast.MethodDecl(name, tuple(params), body, self._span_from(start))
+        return ast.MethodDecl(name, params, body, self._span_from(start))
 
     # -- statements ----------------------------------------------------
 
@@ -215,10 +203,11 @@ class _Parser:
         tok = self.cur
         if tok.kind == "kw":
             handler = {
-                "skip": self._skip, "if": self._if, "from": self._loop,
+                "skip": lambda: ast.Skip(self.advance().span),
+                "if": self._two_bodies, "from": self._two_bodies,
                 "construct": self._construct, "local": self._local,
-                "new": self._new_delete, "delete": self._new_delete,
-                "copy": self._copy_uncopy, "uncopy": self._copy_uncopy,
+                "new": self._alloc, "delete": self._alloc,
+                "copy": self._alloc, "uncopy": self._alloc,
                 "call": self._call, "uncall": self._call,
             }.get(tok.text)
             if handler is None:
@@ -229,10 +218,6 @@ class _Parser:
             return self._assign_or_swap()
         raise ParseError(f"got {tok.text or 'end of input'!r}", tok.span,
                          expected=("statement",))
-
-    def _skip(self):
-        tok = self.advance()
-        return ast.Skip(tok.span)
 
     def _assign_or_swap(self):
         start = self.cur.span
@@ -257,29 +242,18 @@ class _Parser:
             return ast.LValue(tok.text, index, self._span_from(tok.span))
         return ast.LValue(tok.text, None, tok.span)
 
-    def _if(self):
-        start = self.expect("kw", "if").span
-        cond = self.expression()
-        self.expect("kw", "then")
-        then_body = self.statement_seq()
-        self.expect("kw", "else")
-        else_body = self.statement_seq()
-        self.expect("kw", "fi")
-        assertion = self.expression()
-        return ast.If(cond, then_body, else_body, assertion,
-                      self._span_from(start))
-
-    def _loop(self):
-        start = self.expect("kw", "from").span
-        assertion = self.expression()
-        self.expect("kw", "do")
-        do_body = self.statement_seq()
-        self.expect("kw", "loop")
-        loop_body = self.statement_seq()
-        self.expect("kw", "until")
-        cond = self.expression()
-        return ast.Loop(assertion, do_body, loop_body, cond,
-                        self._span_from(start))
+    def _two_bodies(self):
+        """An if or a from loop (`syntax.TWO_BODY_WORDS`)."""
+        cls = ast.If if self.cur.text == "if" else ast.Loop
+        _, first, second, closing = ast.TWO_BODY_WORDS[cls]
+        start = self.advance().span
+        head = self.expression()
+        self.expect("kw", first)
+        body = self.statement_seq()
+        self.expect("kw", second)
+        other = self.statement_seq()
+        self.expect("kw", closing)
+        return cls(head, body, other, self.expression(), self._span_from(start))
 
     def _construct(self):
         start = self.expect("kw", "construct").span
@@ -314,35 +288,24 @@ class _Parser:
                               self._span_from(start))
 
     def alloc_desc(self) -> ast.AllocDesc:
-        start = self.cur.span
-        if self.accept("kw", "int"):
+        start, name, length = self.cur.span, None, None
+        if not self.accept("kw", "int"):
+            name = self.expect("ident", what="class name").text
+        if name is None or self.at("sym", "["):  # an int array has a length
             self.expect("sym", "[")
             length = self.expression()
             self.expect("sym", "]")
-            return ast.AllocDesc(None, length, self._span_from(start))
-        name = self.expect("ident", what="class name").text
-        if self.accept("sym", "["):
-            length = self.expression()
-            self.expect("sym", "]")
-            return ast.AllocDesc(name, length, self._span_from(start))
-        return ast.AllocDesc(name, None, self._span_from(start))
+        return ast.AllocDesc(name, length, self._span_from(start))
 
-    def _new_delete(self):
+    def _alloc(self):
+        """new or delete d y, copy or uncopy d y y'."""
         tok = self.advance()
         desc = self.alloc_desc()
-        target = self.lvalue()
-        span = self._span_from(tok.span)
-        cls = ast.New if tok.text == "new" else ast.Delete
-        return cls(desc, target, span)
-
-    def _copy_uncopy(self):
-        tok = self.advance()
-        desc = self.alloc_desc()
-        source = self.lvalue()
-        target = self.lvalue()
-        span = self._span_from(tok.span)
-        cls = ast.Copy if tok.text == "copy" else ast.Uncopy
-        return cls(desc, source, target, span)
+        places = [self.lvalue()]
+        if tok.text.endswith("copy"):
+            places.append(self.lvalue())
+        return getattr(ast, tok.text.capitalize())(desc, *places,
+                                                   self._span_from(tok.span))
 
     def _call(self):
         tok = self.advance()
@@ -350,25 +313,27 @@ class _Parser:
         first = self.lvalue()
         if self.accept("sym", "::"):
             method = self.expect("ident", what="method name").text
-            args = self._arg_list()
+            args = self._parenthesized(self._argument)
             cls = ast.ObjectUncall if uncall else ast.ObjectCall
             return cls(first, method, args, self._span_from(tok.span))
         if first.is_cell:
             raise ParseError("array cell cannot name a local method",
                              first.span, expected=("::",))
-        args = self._arg_list()
+        args = self._parenthesized(self._argument)
         cls = ast.LocalUncall if uncall else ast.LocalCall
         return cls(first.name, args, self._span_from(tok.span))
 
-    def _arg_list(self) -> tuple[str, ...]:
+    def _argument(self) -> str:
+        return self.expect("ident", what="argument").text
+
+    def _parenthesized(self, item) -> tuple:
+        """`(item, ...)`, perhaps empty."""
         self.expect("sym", "(")
-        args = []
-        if not self.at("sym", ")"):
-            args.append(self.expect("ident", what="argument").text)
-            while self.accept("sym", ","):
-                args.append(self.expect("ident", what="argument").text)
+        items = [] if self.at("sym", ")") else [item()]
+        while items and self.accept("sym", ","):
+            items.append(item())
         self.expect("sym", ")")
-        return tuple(args)
+        return tuple(items)
 
     # -- expressions ----------------------------------------------------
 

@@ -33,14 +33,8 @@ def _place(place) -> str:
 
 
 def _desc(d: ast.AllocDesc) -> str:
-    if not d.is_array:
-        return d.name
-    base = "int" if d.is_int_array else d.name
-    return f"{base}[{print_expr(d.length)}]"
-
-
-def _args(args) -> str:
-    return "(" + ", ".join(args) + ")"
+    return f"{d.name or 'int'}[{print_expr(d.length)}]" if d.is_array \
+        else d.name
 
 
 def print_stmt(stmt: ast.Statement, depth: int = 0) -> list[str]:
@@ -56,21 +50,15 @@ def print_stmt(stmt: ast.Statement, depth: int = 0) -> list[str]:
         return [f"{pad}{_place(stmt.target)} {stmt.op} {print_expr(stmt.expr)}"]
     if isinstance(stmt, ast.Swap):
         return [f"{pad}{_place(stmt.left)} <=> {_place(stmt.right)}"]
-    if isinstance(stmt, ast.If):
+    if isinstance(stmt, (ast.If, ast.Loop)):
+        opening, first, second, closing = ast.TWO_BODY_WORDS[type(stmt)]
+        head, body, other, tail = (getattr(stmt, f) for f in stmt._fields[:4])
         return (
-            [f"{pad}if {print_expr(stmt.cond)} then"]
-            + print_stmt(stmt.then_body, depth + 1)
-            + [pad + "else"]
-            + print_stmt(stmt.else_body, depth + 1)
-            + [f"{pad}fi {print_expr(stmt.assertion)}"]
-        )
-    if isinstance(stmt, ast.Loop):
-        return (
-            [f"{pad}from {print_expr(stmt.assertion)} do"]
-            + print_stmt(stmt.do_body, depth + 1)
-            + [pad + "loop"]
-            + print_stmt(stmt.loop_body, depth + 1)
-            + [f"{pad}until {print_expr(stmt.cond)}"]
+            [f"{pad}{opening} {print_expr(head)} {first}"]
+            + print_stmt(body, depth + 1)
+            + [pad + second]
+            + print_stmt(other, depth + 1)
+            + [f"{pad}{closing} {print_expr(tail)}"]
         )
     if isinstance(stmt, ast.ObjectBlock):
         return (
@@ -84,22 +72,16 @@ def print_stmt(stmt: ast.Statement, depth: int = 0) -> list[str]:
             + print_stmt(stmt.body, depth + 1)
             + [f"{pad}delocal {stmt.var_type} {stmt.var} = {print_expr(stmt.exit)}"]
         )
-    if isinstance(stmt, ast.New):
-        return [f"{pad}new {_desc(stmt.desc)} {_place(stmt.target)}"]
-    if isinstance(stmt, ast.Delete):
-        return [f"{pad}delete {_desc(stmt.desc)} {_place(stmt.target)}"]
-    if isinstance(stmt, ast.Copy):
-        return [f"{pad}copy {_desc(stmt.desc)} {_place(stmt.source)} {_place(stmt.target)}"]
-    if isinstance(stmt, ast.Uncopy):
-        return [f"{pad}uncopy {_desc(stmt.desc)} {_place(stmt.source)} {_place(stmt.target)}"]
-    if isinstance(stmt, ast.LocalCall):
-        return [f"{pad}call {stmt.method}{_args(stmt.args)}"]
-    if isinstance(stmt, ast.LocalUncall):
-        return [f"{pad}uncall {stmt.method}{_args(stmt.args)}"]
-    if isinstance(stmt, ast.ObjectCall):
-        return [f"{pad}call {_place(stmt.callee)}::{stmt.method}{_args(stmt.args)}"]
-    if isinstance(stmt, ast.ObjectUncall):
-        return [f"{pad}uncall {_place(stmt.callee)}::{stmt.method}{_args(stmt.args)}"]
+    # new, delete, copy, uncopy, call or uncall
+    word = type(stmt).__name__.lower().replace("local", "").replace("object", "")
+    if isinstance(stmt, (ast.New, ast.Delete)):
+        return [f"{pad}{word} {_desc(stmt.desc)} {_place(stmt.target)}"]
+    if isinstance(stmt, (ast.Copy, ast.Uncopy)):
+        return [f"{pad}{word} {_desc(stmt.desc)} {_place(stmt.source)} {_place(stmt.target)}"]
+    if isinstance(stmt, (ast.LocalCall, ast.LocalUncall, ast.ObjectCall,
+                         ast.ObjectUncall)):
+        callee = f"{_place(stmt.callee)}::" if hasattr(stmt, "callee") else ""
+        return [f"{pad}{word} {callee}{stmt.method}({', '.join(stmt.args)})"]
     raise TypeError(f"not a statement: {stmt!r}")
 
 

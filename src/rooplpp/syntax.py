@@ -177,6 +177,13 @@ class Loop(Statement):
     __slots__ = ("assertion", "do_body", "loop_body", "cond", "span")
 
 
+# the words of `if e then s else s fi e` and `from e do s loop s until e`,
+# for the parser and the printer: each takes an expression, two statements
+# and an expression, in this order
+TWO_BODY_WORDS = {If: ("if", "then", "else", "fi"),
+                  Loop: ("from", "do", "loop", "until")}
+
+
 class ObjectBlock(Statement):
     __slots__ = ("class_name", "var", "body", "span")
 
@@ -224,9 +231,12 @@ class MethodDecl(Node):
 
 
 class ClassDecl(Node):
-    """`parent` is None for a root class; `fields` is ((type, name), ...)."""
+    """`parent` is None for a root class; `fields` is ((type, name), ...)
+    and `field_spans` their spans, or None for the class's own span."""
 
-    __slots__ = ("name", "parent", "fields", "methods", "span")
+    __slots__ = ("name", "parent", "fields", "methods", "span", "field_spans")
+    _defaults = {**Node._defaults, "field_spans": None}
+    _uncompared = ("span", "field_spans")
 
 
 class Program(Node):

@@ -217,7 +217,7 @@ class Checker:
         if prior is not None and prior != ast.ClassRef(stmt.class_name):
             self.warnings.append(
                 f"{stmt.span}: construct {stmt.class_name} {stmt.var} shadows "
-                f"a {prior} variable")
+                f"variable {stmt.var} of type {prior}")
         self.check_stmt({**env, stmt.var: ast.ClassRef(stmt.class_name)},
                         stmt.body)
 
@@ -336,15 +336,14 @@ def check_program(program: ast.Program, class_map: ClassMap, warnings=None):
     another type) are appended to `warnings` when a list is given.
     """
     checker = Checker(class_map)
-    mains = [(cls.name, m) for cls in program.classes for m in cls.methods
-             if m.name == "main"]
-    nullary = [(c, m) for c, m in mains if not m.params]
+    nullary = [m for cls in program.classes for m in cls.methods
+               if m.name == "main" and not m.params]
     if not nullary:
         checker.error("T-Prog", "program has no nullary main method",
                       program.span)
     elif len(nullary) > 1:
         checker.error("T-Prog", "program has more than one main method",
-                      nullary[1][1].span)
+                      nullary[1].span)
     for cls in program.classes:
         for mdecl in cls.methods:
             checker.check_method(cls.name, mdecl)

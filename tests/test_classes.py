@@ -161,6 +161,35 @@ def test_unknown_field_type_rejected():
     assert exc.value.kind == "UnknownClass"
 
 
+@pytest.mark.parametrize("source, kind, at", [
+    ("class A\n    int x\n    int[] x\n    method m() skip\n",
+     "DuplicateField", (3, 5, 3, 12)),
+    ("class A\n    int v\n    method m() skip\n"
+     "class B inherits A\n    int w\n    int v\n    method n() skip\n",
+     "DuplicateField", (6, 5, 6, 10)),
+    ("class A\n    int x\n    Ghost[] g\n    method m() skip\n",
+     "UnknownClass", (3, 5, 3, 14)),
+])
+def test_field_errors_carry_the_field_span(source, kind, at):
+    with pytest.raises(ClassError) as exc:
+        build_class_map(parse(source))
+    span = exc.value.span
+    assert exc.value.kind == kind
+    assert (span.line, span.col, span.end_line, span.end_col) == at
+
+
+def test_field_spans_take_no_part_in_equality_or_repr():
+    program = parse("class A\n    int x\n    method m() skip\n")
+    cls = program.classes[0]
+    bare = cls.replace(field_spans=None)
+    assert cls.field_spans[0].line == 2
+    assert bare == cls and hash(bare) == hash(cls) and repr(bare) == repr(cls)
+    with pytest.raises(ClassError) as exc:  # no spans: the class's own
+        build_class_map(program.replace(classes=(
+            bare.replace(fields=bare.fields * 2),)))
+    assert exc.value.span == cls.span
+
+
 def test_block_words_is_the_one_rounding_rule():
     assert [block_words(n) for n in range(0, 10)] == \
         [2, 2, 2, 4, 4, 8, 8, 8, 8, 16]

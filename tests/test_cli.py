@@ -692,11 +692,17 @@ def _modules_after(*args):
     return set(result.stderr.split())
 
 
+# the command line is read without argparse and the gettext and locale
+# modules it imports
+_ARGPARSE = ("argparse", "gettext", "locale")
+
+
 def test_check_loads_no_back_end():
     loaded = _modules_after("check", str(corpus_path("BinaryTree")))
     assert "rooplpp.typecheck" in loaded           # the probe sees imports
     for name in ("dataclasses", "json", "rooplpp.machine", "rooplpp.heap",
-                 "rooplpp.statefile", "rooplpp.inverter", "rooplpp.printer"):
+                 "rooplpp.statefile", "rooplpp.inverter", "rooplpp.printer",
+                 *_ARGPARSE):
         assert name not in loaded, name
 
 
@@ -704,8 +710,18 @@ def test_invert_loads_neither_checker_nor_interpreter():
     loaded = _modules_after("invert", str(corpus_path("BinaryTree")))
     assert "rooplpp.inverter" in loaded
     for name in ("dataclasses", "rooplpp.typecheck", "rooplpp.machine",
-                 "rooplpp.heap", "rooplpp.statefile"):
+                 "rooplpp.heap", "rooplpp.statefile", *_ARGPARSE):
         assert name not in loaded, name
+
+
+def test_run_loads_json_only_for_json_or_trace(tmp_path):
+    path = str(corpus_path("BinaryTree"))
+    plain = _modules_after("run", path)
+    assert "rooplpp.machine" in plain
+    for name in ("json", *_ARGPARSE):
+        assert name not in plain, name
+    assert "json" in _modules_after("run", "--json", path)
+    assert "json" in _modules_after("run", "--trace", str(tmp_path / "t"), path)
 
 
 def test_package_exports_resolve_lazily():

@@ -89,7 +89,7 @@ def test_class_info_fields_stay_a_field():
     info = build_class_map(program)["C"]
     assert info.fields == ((ast.INT, "x"),)
     assert program.classes[0]._fields == ("name", "parent", "fields",
-                                          "methods", "span")
+                                          "methods", "span", "field_spans")
 
 
 def test_copy_and_pickle_round_trip():
