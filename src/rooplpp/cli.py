@@ -52,7 +52,7 @@ def cmd_check(args):
 
 
 def cmd_run(args):
-    if args.json or args.trace:
+    if args.json or args.trace is not None:
         import json
     from .heap import MemoryConfig
     from .machine import BACKWARD, FORWARD, run_program
@@ -66,12 +66,12 @@ def cmd_run(args):
     config.validate()
 
     state = None
-    if args.resume:
+    if args.resume is not None:
         state = load_state(args.resume)
         state.step_limit = args.step_limit
 
     trace_fh = tracer = None
-    if args.trace:
+    if args.trace is not None:
         trace_fh = open(args.trace, "w", encoding="utf-8")
         tracer = lambda record: print(json.dumps(record), file=trace_fh)
     try:
@@ -82,7 +82,7 @@ def cmd_run(args):
         if trace_fh is not None:
             trace_fh.close()
 
-    if args.save_state:
+    if args.save_state is not None:
         save_state(args.save_state, result.state)
 
     mem = result.state.memory

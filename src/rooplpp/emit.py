@@ -1,8 +1,8 @@
 """Code generation: a method body as the source of one Python function,
 every name resolved to its word's address as the paper's compiler
-resolves it to an offset; only `/`, `%` and failing checks call helpers
-(`machine.Interpreter`).  Text is built with %, not f-strings, which
-take longer to compile, and this module compiles at every `run`."""
+resolves it to an offset; only failing checks and `/` or `%` of a negative
+word call helpers (`machine.Interpreter`).  Text is built with %, not
+f-strings, which compile slower; this module compiles at every `run`."""
 
 from __future__ import annotations
 
@@ -23,16 +23,26 @@ _MAX_BRACKETS, _MAX_INDENT, _MAX_LOOPS = 50, 50, 15
 def _binop_text(op: str, left: str, right: str, word_bits: int,
                 truth: bool = False) -> str:
     """Python text of `left op right` over the texts of two words:
-    arithmetic wraps, `/` and `%` call Q and R, and a comparison or logic
-    gives 1 or 0, or with `truth` a value true exactly when it would give
-    1.  Flipping the sign bit maps two's-complement to unsigned order."""
+    arithmetic wraps, `/` and `%` are Python's `//` and `%` unless a word
+    is negative, when they call Q and R, and a comparison or logic gives 1
+    or 0, or with `truth` a value true exactly when it would give 1.
+    Flipping the sign bit maps two's-complement to unsigned order."""
     mask, sign = (1 << word_bits) - 1, 1 << (word_bits - 1)
     if op in ("+", "-", "*"):
         return "((%s %s %s) & %d)" % (left, op, right, mask)
     if op in ("^", "&", "|"):
         return "(%s %s %s)" % (left, op, right)
     if op in ("/", "%"):
-        return "%s(%s, %s)" % ("Q" if op == "/" else "R", left, right)
+        # right is a literal or a name; one local q serves every division,
+        # as each reads it back before other code can bind it
+        call = "%s(%%s, %s)" % ("Q" if op == "/" else "R", right)
+        if right.isdigit() and not 0 < int(right) < sign:
+            return call % left
+        test = "(q := %s)" % left
+        if not right.isdigit():
+            test = "(%s | %s)" % (test, right)
+        return "(q %s %s if %s < %d else %s)" % (
+            "//" if op == "/" else "%", right, test, sign, call % "q")
     if op in ("&&", "||"):
         text = "%s %s %s" % (left, "and" if op == "&&" else "or", right)
     elif op in ("=", "!="):
@@ -49,16 +59,15 @@ def division(word_bits: int) -> dict:
     zero and the remainder takes the dividend's sign; `//` by 0 raises."""
     mask, sign = (1 << word_bits) - 1, 1 << (word_bits - 1)
 
-    def magnitude(v):
-        return (1 << word_bits) - v if v & sign else v
-
-    def Q(v1, v2):
-        q = magnitude(v1) // magnitude(v2)
+    def Q(v1, v2):  # -v & mask is the magnitude of a negative word v
+        q = (v1 if v1 < sign else -v1 & mask) // (
+            v2 if v2 < sign else -v2 & mask)
         return (-q if (v1 ^ v2) & sign else q) & mask
 
     def R(v1, v2):
-        r = magnitude(v1) % magnitude(v2)
-        return (-r if v1 & sign else r) & mask
+        r = (v1 if v1 < sign else -v1 & mask) % (
+            v2 if v2 < sign else -v2 & mask)
+        return (r if v1 < sign else -r) & mask
     return {"Q": Q, "R": R}
 
 

@@ -518,6 +518,13 @@ def test_unwritable_output_path_exit_4(tmp_path, flag):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("flag", ["--save-state=", "--trace=", "--resume="])
+def test_empty_path_exit_4(flag):
+    # an empty path names no file; it is not the flag left out
+    result = cli("run", flag, str(corpus_path("Fibonacci")))
+    assert _one_error_line(result).startswith("error: ")
+
+
 def test_reverse_from_fresh_state(tmp_path):
     # running backward from zeros computes the pre-image of the all-zero
     # output; running forward from that state yields zeros again
@@ -589,15 +596,19 @@ def _nested_loops(depth):
     return f"class Main\n    int x\n\n    method main()\n        {body}\n"
 
 
-def _deep_expression(kind):
+def _deep_expression(kind, first="x += 2"):
     if kind == "chain":
         expr = " + ".join(["x"] * 240)
-    else:
+    elif kind == "parens":
         expr = "x"
         for _ in range(240):
             expr = f"({expr} + 1)"
+    else:
+        expr = "x"
+        for level in range(120):
+            expr = f"({expr} / 3)" if level % 2 else f"({expr} % 7)"
     return ("class Main\n    int x\n    int y\n\n    method main()\n"
-            f"        x += 2\n        y += {expr}\n")
+            f"        {first}\n        y += {expr}\n")
 
 
 @pytest.mark.parametrize("source,fields", [
@@ -605,15 +616,19 @@ def _deep_expression(kind):
     (_deep_expression("parens"), ["x = 2", "y = 242"]),
     (_nested_ifs(150), ["x = 1"]),
     (_nested_loops(150), ["x = 1"]),
-], ids=["chain", "parens", "ifs", "loops"])
+    (_deep_expression("divs", "x -= 1000"), ["x = -1000", "y = 0"]),
+], ids=["chain", "parens", "ifs", "loops", "divs"])
 def test_run_nesting_deeper_than_a_python_function(tmp_path, source, fields):
     # past the brackets, indentation levels and nested loops that Python
-    # compiles in one expression or function
-    path = tmp_path / "deep.rplpp"
+    # compiles in one expression or function, forward and back
+    path, state = tmp_path / "deep.rplpp", str(tmp_path / "deep.state")
     path.write_text(source)
-    result = cli("run", str(path))
+    result = cli("run", "--save-state", state, str(path))
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == fields
+    back = cli("run", "--resume", state, "--reverse", str(path))
+    assert back.returncode == 0, back.stderr
+    assert back.stdout.splitlines() == [f.split()[0] + " = 0" for f in fields]
 
 
 @pytest.mark.parametrize("command", ["check", "run", "invert"])

@@ -9,7 +9,8 @@ from rooplpp import (BACKWARD, FORWARD, ExecutionError, Interpreter,
                      check_program, check_refcounts, init_memory,
                      invert_program, main_class_of, parse, parse_statement,
                      run_program)
-from rooplpp import syntax as ast
+from rooplpp import machine, syntax as ast
+from rooplpp.emit import division
 
 from astgen import make_program
 from conftest import corpus_path
@@ -176,6 +177,20 @@ def test_index_that_can_fail_is_checked_after_its_array(body, kind, message):
     with pytest.raises(ExecutionError) as exc:
         run_program(program, build_class_map(program), SMALL)
     assert (exc.value.kind, exc.value.message) == (kind, message)
+
+
+@pytest.mark.parametrize("body,message", [
+    ("x += y / 0", "division by zero in /"),
+    ("x += y % 0", "division by zero in %"),
+])
+def test_literal_zero_divisor_fails_at_its_division(body, message):
+    # the check of a literal 0 divisor stays; the span is `y / 0`'s
+    program = parse(TWO_ARRAYS.replace("BODY", body))
+    with pytest.raises(ExecutionError) as exc:
+        run_program(program, build_class_map(program), SMALL)
+    error, span = exc.value, exc.value.span
+    assert (error.kind, error.message) == (E.DIVISION_BY_ZERO, message)
+    assert (span.line, span.col, span.end_line, span.end_col) == (9, 14, 9, 19)
 
 
 # -------------------------------------------------- assignment and swaps
@@ -813,3 +828,26 @@ def test_untraced_code_holds_no_trace_code():
     trace_names = {"P", "T", "_touched"}  # the logging put and the record
     assert trace_names <= names[print]
     assert not trace_names & names[None]
+
+
+def test_division_of_non_negative_words_calls_no_helper(monkeypatch):
+    calls = Counter()
+
+    def counted(word_bits):
+        def wrap(name, helper):
+            def call(v1, v2):
+                calls[name] += 1
+                return helper(v1, v2)
+            return call
+        return {name: wrap(name, helper)
+                for name, helper in division(word_bits).items()}
+    monkeypatch.setattr(machine, "division", counted)
+    loop = ("local int k = 0 "
+            "from k = 0 do skip loop "
+            "y += (x + k) % 8 y += x / (k + 1) y += k % (x + 1) y += k / 3 "
+            "k += 1 until k = 20 "
+            "delocal int k = 20")
+    run_body("x += 5 " + loop)
+    assert calls == {}
+    run_body("x -= 5 " + loop)
+    assert calls["Q"] and calls["R"]

@@ -5,7 +5,8 @@ evaluates the same Python text the executor emits for each operator."""
 
 from hypothesis import assume, given, settings, strategies as st
 
-from rooplpp import MemoryConfig, apply_binop, init_memory
+from rooplpp import (BACKWARD, MemoryConfig, apply_binop, build_class_map,
+                     init_memory, parse, run_program)
 
 widths = st.sampled_from((16, 32, 64))
 raw = st.integers(min_value=0, max_value=2**64 - 1)
@@ -13,6 +14,10 @@ raw = st.integers(min_value=0, max_value=2**64 - 1)
 
 def word(bits, value):
     return value & ((1 << bits) - 1)
+
+
+def signed(bits, value):
+    return value - (1 << bits) if value >> (bits - 1) else value
 
 
 @given(widths, raw, raw)
@@ -39,8 +44,7 @@ def test_comparisons_are_boolean_and_coherent(bits, a, b):
     assert lt + gt + eq == 1          # trichotomy on signed words
     assert le == lt | eq
     assert ge == gt | eq
-    signed = [v - (1 << bits) if v >> (bits - 1) else v for v in (a, b)]
-    assert lt == (1 if signed[0] < signed[1] else 0)
+    assert lt == (1 if signed(bits, a) < signed(bits, b) else 0)
 
 
 @given(widths, raw, raw)
@@ -58,6 +62,60 @@ def test_division_identity(bits, a, b):
     r = apply_binop("%", a, b, bits)
     back = apply_binop("+", apply_binop("*", q, b, bits), r, bits)
     assert back == a
+
+
+DIVIDING = """
+class Main
+    int x
+    int z
+    int y1
+    int y2
+    int y3
+    int y4
+
+    method main()
+        x += X
+        z += Z
+        y1 += x / C
+        y2 += x % C
+        y3 += x / z
+        y4 += x % z
+"""
+# either sign, with small magnitudes and words next to a sign bit drawn often
+signed_words = st.one_of(
+    raw, st.integers(min_value=-1000, max_value=1000),
+    st.sampled_from((2**15, 2**31, 2**63)).flatmap(
+        lambda sign: st.integers(min_value=sign - 2, max_value=sign + 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(widths, signed_words, signed_words,
+       st.sampled_from(("1", "2", "8", "7", "SIGN-1", "-3")))
+def test_emitted_division_matches_apply_binop(bits, x, z, c):
+    # a divisor below the sign bit may take the inline path; the literal
+    # of the word -3 lies above it and always calls the helpers
+    sign = 1 << (bits - 1)
+    x, z = word(bits, x), word(bits, z) or 1
+    c = {"SIGN-1": sign - 1, "-3": word(bits, -3)}.get(c) or int(c)
+    program = parse(DIVIDING.replace("X", str(x)).replace("Z", str(z))
+                    .replace("C", str(c)))
+    class_map = build_class_map(program)
+    config = MemoryConfig(word_bits=bits)
+    result = run_program(program, class_map, config)
+    expected = [apply_binop(op, x, d, bits)
+                for d in (c, z) for op in ("/", "%")]
+    assert [word(bits, result.fields[f"y{i}"]) for i in (1, 2, 3, 4)] == \
+        expected
+    # and apply_binop, which evaluates the emitted text, agrees with
+    # division written out on the signed values
+    a = signed(bits, x)
+    for d, quotient_and_remainder in zip((c, z), (expected[:2], expected[2:])):
+        d = signed(bits, d)
+        q = abs(a) // abs(d) * (-1 if (a < 0) != (d < 0) else 1)
+        assert quotient_and_remainder == [word(bits, q), word(bits, a - q * d)]
+    back = run_program(program, class_map, config, BACKWARD,
+                       state=result.state)
+    assert set(back.fields.values()) == {0}
 
 
 sizes = st.lists(st.integers(min_value=1, max_value=16), min_size=0,
