@@ -9,6 +9,7 @@ type checker, `invert` skips it, and only `run` loads the interpreter.
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -59,28 +60,31 @@ def cmd_run(args):
     from .statefile import load_state, save_state
 
     program, class_map = _front_end(args.path)
-    config = MemoryConfig(word_bits=args.word_bits,
-                          num_freelists=args.freelists,
-                          stack_words=args.stack_words,
+    config = MemoryConfig(args.word_bits, args.freelists, args.stack_words,
                           grow_blocks=8 if args.heap_grow else 0)
     config.validate()
 
-    state = None
+    state = result = None
     if args.resume is not None:
         state = load_state(args.resume)
         state.step_limit = args.step_limit
+    made = args.save_state is not None and not os.path.exists(args.save_state)
+    if args.save_state is not None:  # fail before the run; truncate nothing
+        open(args.save_state, "ab").close()
 
     trace_fh = tracer = None
-    if args.trace is not None:
-        trace_fh = open(args.trace, "w", encoding="utf-8")
-        tracer = lambda record: print(json.dumps(record), file=trace_fh)
     try:
+        if args.trace is not None:
+            trace_fh = open(args.trace, "w", encoding="utf-8")
+            tracer = lambda record: print(json.dumps(record), file=trace_fh)
         result = run_program(
             program, class_map, config, BACKWARD if args.reverse else FORWARD,
             step_limit=args.step_limit, tracer=tracer, state=state)
     finally:
         if trace_fh is not None:
             trace_fh.close()
+        if made and result is None:  # a failed run makes no state file
+            os.remove(args.save_state)
 
     if args.save_state is not None:
         save_state(args.save_state, result.state)

@@ -1,10 +1,14 @@
 """Code generation: a method body as the source of one Python function,
 every name resolved to its word's address as the paper's compiler
 resolves it to an offset; only failing checks and `/` or `%` of a negative
-word call helpers (`machine.Interpreter`).  Text is built with %, not
-f-strings, which compile slower; this module compiles at every `run`."""
+word call helpers (`machine.Interpreter`).  Sites, call-site caches and the
+step limit are globals of the namespace the code runs in, so a text depends
+only on the body, direction, tracing and `MemoryConfig`, and each is compiled
+once per process.  Text is built with %, not f-strings (faster to compile)."""
 
 from __future__ import annotations
+
+import functools
 
 from .errors import RuntimeErrorKind as E
 from .inverter import INVERSE_KIND
@@ -18,6 +22,8 @@ _SOURCE_KIND = {a.__name__: b.__name__ for a, b in INVERSE_KIND.items()}
 # Python refuses 200 nested brackets, 100 indentation levels and 20 nested
 # loops in one function; emitted code spills well before each limit
 _MAX_BRACKETS, _MAX_INDENT, _MAX_LOOPS = 50, 50, 15
+# `compile`, keyed by its arguments: each text is compiled once per process
+_compiled = functools.lru_cache(maxsize=4096)(compile)
 
 
 def _binop_text(op: str, left: str, right: str, word_bits: int,
@@ -98,16 +104,15 @@ class Emitter:
         self.bits, self.mask, self.heap_max = mem.word_bits, mem.mask, \
             mem.heap_max
         self.sign, self.limit = 1 << (self.bits - 1), interp.state.step_limit
-        self.caches: dict[str, dict] = {}  # per call site, by global name
-        self.functions: list[str] = []
-        self.lines: list[str] = []
+        self.bound = {"L": self.limit}  # step limit, sites and caches by name
+        self.functions, self.lines = [], []  # emitted, being emitted
         self.indent = self.loops = self.temps = self.pushed = 0
 
     def compile(self, params, body, names):
         """The function `m(params)` that runs `body` and returns the count."""
         self.function("m", params, body, names)
-        namespace = {**self.interp.globals, **self.caches}
-        exec(compile("\n".join(self.functions), "<rooplpp>", "exec"),
+        namespace = {**self.interp.globals, **self.bound}
+        exec(_compiled("\n".join(self.functions), "<rooplpp>", "exec"),
              namespace)
         return namespace["m"]
 
@@ -124,8 +129,10 @@ class Emitter:
         self.lines.append(" " * self.indent + line)
 
     def site(self, span, *data):
-        self.interp.sites.append((span, self.pushed, *data))
-        return len(self.interp.sites) - 1
+        """Name bound to (span, local blocks pushed, *data) for a helper."""
+        name = self.temp("s")
+        self.bound[name] = span, self.pushed, *data
+        return name
 
     def temp(self, prefix):
         self.temps += 1
@@ -134,7 +141,7 @@ class Emitter:
     @staticmethod
     def call(helper, site, *args):
         """Text of a call of `helper` with the site and `args`."""
-        return "%s(%s)" % (helper, ", ".join([str(site), *args]))
+        return "%s(%s)" % (helper, ", ".join([site, *args]))
 
     def check(self, test, kind, message, span, *values):
         """Emit `if test:` raising the error `kind` with `message`."""
@@ -215,7 +222,7 @@ class Emitter:
             self.emit("n = %s(%s)" % (name, ", ".join(frame)))
             return self.function(name, frame, stmt, names)
         kind, span = type(stmt).__name__, stmt.span
-        self.check("(n := n + 1) > %d" % self.limit, E.STEP_LIMIT_EXCEEDED,
+        self.check("(n := n + 1) > L", E.STEP_LIMIT_EXCEEDED,
                    "exceeded %d steps" % self.limit, span)
         if self.traced:
             self.emit("S._touched = []")
@@ -225,7 +232,7 @@ class Emitter:
             record = self.site(span, (span.line, span.col, span.end_line,
                                       span.end_col), rule,
                                BACKWARD if self.backward else FORWARD)
-            self.emit("T(%d)" % record)
+            self.emit("T(%s)" % record)
 
     def push(self, span):
         """Emit the push of a frame word; the local holding its address."""
@@ -353,10 +360,10 @@ class Emitter:
             else "t"
         site = self.site(stmt.span, {}, stmt.method, isinstance(
             stmt, (ast.LocalUncall, ast.ObjectUncall)))
-        self.caches["C%d" % site] = self.interp.sites[site][2]
+        self.bound["C" + site] = self.bound[site][2]
         args = ", ".join([slot, "r", *(names[arg] for arg in stmt.args), "n",
                           "b - %d" % (self.pushed + 1)])
-        self.emit("f, lb = C%d.get((r := w[%s]) and b > %d and w[r]) or %s" % (
+        self.emit("f, lb = C%s.get((r := w[%s]) and b > %d and w[r]) or %s" % (
             site, slot, self.heap_max + self.pushed,
             self.call("X", site, "r", "b")))
         self.emit("n = f(%s)" % args)

@@ -124,9 +124,7 @@ class ParseError(Exception):
 
     def __init__(self, message, span, expected=()):
         super().__init__(message)
-        self.message = message
-        self.span = span
-        self.expected = tuple(expected)
+        self.message, self.span, self.expected = message, span, tuple(expected)
 
     def __str__(self):
         s = f"{self.span}: syntax error: {self.message}"
@@ -140,9 +138,7 @@ class ClassError(Exception):
 
     def __init__(self, kind, message, span=NO_SPAN):
         super().__init__(message)
-        self.kind = kind
-        self.message = message
-        self.span = span
+        self.kind, self.message, self.span = kind, message, span
 
     def __str__(self):
         return f"{self.span}: {self.kind}: {self.message}"
@@ -167,8 +163,7 @@ class MemoryFault(Exception):
 
     def __init__(self, kind, message):
         super().__init__(message)
-        self.kind = kind
-        self.message = message
+        self.kind, self.message = kind, message
 
 
 class RuntimeErrorKind(enum.Enum):
@@ -203,10 +198,8 @@ class ExecutionError(Exception):
 
     def __init__(self, kind: RuntimeErrorKind, message, span=NO_SPAN, trace=()):
         super().__init__(message)
-        self.kind = kind
-        self.message = message
-        self.span = span
-        self.trace = tuple(trace)
+        self.kind, self.message = kind, message
+        self.span, self.trace = span, tuple(trace)
 
     def __str__(self):
         s = f"{self.span}: {self.kind.value}: {self.message}"

@@ -5,10 +5,11 @@ headers and 0 encodes nil.  An object at address a stores its class id at
 a and a reference count at a+1, fields follow.  An array stores its
 length at a and a reference count at a+1, cells follow.
 
-A body is emitted (`emit.Emitter`) and compiled on its first invocation,
-once per (concrete class, method, direction), a backward body from its
-source-level inverse.  `main` runs the same way, over the main object,
-but pushes no frame word and no call-stack label.
+A body is emitted (`emit.Emitter`) on its first invocation in a run, once
+per (concrete class, method, direction), a backward body from its inverse;
+each distinct text is compiled once per process, and each run executes it
+in a namespace of its own.  `main` runs the same way, over the main
+object, but pushes no frame word and no call-stack label.
 """
 
 from __future__ import annotations
@@ -52,20 +53,19 @@ class RunResult(Record):
 
 
 class Interpreter:
-    """Runs method bodies, each emitted and compiled once per (class id,
-    method, direction), over one machine state for one run; with
-    `state.tracer` set, read once here, in their traced variant.  Emitted
-    code calls the helpers below through the globals `F` and `A` (failed
-    checks), `X` (dispatch miss), `N`, `D` and `U` (new, delete, copy) and
-    `T` (trace record), each with a site: the span, the local blocks
-    pushed and what else the emitter knew, by index."""
+    """Runs method bodies, each emitted once per (class id, method,
+    direction), over one machine state for one run; with `state.tracer`
+    set, read once here, in their traced variant.  Emitted code calls the
+    helpers below through the globals `F` and `A` (failed checks), `X`
+    (dispatch miss), `N`, `D` and `U` (new, delete, copy) and `T` (trace
+    record), each with the tuple of its site: the span, the local blocks
+    pushed and what else the emitter knew."""
 
     def __init__(self, class_map: ClassMap, state: MachineState):
         self.class_map, self.state = class_map, state
         self.mem = mem = state.memory
         self.words = words = mem.words
         self.methods: dict[tuple[int, str, bool], tuple] = {}
-        self.sites: list[tuple] = []
         self.tracer = state.tracer
 
         def poke(addr, value):
@@ -105,7 +105,7 @@ class Interpreter:
             frame = frame.f_back
         trace = tuple(caller.f_locals["lb"] for callee, caller in
                       zip(frames, frames[1:]) if callee.f_code.co_name == "m")
-        span, pushed = self.sites[site][:2]
+        span, pushed = site[:2]
         here = frames[0].f_locals
         self.state.steps = here["n"]
         self.state.frame_top = here["b"] - pushed + len(trace)
@@ -114,11 +114,11 @@ class Interpreter:
     def fail(self, site, *values):
         """Raise the error of check `site`; a message that names run-time
         values is a function of them."""
-        _, _, kind, message = self.sites[site]
+        _, _, kind, message = site
         self.error(site, kind, message(*values) if values else message)
 
     def cell_fault(self, site, array, index):
-        name = self.sites[site][2]
+        name = site[2]
         if not array:
             self.error(site, E.UNINITIALIZED_ARRAY,
                        "array %s has not been allocated" % name)
@@ -127,7 +127,7 @@ class Interpreter:
 
     def dispatch(self, site, obj, base):
         """(function, label) of the call at `site` on the object `obj`."""
-        span, pushed, cache, method, backward = self.sites[site]
+        span, pushed, cache, method, backward = site
         if obj == 0:
             self.error(site, E.UNINITIALIZED_OBJECT,
                        "call of %s on a nil reference" % method)
@@ -144,7 +144,7 @@ class Interpreter:
         return cache[info.class_id]
 
     def record(self, site):
-        _, _, where, rule, direction = self.sites[site]
+        _, _, where, rule, direction = site
         touched = self.state._touched  # an enclosing statement may append
         self.tracer({"span": [*where], "rule": rule, "direction": direction,
                      "touched": sorted(set(touched)) if len(touched) > 1
@@ -172,7 +172,7 @@ class Interpreter:
 
     def new(self, site, slot, length=None):
         """Allocate the object or array of `site` into the word at `slot`."""
-        _, _, desc, info = self.sites[site]
+        _, _, desc, info = site
         if self.words[slot]:
             self.error(site, E.NEW_TARGET_NOT_NIL, "target of new "
                        + (desc.name if info else "array") + " is not nil")
@@ -185,7 +185,7 @@ class Interpreter:
 
     def delete(self, site, slot, length=None):
         """Free the zero-cleared, unshared object or array at `slot`."""
-        desc = self.sites[site][2]
+        desc = site[2]
         words, array = self.words, desc.is_array
         addr = words[slot]
         if addr == 0:
@@ -214,7 +214,7 @@ class Interpreter:
 
     def copy(self, site, src, dst):
         """copy or uncopy the reference in the word at `src` to `dst`."""
-        _, _, desc, uncopy = self.sites[site]
+        _, _, desc, uncopy = site
         words, value = self.words, self.words[src]
         for failed, kind, message in (
                 (value == 0, E.UNINITIALIZED_ARRAY if desc.is_array else
@@ -319,9 +319,7 @@ def check_refcounts(state: MachineState, class_map: ClassMap):
     queue: list[tuple[int, ast.TypeName]] = []
 
     def visit_slot(addr, ty):
-        if isinstance(ty, ast.IntType):
-            return
-        value = mem.read_word(addr)
+        value = 0 if isinstance(ty, ast.IntType) else mem.read_word(addr)
         if value == 0:
             return
         counts[value] = counts.get(value, 0) + 1

@@ -178,9 +178,7 @@ class Checker:
     def _check_Swap(self, env, stmt: ast.Swap):
         lt = self.place_type(env, stmt.left, "T-SwpVar")
         rt = self.place_type(env, stmt.right, "T-SwpVar")
-        if lt is None or rt is None:
-            return
-        if lt == rt:
+        if lt is None or rt is None or lt == rt:
             return
         # a base-class array cell may exchange with a subclass variable
         if isinstance(lt, ast.ClassRef) and isinstance(rt, ast.ClassRef):

@@ -525,6 +525,40 @@ def test_empty_path_exit_4(flag):
     assert _one_error_line(result).startswith("error: ")
 
 
+_DIV_ZERO = str(FIXTURES_DIR / "errors" / "div_zero.rplpp")
+
+
+def test_unusable_save_state_path_fails_before_the_run(tmp_path):
+    # had it run, the program would end in a DivisionByZero and exit 1
+    result = cli("run", "--save-state", str(tmp_path / "missing" / "x"),
+                 _DIV_ZERO)
+    assert _one_error_line(result).startswith("error: ")
+    assert "DivisionByZero" not in result.stderr
+
+
+def test_failed_run_writes_no_state_file(tmp_path):
+    saved = _saved_state(tmp_path)
+    before = saved.read_bytes()
+    assert cli("run", "--save-state", str(saved), _DIV_ZERO).returncode == 1
+    assert saved.read_bytes() == before
+    fresh = tmp_path / "fresh.state"
+    assert cli("run", "--save-state", str(fresh), _DIV_ZERO).returncode == 1
+    assert not fresh.exists()
+
+
+def test_resume_and_save_state_name_one_file(tmp_path):
+    # the state is read before its path is checked for the save
+    state, apart = tmp_path / "run.state", tmp_path / "apart.state"
+    cli("run", "--save-state", str(state), str(corpus_path("LinkedList")))
+    cli("run", "--resume", str(state), "--reverse", "--save-state",
+        str(apart), str(corpus_path("LinkedList")))
+    back = cli("run", "--resume", str(state), "--reverse", "--save-state",
+               str(state), str(corpus_path("LinkedList")))
+    assert back.stdout.splitlines() == ["head = 0", "listLength = 0",
+                                        "total = 0", "count = 0"]
+    assert state.read_bytes() == apart.read_bytes()
+
+
 def test_reverse_from_fresh_state(tmp_path):
     # running backward from zeros computes the pre-image of the all-zero
     # output; running forward from that state yields zeros again

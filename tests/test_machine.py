@@ -1,4 +1,8 @@
+import contextlib
+import json
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -9,11 +13,11 @@ from rooplpp import (BACKWARD, FORWARD, ExecutionError, Interpreter,
                      check_program, check_refcounts, init_memory,
                      invert_program, main_class_of, parse, parse_statement,
                      run_program)
-from rooplpp import machine, syntax as ast
+from rooplpp import emit, machine, syntax as ast
 from rooplpp.emit import division
 
 from astgen import make_program
-from conftest import corpus_path
+from conftest import CORPUS, corpus_path, load_pipeline
 
 E = RuntimeErrorKind
 SMALL = MemoryConfig(num_freelists=5, stack_words=64)
@@ -851,3 +855,107 @@ def test_division_of_non_negative_words_calls_no_helper(monkeypatch):
     assert calls == {}
     run_body("x -= 5 " + loop)
     assert calls["Q"] and calls["R"]
+
+
+# ------------------------------------------------ code compiled once a process
+
+_COMPILING: list[list] = []  # the innermost `_compiles` block's list
+
+
+def _audit(event, args):
+    if event == "compile" and _COMPILING:
+        _COMPILING[-1].append(args[0])
+
+
+sys.addaudithook(_audit)  # a hook stays for the life of the process
+
+
+@contextlib.contextmanager
+def _compiles():
+    """The sources compiled inside the block: `compile`, and `exec` or
+    `eval` of a text, raise the audit event "compile"."""
+    texts = []
+    _COMPILING.append(texts)
+    try:
+        yield texts
+    finally:
+        _COMPILING.pop()
+
+
+def _outcome(result):
+    mem = result.state.memory
+    return (result.fields, result.steps, list(mem.words),
+            mem.snapshot_free_lists())
+
+
+def _round_trip(program, class_map, step_limit=10_000_000):
+    """The outcomes of a run and of its rewind, both under `step_limit`."""
+    forward = run_program(program, class_map, step_limit=step_limit)
+    ran = _outcome(forward)
+    return ran, _outcome(run_program(program, class_map, direction=BACKWARD,
+                                     state=forward.state))
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.stem)
+def test_a_second_run_compiles_nothing(path):
+    program, class_map = load_pipeline(path)
+    first = _round_trip(program, class_map)
+    with _compiles() as texts:
+        again = _round_trip(program, class_map)
+        # the rewind's count goes on from the run's, so this limit is met
+        limited = _round_trip(program, class_map, first[1][1])
+    assert texts == []
+    assert again == first
+    assert limited == first
+
+
+# main's text is the same for both `step, local` pairs; its call sites
+# dispatch to different methods
+_SAME_MAIN = """
+class Helper
+    method go(int x)
+        x += %d
+
+class Program
+    int x
+    Helper h
+
+    method main()
+        new Helper h
+        call h::go(x)
+        call %s()
+        delete Helper h
+
+    method inc()
+        x += 10
+
+    method dec()
+        x -= 100
+"""
+
+
+def test_cached_code_shares_no_run_state(tmp_path, monkeypatch):
+    texts, compiled = [], emit._compiled
+
+    def recorded(text, *args):
+        texts.append(text)
+        return compiled(text, *args)
+    monkeypatch.setattr(emit, "_compiled", recorded)
+    mains, fields = [], []
+    for step, local in ((1, "inc"), (2, "dec")):
+        path = tmp_path / (local + ".rplpp")
+        path.write_text(_SAME_MAIN % (step, local))
+        program, class_map = load_pipeline(path)
+        texts.clear()
+        result = run_program(program, class_map)
+        free = result.state.memory.snapshot_free_lists().lists
+        fresh = subprocess.run(
+            [sys.executable, "-m", "rooplpp.cli", "run", "--json", str(path)],
+            capture_output=True, text=True, check=True)
+        assert json.loads(fresh.stdout) == {
+            "fields": result.fields, "steps": result.steps,
+            "freelists": {str(size): list(addrs) for size, addrs in free}}
+        fields.append(result.fields)
+        mains.append(texts[0])  # main is emitted before it runs a call
+    assert mains[0] == mains[1]
+    assert fields == [{"x": 11, "h": 0}, {"x": -98, "h": 0}]
