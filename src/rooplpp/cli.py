@@ -5,6 +5,10 @@ Exit codes: 0 ok, 1 runtime error, 2 type error, 3 parse error,
 
 Each subcommand imports only the modules it uses: `check` stops after the
 type checker, `invert` skips it, and only `run` loads the interpreter.
+
+The `rooplpp` process ends with `os._exit` once its output is flushed, so
+it skips the interpreter's teardown: atexit handlers do not run in it.
+Code that embeds the CLI calls `main(argv)`, which raises SystemExit.
 """
 
 from __future__ import annotations
@@ -103,6 +107,11 @@ def cmd_run(args):
     return OK
 
 
+def cmd_help(args):
+    print(USAGE, end="")
+    return OK
+
+
 def cmd_invert(args):
     from .inverter import invert_program
     from .printer import pretty_print
@@ -178,9 +187,10 @@ def _int(flag, text):
 
 def parse_args(argv):
     """`argv` as the `cmd_*` functions read it: `command`, `path`, `func`
-    and, for `run`, one attribute per flag.  -h or --help prints USAGE and
-    exits 0; bad usage prints one `error:` line and exits 4, in argparse's
-    order: an ambiguous prefix, a bad value, a missing operand, the rest."""
+    and, for `run`, one attribute per flag.  -h or --help ends the parse
+    with only `func`, `cmd_help`; bad usage prints one `error:` line and
+    exits 4, in argparse's order: an ambiguous prefix, a bad value, a
+    missing operand, the rest."""
     commands = {"check": cmd_check, "run": cmd_run, "invert": cmd_invert}
     command = path = None
     flags, options, extras, i = {}, {}, [], 0
@@ -202,8 +212,7 @@ def parse_args(argv):
                 _usage_error(f"argument {flag}: ignored explicit argument "
                              f"{value!r}")
             if flag == "--help":
-                print(USAGE, end="")
-                raise SystemExit(OK)
+                return SimpleNamespace(func=cmd_help)
             options[flag] = True
         elif found:
             extras.append(token)
@@ -238,6 +247,10 @@ def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
+        # a failed last write is an OSError here; stdout is None when
+        # fd 1 is closed
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except tuple(_SOURCE_ERRORS) as exc:
         print(f"{args.path}:{exc}", file=sys.stderr)
         code = _SOURCE_ERRORS[type(exc)]
@@ -255,5 +268,22 @@ def main(argv=None):
     raise SystemExit(code)
 
 
+def entry():
+    """Run `main` as the whole process: flush both streams, then end with
+    `os._exit`, skipping the atexit handlers, final collection and module
+    teardown that would follow.  A flush that fails here has failed in
+    `main` already, which reported it."""
+    try:
+        main()
+    except SystemExit as exc:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                try:
+                    stream.flush()
+                except OSError:
+                    pass
+        os._exit(exc.code)
+
+
 if __name__ == "__main__":
-    main()
+    entry()

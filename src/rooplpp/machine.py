@@ -200,12 +200,13 @@ class Interpreter:
             self.error(site, E.DANGLING_REFERENCE_ON_DELETE,
                        "%s still has %d references" % (
                            "array" if array else "object", words[addr + 1]))
-        for i, word in enumerate(words[addr + 2:addr + 2 + size]):
-            if word:
-                kind = E.NON_ZERO_CELLS_ON_DELETE if array else \
-                    E.NON_ZERO_FIELDS_ON_DELETE
-                self.error(site, kind, ("cell %d" % i if array else "field " +
-                           info.fields[i][1]) + " is not zero-cleared")
+        cells = words[addr + 2:addr + 2 + size]
+        if any(cells):
+            i = next(k for k, word in enumerate(cells) if word)
+            kind = E.NON_ZERO_CELLS_ON_DELETE if array else \
+                E.NON_ZERO_FIELDS_ON_DELETE
+            self.error(site, kind, ("cell %d" % i if array else "field " +
+                       info.fields[i][1]) + " is not zero-cleared")
         self.put(addr, 0)
         self.put(addr + 1, 0)
         self._heap(site, self.mem.free, addr,
