@@ -3,7 +3,7 @@ import struct
 import pytest
 
 from rooplpp import (ConfigError, MachineState, MemoryConfig, build_class_map,
-                     init_memory, parse, run_program)
+                     init_memory, invert_program, parse, run_program)
 from rooplpp import statefile
 from rooplpp.statefile import load_state, save_state
 
@@ -133,6 +133,31 @@ def test_program_checksum_round_trip(tmp_path):
     # a state no program ran stores 0 and loads as None
     save_state(str(path), MachineState(init_memory(MemoryConfig())))
     assert load_state(str(path)).program_crc is None
+
+
+# crc32 of each corpus program and of its inverse, as states saved by
+# earlier releases store them: a resumed run compares against these
+PINNED_CRCS = {
+    "BinaryTree": (3692202880, 3306956554),
+    "DoublyLinkedList": (4026137453, 4250266950),
+    "Fibonacci": (3451354117, 1170101686),
+    "LinkedList": (871776106, 1554449562),
+    "RTM": (189484005, 2030119369),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CRCS))
+def test_program_checksums_are_pinned(tmp_path, name):
+    program = parse(corpus_path(name).read_text())
+    crc, inverse_crc = PINNED_CRCS[name]
+    result = run_program(program, build_class_map(program))
+    assert result.state.program_crc == crc
+    inverse = invert_program(program)
+    path = tmp_path / "m.state"
+    save_state(str(path), result.state)
+    resumed = run_program(inverse, build_class_map(inverse), MemoryConfig(),
+                          state=load_state(str(path)))
+    assert resumed.state.program_crc == inverse_crc
 
 
 def test_version_1_rejected(tmp_path):
