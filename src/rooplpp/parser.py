@@ -24,11 +24,13 @@ KEYWORDS = {
     "else", "fi", "from", "do", "loop", "until", "skip", "int", "nil",
 }
 
-_SYMBOLS = [
-    "<=>", "::", "+=", "-=", "^=", "&&", "||", "<=", ">=", "!=",
-    "(", ")", "[", "]", ",", "+", "-", "^", "*", "/", "%", "&", "|",
-    "<", ">", "=",
-]
+# each symbol under its first character, longest first
+_SYMBOLS = {
+    "<": ("<=>", "<=", "<"), ">": (">=", ">"), ":": ("::",), "!": ("!=",),
+    "+": ("+=", "+"), "-": ("-=", "-"), "^": ("^=", "^"), "&": ("&&", "&"),
+    "|": ("||", "|"), "(": ("(",), ")": (")",), "[": ("[",), "]": ("]",),
+    ",": (",",), "*": ("*",), "/": ("/",), "%": ("%",), "=": ("=",),
+}
 
 _STMT_FOLLOWERS = {
     "else", "fi", "loop", "until", "delocal", "destruct", "method", "class",
@@ -48,45 +50,42 @@ _set_kind, _set_text, _set_span = Token._setters
 
 
 def tokenize(source: str) -> list[Token]:
+    """The tokens of `source`, ending in an `eof` token.  Only "\n" ends a
+    line; a column counts characters, so a tab or "\r" is one column."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
+    append = tokens.append
+    for line, text in enumerate(source.split("\n"), 1):
+        n = len(text)
+        i = n - len(text.lstrip(" \t\r"))  # past the indentation
+        while i < n:
+            c = text[i]
+            if c in " \t\r":
                 i += 1
-            continue
-        start = Span(line, col, line, col)
-        if c.isdecimal() or c.isalpha() or c == "_":
-            word, j = not c.isdecimal(), i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_" if word
-                             else source[j].isdecimal()):
-                j += 1
-            text = source[i:j]
-            kind = "int" if not word else "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, Span(line, col, line, col + len(text))))
-            col += j - i
+                continue
+            j = i + 1
+            if c.isalpha() or c == "_":
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                word = text[i:j]
+                append(Token("kw" if word in KEYWORDS else "ident", word,
+                             Span(line, i + 1, line, j + 1)))
+            elif c.isdecimal():
+                while j < n and text[j].isdecimal():
+                    j += 1
+                append(Token("int", text[i:j], Span(line, i + 1, line, j + 1)))
+            elif text.startswith("//", i):
+                break  # the end of file after a comment is at its start
+            else:
+                for sym in _SYMBOLS.get(c, ()):
+                    if text.startswith(sym, i):
+                        break
+                else:
+                    raise ParseError(f"unexpected character {c!r}",
+                                     Span(line, i + 1, line, i + 1))
+                j = i + len(sym)
+                append(Token("sym", sym, Span(line, i + 1, line, j + 1)))
             i = j
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token("sym", sym, Span(line, col, line, col + len(sym))))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", start)
-    tokens.append(Token("eof", "", Span(line, col, line, col)))
+    append(Token("eof", "", Span(line, i + 1, line, i + 1)))
     return tokens
 
 
@@ -94,12 +93,9 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.cur = tokens[0]  # the token at `pos`
 
     # -- token plumbing ---------------------------------------------
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
 
     def peek(self, k=1) -> Token:
         return self.tokens[min(self.pos + k, len(self.tokens) - 1)]
@@ -108,16 +104,20 @@ class _Parser:
         tok = self.cur
         if tok.kind != "eof":
             self.pos += 1
+            self.cur = self.tokens[self.pos]
         return tok
 
     def at(self, kind, text=None):
-        return self.cur.kind == kind and (text is None or self.cur.text == text)
+        tok = self.cur
+        return tok.kind == kind and (text is None or tok.text == text)
 
     def at_kw(self, *words):
-        return self.cur.kind == "kw" and self.cur.text in words
+        tok = self.cur
+        return tok.kind == "kw" and tok.text in words
 
     def accept(self, kind, text=None):
-        if self.at(kind, text):
+        tok = self.cur
+        if tok.kind == kind and (text is None or tok.text == text):
             return self.advance()
         return None
 
@@ -202,18 +202,11 @@ class _Parser:
     def statement(self) -> ast.Statement:
         tok = self.cur
         if tok.kind == "kw":
-            handler = {
-                "skip": lambda: ast.Skip(self.advance().span),
-                "if": self._two_bodies, "from": self._two_bodies,
-                "construct": self._construct, "local": self._local,
-                "new": self._alloc, "delete": self._alloc,
-                "copy": self._alloc, "uncopy": self._alloc,
-                "call": self._call, "uncall": self._call,
-            }.get(tok.text)
+            handler = self._STATEMENTS.get(tok.text)
             if handler is None:
                 raise ParseError(f"got keyword {tok.text!r}", tok.span,
                                  expected=("statement",))
-            return handler()
+            return handler(self)
         if tok.kind == "ident":
             return self._assign_or_swap()
         raise ParseError(f"got {tok.text or 'end of input'!r}", tok.span,
@@ -322,6 +315,17 @@ class _Parser:
         args = self._parenthesized(self._argument)
         cls = ast.LocalUncall if uncall else ast.LocalCall
         return cls(first.name, args, self._span_from(tok.span))
+
+    def _skip(self):
+        return ast.Skip(self.advance().span)
+
+    # the parser of each statement, by its first word
+    _STATEMENTS = {
+        "skip": _skip, "if": _two_bodies, "from": _two_bodies,
+        "construct": _construct, "local": _local, "new": _alloc,
+        "delete": _alloc, "copy": _alloc, "uncopy": _alloc, "call": _call,
+        "uncall": _call,
+    }
 
     def _argument(self) -> str:
         return self.expect("ident", what="argument").text
