@@ -13,15 +13,15 @@ _EXPORTS = {
     "ClassMap": "classes", "array_type_of": "classes",
     "build_class_map": "classes",
     "ClassError": "errors", "ConfigError": "errors",
-    "ExecutionError": "errors", "MemoryFault": "errors",
-    "ParseError": "errors", "RuntimeErrorKind": "errors", "Span": "errors",
+    "ExecutionError": "errors", "ParseError": "errors", "Span": "errors",
     "TypeError_": "errors",
     "FreeListSnapshot": "heap", "MemoryConfig": "heap",
-    "MemoryImage": "heap", "init_memory": "heap",
+    "MemoryFault": "heap", "MemoryImage": "heap", "init_memory": "heap",
     "invert_program": "inverter", "invert_stmt": "inverter",
     "BACKWARD": "machine", "FORWARD": "machine",
     "Interpreter": "machine", "MachineState": "machine",
-    "apply_binop": "emit", "check_refcounts": "machine",
+    "RuntimeErrorKind": "emit", "apply_binop": "emit",
+    "check_refcounts": "machine",
     "run_program": "machine",
     "parse": "parser", "parse_expression": "parser",
     "parse_statement": "parser",
@@ -35,8 +35,9 @@ __all__ = sorted(_EXPORTS)
 def __getattr__(name):
     module = _EXPORTS.get(name)
     if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{module}"), name)
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(import_module("%s.%s" % (__name__, module)), name)
     globals()[name] = value
     return value
 

@@ -5,13 +5,11 @@ internal, so the order only has to be deterministic.  Class ids are dense
 integers in declaration order starting at 1; id 0 would collide with nil.
 """
 
-from __future__ import annotations
-
 from .errors import ClassError, Record
 from . import syntax as ast
 
 
-def block_words(n: int) -> int:
+def block_words(n):
     """Words in the buddy block that holds n words: the smallest power of
     two that is at least n and at least 2."""
     return max(2, 1 << (n - 1).bit_length())
@@ -25,11 +23,11 @@ class ClassInfo(Record):
                  "own_methods")
 
     @property
-    def payload_words(self) -> int:
+    def payload_words(self):
         return len(self.fields)
 
     @property
-    def alloc_words(self) -> int:
+    def alloc_words(self):
         # header word + reference count + fields
         return block_words(self.payload_words + 2)
 
@@ -37,23 +35,24 @@ class ClassInfo(Record):
 class ClassMap:
     """Finite map class name -> resolved fields/methods, plus subtyping."""
 
-    def __init__(self, entries: dict[str, ClassInfo]):
+    def __init__(self, entries):
         self.entries = entries
         self._by_id = {info.class_id: info for info in entries.values()}
 
     def __contains__(self, name):
         return name in self.entries
 
-    def __getitem__(self, name) -> ClassInfo:
+    def __getitem__(self, name):
         try:
             return self.entries[name]
         except KeyError:
-            raise ClassError("UnknownClass", f"no class named {name!r}") from None
+            raise ClassError("UnknownClass", "no class named %r"
+                             % (name,)) from None
 
-    def by_id(self, class_id: int) -> ClassInfo:
+    def by_id(self, class_id):
         return self._by_id[class_id]
 
-    def subtype_of(self, c1: str, c2: str) -> bool:
+    def subtype_of(self, c1, c2):
         """True iff c1 reaches c2 by zero or more inherits steps."""
         info = self[c1]
         self[c2]
@@ -65,45 +64,45 @@ class ClassMap:
         return False
 
 
-def array_type_of(ty: ast.TypeName) -> ast.TypeName:
+def array_type_of(ty):
     """Element type of an array type."""
     if isinstance(ty, ast.IntArrayType):
         return ast.INT
     if isinstance(ty, ast.ClassArrayType):
         return ast.ClassRef(ty.name)
-    raise ClassError("NotAnArray", f"{ty} is not an array type")
+    raise ClassError("NotAnArray", "%s is not an array type" % ty)
 
 
-def _field_spans(cls: ast.ClassDecl):
+def _field_spans(cls):
     """The span of each field of `cls`, its own if the parser gave one."""
     return cls.field_spans or (cls.span,) * len(cls.fields)
 
 
-def build_class_map(program: ast.Program) -> ClassMap:
-    decls: dict[str, ast.ClassDecl] = {}  # in declaration order
+def build_class_map(program):
+    decls = {}  # in declaration order
     for cls in program.classes:
         if cls.name in decls:
             raise ClassError("DuplicateClass",
-                             f"class {cls.name} declared twice", cls.span)
+                             "class %s declared twice" % cls.name, cls.span)
         decls[cls.name] = cls
 
     for cls in program.classes:
         if cls.parent is not None and cls.parent not in decls:
             raise ClassError("UnknownParent",
-                             f"class {cls.name} inherits unknown {cls.parent}",
-                             cls.span)
+                             "class %s inherits unknown %s"
+                             % (cls.name, cls.parent), cls.span)
         seen = set()
         for m in cls.methods:
             if m.name in seen:
                 raise ClassError("DuplicateMethod",
-                                 f"method {m.name} declared twice in {cls.name}",
-                                 m.span)
+                                 "method %s declared twice in %s"
+                                 % (m.name, cls.name), m.span)
             seen.add(m.name)
             pnames = [p for _, p in m.params]
             if len(pnames) != len(set(pnames)):
                 raise ClassError("DuplicateMethod",
-                                 f"duplicate parameter name in {cls.name}.{m.name}",
-                                 m.span)
+                                 "duplicate parameter name in %s.%s"
+                                 % (cls.name, m.name), m.span)
 
     # cycle detection over the inherits graph
     for name in decls:
@@ -112,14 +111,14 @@ def build_class_map(program: ast.Program) -> ClassMap:
         while decls[slow].parent is not None:
             if slow in seen:
                 raise ClassError("CycleError",
-                                 f"inheritance cycle through {name}",
+                                 "inheritance cycle through %s" % name,
                                  decls[name].span)
             seen.add(slow)
             slow = decls[slow].parent
 
-    resolved: dict[str, ClassInfo] = {}
+    resolved = {}
 
-    def resolve(name: str) -> ClassInfo:
+    def resolve(name):
         if name in resolved:
             return resolved[name]
         cls = decls[name]
@@ -128,10 +127,10 @@ def build_class_map(program: ast.Program) -> ClassMap:
         for (_, fname), span in zip(fields, _field_spans(cls)):
             if fname in own_spans:
                 raise ClassError("DuplicateField",
-                                 f"field {fname} declared twice in {name}",
-                                 span)
+                                 "field %s declared twice in %s"
+                                 % (fname, name), span)
             own_spans[fname] = span
-        methods: dict[str, ast.MethodDecl] = {m.name: m for m in cls.methods}
+        methods = {m.name: m for m in cls.methods}
         if cls.parent is not None:
             parent = resolve(cls.parent)
             for ty, fname in parent.fields:
@@ -140,8 +139,8 @@ def build_class_map(program: ast.Program) -> ClassMap:
                     # field set ambiguous; reject outright
                     raise ClassError(
                         "DuplicateField",
-                        f"field {fname} in {name} shadows {cls.parent}.{fname}",
-                        own_spans[fname])
+                        "field %s in %s shadows %s.%s"
+                        % (fname, name, cls.parent, fname), own_spans[fname])
                 fields = fields + [(ty, fname)]
             for mname, mdecl in parent.methods.items():
                 if mname not in methods:
@@ -164,8 +163,8 @@ def build_class_map(program: ast.Program) -> ClassMap:
                     tuple(ty for ty, _ in m.params):
                 raise ClassError(
                     "BadOverride",
-                    f"{name}.{m.name} overrides {cls.parent}.{m.name} "
-                    "with a different signature", m.span)
+                    "%s.%s overrides %s.%s with a different signature"
+                    % (name, m.name, cls.parent, m.name), m.span)
 
     # class reference fields/params must resolve
     def check_type(ty, where, span):
@@ -173,13 +172,15 @@ def build_class_map(program: ast.Program) -> ClassMap:
         if name is not None and name not in cmap:
             kind = "array " if isinstance(ty, ast.ClassArrayType) else ""
             raise ClassError("UnknownClass",
-                             f"{where} has unknown class {kind}type {ty}", span)
+                             "%s has unknown class %stype %s"
+                             % (where, kind, ty), span)
 
     for cls in program.classes:
         for (ty, fname), span in zip(cls.fields, _field_spans(cls)):
-            check_type(ty, f"field {cls.name}.{fname}", span)
+            check_type(ty, "field %s.%s" % (cls.name, fname), span)
         for m in cls.methods:
             for ty, pname in m.params:
-                check_type(ty, f"parameter {pname} of {cls.name}.{m.name}", m.span)
+                check_type(ty, "parameter %s of %s.%s"
+                           % (pname, cls.name, m.name), m.span)
 
     return cmap

@@ -3,33 +3,43 @@
 Exit codes: 0 ok, 1 runtime error, 2 type error, 3 parse error,
 4 IO/config error or bad command-line usage.
 
-Each subcommand imports only the modules it uses: `check` stops after the
-type checker, `invert` skips it, and only `run` loads the interpreter.
+Each subcommand imports only the modules it uses, and this module imports
+none of them until a subcommand runs: `check` loads the front end and
+stops after the type checker, `invert` loads the parser, class analysis,
+inverter and printer, and only `run` loads the interpreter and `runner`.
 
-The `rooplpp` process ends with `os._exit` once its output is flushed, so
-it skips the interpreter's teardown: atexit handlers do not run in it.
-Code that embeds the CLI calls `main(argv)`, which raises SystemExit.
+The `rooplpp` process runs without the cyclic garbage collector, which in
+a process this short frees nothing, and ends with `os._exit` once its
+output is flushed, so it skips the interpreter's teardown: atexit handlers
+do not run in it.  Code that embeds the CLI calls `main(argv)`, which
+raises SystemExit and leaves the collector as it found it.
+
+Every stderr line goes through `_stderr`: a stderr that refuses writes
+changes no exit code.
 """
 
-from __future__ import annotations
-
+import gc
 import os
 import sys
-from types import SimpleNamespace
 
-from .classes import build_class_map
-from .errors import ClassError, ConfigError, ExecutionError, ParseError
-from .parser import parse
+SimpleNamespace = type(sys.implementation)  # as `types` defines it
 
 OK, EXIT_RUNTIME, EXIT_TYPE, EXIT_PARSE, EXIT_IO = 0, 1, 2, 3, 4
 
 
-# errors printed after the source path, and the code each exits with
-_SOURCE_ERRORS = {ParseError: EXIT_PARSE, ClassError: EXIT_TYPE,
-                  ExecutionError: EXIT_RUNTIME}
+def _stderr(line):
+    """Print `line` to stderr, ignoring a stderr that refuses it (a full
+    disk, a closed pipe), so that the exit code stays the failure's own."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _parse(path):
+    from .classes import build_class_map
+    from .parser import parse
+
     with open(path, encoding="utf-8") as fh:
         program = parse(fh.read())
     return program, build_class_map(program)
@@ -42,10 +52,10 @@ def _front_end(path):
     warnings = []
     errors = check_program(program, class_map, warnings=warnings)
     for note in warnings:
-        print(f"{path}:{note}", file=sys.stderr)
+        _stderr("%s:%s" % (path, note))
     if errors:
         for err in errors:
-            print(err.render(path), file=sys.stderr)
+            _stderr(err.render(path))
         raise SystemExit(EXIT_TYPE)
     return program, class_map
 
@@ -57,53 +67,9 @@ def cmd_check(args):
 
 
 def cmd_run(args):
-    if args.json or args.trace is not None:
-        import json
-    from .heap import MemoryConfig
-    from .machine import BACKWARD, FORWARD, run_program
-    from .statefile import load_state, save_state
-
     program, class_map = _front_end(args.path)
-    config = MemoryConfig(args.word_bits, args.freelists, args.stack_words,
-                          grow_blocks=8 if args.heap_grow else 0)
-    config.validate()
-
-    state = result = None
-    if args.resume is not None:
-        state = load_state(args.resume)
-        state.step_limit = args.step_limit
-    made = args.save_state is not None and not os.path.exists(args.save_state)
-    if args.save_state is not None:  # fail before the run; truncate nothing
-        open(args.save_state, "ab").close()
-
-    trace_fh = tracer = None
-    try:
-        if args.trace is not None:
-            trace_fh = open(args.trace, "w", encoding="utf-8")
-            tracer = lambda record: print(json.dumps(record), file=trace_fh)
-        result = run_program(
-            program, class_map, config, BACKWARD if args.reverse else FORWARD,
-            step_limit=args.step_limit, tracer=tracer, state=state)
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
-        if made and result is None:  # a failed run makes no state file
-            os.remove(args.save_state)
-
-    if args.save_state is not None:
-        save_state(args.save_state, result.state)
-
-    mem = result.state.memory
-    if args.json:
-        print(json.dumps({"fields": result.fields, "steps": result.steps,
-                          "freelists": {str(size): list(addrs) for size, addrs
-                                        in mem.snapshot_free_lists().lists}}))
-    else:
-        for name, value in result.fields.items():
-            print(f"{name} = {value}")
-    if args.dump_heap:
-        print(mem.dump_free_lists())
-        print(mem.hex_dump(0, mem.heap_end))
+    from .runner import run
+    run(args, program, class_map)
     return OK
 
 
@@ -145,7 +111,7 @@ RUN_FLAGS = {
 
 
 def _usage_error(message):
-    print(f"error: {message}", file=sys.stderr)
+    _stderr("error: " + message)
     raise SystemExit(EXIT_IO)
 
 
@@ -163,7 +129,7 @@ def _flag(token, names):
         value = token[3:] if token[2:3] == "=" else token[2:]
         eq = token != "-h" and (not value or value.strip("h") != "")
     if len(found) > 1:
-        _usage_error(f"ambiguous option: {token} could match "
+        _usage_error("ambiguous option: %s could match " % token
                      + ", ".join(found))
     if found:
         return found[0], value if eq else None
@@ -181,7 +147,7 @@ def _int(flag, text):
         value = None
     if value is None or (value not in (16, 32, 64) if flag == "--word-bits"
                          else value < 0 and flag == "--step-limit"):
-        _usage_error(f"argument {flag}: invalid value {text!r}")
+        _usage_error("argument %s: invalid value %r" % (flag, text))
     return value
 
 
@@ -202,15 +168,15 @@ def parse_args(argv):
         if flag in flags and flags[flag][1] != "switch":
             if value is None:
                 if i >= cut or kinds[i]:
-                    _usage_error(f"argument {flag}: expected one argument")
+                    _usage_error("argument %s: expected one argument" % flag)
                 value, i = argv[i], i + 1
             if flags[flag][1] == "int":
                 value = _int(flag, value)
             options[flag] = value
         elif flag:
             if value is not None:
-                _usage_error(f"argument {flag}: ignored explicit argument "
-                             f"{value!r}")
+                _usage_error("argument %s: ignored explicit argument "
+                             "%r" % (flag, value))
             if flag == "--help":
                 return SimpleNamespace(func=cmd_help)
             options[flag] = True
@@ -218,8 +184,8 @@ def parse_args(argv):
             extras.append(token)
         elif command is None:
             if token not in commands:
-                _usage_error(f"argument command: invalid choice: {token!r} "
-                             "(choose from 'check', 'run', 'invert')")
+                _usage_error("argument command: invalid choice: %r "
+                             "(choose from 'check', 'run', 'invert')" % token)
             # what each later token is, up to the `--` at `cut`: an
             # ambiguous prefix fails before any other error
             command, flags = token, RUN_FLAGS if token == "run" else {}
@@ -235,7 +201,7 @@ def parse_args(argv):
             extras.append(token)
     for operand, value in (("command", command), ("path", path)):
         if value is None:
-            _usage_error(f"the following arguments are required: {operand}")
+            _usage_error("the following arguments are required: %s" % operand)
     if extras:
         _usage_error("unrecognized arguments: " + " ".join(extras))
     return SimpleNamespace(command=command, path=path, func=commands[command],
@@ -245,34 +211,41 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
+    from .errors import ClassError, ConfigError, ExecutionError, ParseError
+
+    # errors printed after the source path, and the code each exits with
+    source_errors = {ParseError: EXIT_PARSE, ClassError: EXIT_TYPE,
+                     ExecutionError: EXIT_RUNTIME}
     try:
         code = args.func(args)
         # a failed last write is an OSError here; stdout is None when
         # fd 1 is closed
         if sys.stdout is not None:
             sys.stdout.flush()
-    except tuple(_SOURCE_ERRORS) as exc:
-        print(f"{args.path}:{exc}", file=sys.stderr)
-        code = _SOURCE_ERRORS[type(exc)]
+    except tuple(source_errors) as exc:
+        _stderr("%s:%s" % (args.path, exc))
+        code = source_errors[type(exc)]
     except UnicodeDecodeError as exc:
-        print(f"{args.path}: syntax error: not UTF-8 text (byte {exc.start})",
-              file=sys.stderr)
+        _stderr("%s: syntax error: not UTF-8 text (byte %d)"
+                % (args.path, exc.start))
         code = EXIT_PARSE
     except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _stderr("error: %s" % exc)
         code = EXIT_IO
     except RecursionError:
         # only the front end recurses with the host's recursion limit
-        print(f"{args.path}: syntax error: nesting too deep", file=sys.stderr)
+        _stderr("%s: syntax error: nesting too deep" % args.path)
         code = EXIT_PARSE
     raise SystemExit(code)
 
 
 def entry():
-    """Run `main` as the whole process: flush both streams, then end with
+    """Run `main` as the whole process: switch the cyclic collector off
+    before anything is imported, flush both streams, then end with
     `os._exit`, skipping the atexit handlers, final collection and module
     teardown that would follow.  A flush that fails here has failed in
     `main` already, which reported it."""
+    gc.disable()
     try:
         main()
     except SystemExit as exc:

@@ -6,16 +6,46 @@ step limit are globals of the namespace the code runs in, so a text depends
 only on the body, direction, tracing and `MemoryConfig`, and each is compiled
 once per process.  Text is built with %, not f-strings (faster to compile)."""
 
-from __future__ import annotations
-
+import enum
 import functools
 
-from .errors import RuntimeErrorKind as E
 from .inverter import INVERSE_KIND
 from . import syntax as ast
 
 FORWARD = "forward"
 BACKWARD = "backward"
+
+
+# defined here, on the run path, so that `check` and `invert` do not pay
+# for creating the enum
+class RuntimeErrorKind(enum.Enum):
+    ASSERTION_FAILED_IF = "AssertionFailed-if"
+    ASSERTION_FAILED_LOOP_ENTRY = "AssertionFailed-loop-entry"
+    ASSERTION_FAILED_LOOP = "AssertionFailed-loop"
+    NON_ZERO_FIELDS_ON_DELETE = "NonZeroFieldsOnDelete"
+    NON_ZERO_CELLS_ON_DELETE = "NonZeroCellsOnDelete"
+    DELOCAL_MISMATCH = "DelocalMismatch"
+    NEW_TARGET_NOT_NIL = "NewTargetNotNil"
+    COPY_TARGET_NOT_NIL = "CopyTargetNotNil"
+    UNINITIALIZED_OBJECT = "UninitializedObject"
+    UNINITIALIZED_ARRAY = "UninitializedArray"
+    INDEX_OUT_OF_BOUNDS = "IndexOutOfBounds"
+    DANGLING_REFERENCE_ON_DELETE = "DanglingReferenceOnDelete"
+    DIVISION_BY_ZERO = "DivisionByZero"
+    STACK_OVERFLOW = "StackOverflow"
+    STEP_LIMIT_EXCEEDED = "StepLimitExceeded"
+    NIL_DEREFERENCE = "NilDereference"
+    # Conditions beyond the core list, kept explicit rather than folded into
+    # a neighbouring kind.
+    ARRAY_LENGTH_MISMATCH = "ArrayLengthMismatch"
+    INVALID_ARRAY_LENGTH = "InvalidArrayLength"
+    UNCOPY_MISMATCH = "UncopyMismatch"
+    OUT_OF_MEMORY = "OutOfMemory"
+    CORRUPT_FREE = "CorruptFree"
+    ADDRESS_FAULT = "AddressFault"
+
+
+E = RuntimeErrorKind
 
 # trace records of a backward body name the source statement's kind
 _SOURCE_KIND = {a.__name__: b.__name__ for a, b in INVERSE_KIND.items()}
@@ -26,8 +56,8 @@ _MAX_BRACKETS, _MAX_INDENT, _MAX_LOOPS = 50, 50, 15
 _compiled = functools.lru_cache(maxsize=4096)(compile)
 
 
-def _binop_text(op: str, left: str, right: str, word_bits: int,
-                truth: bool = False) -> str:
+def _binop_text(op, left, right, word_bits,
+                truth=False):
     """Python text of `left op right` over the texts of two words:
     arithmetic wraps, `/` and `%` are Python's `//` and `%` unless a word
     is negative, when they call Q and R, and a comparison or logic gives 1
@@ -60,7 +90,7 @@ def _binop_text(op: str, left: str, right: str, word_bits: int,
     return ("(%s)" if truth else "(1 if %s else 0)") % text
 
 
-def division(word_bits: int) -> dict:
+def division(word_bits):
     """Q and R over `word_bits`-wide words: the quotient truncates toward
     zero and the remainder takes the dividend's sign; `//` by 0 raises."""
     mask, sign = (1 << word_bits) - 1, 1 << (word_bits - 1)
@@ -77,11 +107,11 @@ def division(word_bits: int) -> dict:
     return {"Q": Q, "R": R}
 
 
-def apply_binop(op: str, v1: int, v2: int, word_bits: int = 32) -> int:
+def apply_binop(op, v1, v2, word_bits=32):
     """`v1 op v2` on `word_bits`-wide words, evaluated from the text the
     executor emits; `/` and `%` by zero raise ZeroDivisionError."""
     if op not in ast.PRECEDENCE:
-        raise ValueError(f"unknown operator {op!r}")
+        raise ValueError("unknown operator %r" % (op,))
     return eval(_binop_text(op, str(v1), str(v2), word_bits),
                 division(word_bits))
 
@@ -98,7 +128,7 @@ class Emitter:
     word's address.  The checks of an expression are emitted, in
     evaluation order, before the text that reads it, which cannot fail."""
 
-    def __init__(self, interp, backward: bool):
+    def __init__(self, interp, backward):
         self.interp, self.backward = interp, backward
         self.traced, mem = interp.tracer is not None, interp.mem
         self.bits, self.mask, self.heap_max = mem.word_bits, mem.mask, \
@@ -164,7 +194,7 @@ class Emitter:
         if isinstance(expr, ast.ArrayElement):
             return "w[%s]" % self.cell(expr, names)
         if not isinstance(expr, ast.BinOp):
-            raise TypeError(f"not an expression: {expr!r}")
+            raise TypeError("not an expression: %r" % (expr,))
         op, logic = expr.op, expr.op in ("&&", "||")
         left, right = (self.value(expr.left, names, logic),
                        self.value(expr.right, names, logic))

@@ -2,12 +2,10 @@
 value base of `Span`, the syntax nodes and the other value types.
 
 Exit-code mapping lives in the CLI: runtime errors are 1, type errors 2,
-parse errors 3, IO/config errors 4.
+parse errors 3, IO/config errors 4.  The run path's own types live with
+it: `heap.MemoryFault` and `emit.RuntimeErrorKind`.
 """
 
-from __future__ import annotations
-
-import enum
 from operator import attrgetter
 
 
@@ -31,7 +29,6 @@ class Record:
         cls._fields = tuple(names)
         cls._setters = tuple(getattr(cls, name).__set__ for name in names)
         compared = tuple(n for n in names if n not in cls._uncompared)
-        cls._compared = compared
         if len(compared) > 1:
             key = attrgetter(*compared)
         elif compared:
@@ -40,6 +37,8 @@ class Record:
         else:
             key = lambda obj: ()  # noqa: E731
         cls._key = staticmethod(key)
+        cls._repr_format = "%s(%s)" % (cls.__qualname__, ", ".join(
+            "%s=%%r" % name for name in compared))
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):
@@ -51,8 +50,8 @@ class Record:
     def _complete(cls, args, kwargs):
         names = cls._fields
         if len(args) > len(names):
-            raise TypeError(f"{cls.__name__} takes {len(names)} fields, "
-                            f"got {len(args)}")
+            raise TypeError("%s takes %s fields, "
+                            "got %s" % (cls.__name__, len(names), len(args)))
         values = list(args)
         for name in names[len(args):]:
             if name in kwargs:
@@ -60,19 +59,19 @@ class Record:
             elif name in cls._defaults:
                 values.append(cls._defaults[name])
             else:
-                raise TypeError(f"{cls.__name__} missing field {name!r}")
+                raise TypeError("%s missing field %r" % (cls.__name__, name))
         if kwargs:
-            raise TypeError(f"{cls.__name__} got unexpected or repeated "
-                            f"fields {sorted(kwargs)}")
+            raise TypeError("%s got unexpected or repeated "
+                            "fields %s" % (cls.__name__, sorted(kwargs)))
         return values
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a "
-                             f"{type(self).__name__}")
+        raise AttributeError("cannot assign to field %r of a "
+                             "%s" % (name, type(self).__name__))
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a "
-                             f"{type(self).__name__}")
+        raise AttributeError("cannot delete field %r of a "
+                             "%s" % (name, type(self).__name__))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -86,9 +85,7 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self):
-        return (f"{type(self).__qualname__}("
-                + ", ".join(f"{name}={getattr(self, name)!r}"
-                            for name in self._compared) + ")")
+        return self._repr_format % self._key(self)
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, n) for n in self._fields)
@@ -112,7 +109,7 @@ class Span(Record):
         _set_end_col(self, end_col)
 
     def __str__(self):
-        return f"{self.line}:{self.col}"
+        return "%s:%s" % (self.line, self.col)
 
 
 _set_line, _set_col, _set_end_line, _set_end_col = Span._setters
@@ -127,7 +124,7 @@ class ParseError(Exception):
         self.message, self.span, self.expected = message, span, tuple(expected)
 
     def __str__(self):
-        s = f"{self.span}: syntax error: {self.message}"
+        s = "%s: syntax error: %s" % (self.span, self.message)
         if self.expected:
             s += " (expected " + ", ".join(self.expected) + ")"
         return s
@@ -141,7 +138,7 @@ class ClassError(Exception):
         self.kind, self.message, self.span = kind, message, span
 
     def __str__(self):
-        return f"{self.span}: {self.kind}: {self.message}"
+        return "%s: %s: %s" % (self.span, self.kind, self.message)
 
 
 class TypeError_(Record):
@@ -151,58 +148,24 @@ class TypeError_(Record):
     _defaults = {"span": NO_SPAN}
 
     def render(self, filename="<input>"):
-        return f"{filename}:{self.span.line}:{self.span.col}: {self.rule}: {self.message}"
+        return "%s:%s:%s: %s: %s" % (filename, self.span.line, self.span.col,
+                                     self.rule, self.message)
 
 
 class ConfigError(Exception):
     """Invalid machine configuration (word width, free-list count, ...)."""
 
 
-class MemoryFault(Exception):
-    """Low-level memory access failure; the interpreter wraps these."""
-
-    def __init__(self, kind, message):
-        super().__init__(message)
-        self.kind, self.message = kind, message
-
-
-class RuntimeErrorKind(enum.Enum):
-    ASSERTION_FAILED_IF = "AssertionFailed-if"
-    ASSERTION_FAILED_LOOP_ENTRY = "AssertionFailed-loop-entry"
-    ASSERTION_FAILED_LOOP = "AssertionFailed-loop"
-    NON_ZERO_FIELDS_ON_DELETE = "NonZeroFieldsOnDelete"
-    NON_ZERO_CELLS_ON_DELETE = "NonZeroCellsOnDelete"
-    DELOCAL_MISMATCH = "DelocalMismatch"
-    NEW_TARGET_NOT_NIL = "NewTargetNotNil"
-    COPY_TARGET_NOT_NIL = "CopyTargetNotNil"
-    UNINITIALIZED_OBJECT = "UninitializedObject"
-    UNINITIALIZED_ARRAY = "UninitializedArray"
-    INDEX_OUT_OF_BOUNDS = "IndexOutOfBounds"
-    DANGLING_REFERENCE_ON_DELETE = "DanglingReferenceOnDelete"
-    DIVISION_BY_ZERO = "DivisionByZero"
-    STACK_OVERFLOW = "StackOverflow"
-    STEP_LIMIT_EXCEEDED = "StepLimitExceeded"
-    NIL_DEREFERENCE = "NilDereference"
-    # Conditions beyond the core list, kept explicit rather than folded into
-    # a neighbouring kind.
-    ARRAY_LENGTH_MISMATCH = "ArrayLengthMismatch"
-    INVALID_ARRAY_LENGTH = "InvalidArrayLength"
-    UNCOPY_MISMATCH = "UncopyMismatch"
-    OUT_OF_MEMORY = "OutOfMemory"
-    CORRUPT_FREE = "CorruptFree"
-    ADDRESS_FAULT = "AddressFault"
-
-
 class ExecutionError(Exception):
     """Runtime error; halts execution, partial state stays inspectable."""
 
-    def __init__(self, kind: RuntimeErrorKind, message, span=NO_SPAN, trace=()):
+    def __init__(self, kind, message, span=NO_SPAN, trace=()):
         super().__init__(message)
         self.kind, self.message = kind, message
         self.span, self.trace = span, tuple(trace)
 
     def __str__(self):
-        s = f"{self.span}: {self.kind.value}: {self.message}"
+        s = "%s: %s: %s" % (self.span, self.kind.value, self.message)
         if self.trace:
             s += "\n  in " + "\n  in ".join(str(t) for t in self.trace)
         return s

@@ -27,13 +27,19 @@ outside the allocator.  It, the snapshot and the dump all walk the lists
 with `_free_chain`, which refuses a cycle or a stray address.
 """
 
-from __future__ import annotations
-
 from .classes import block_words
-from .errors import ConfigError, MemoryFault, Record
+from .errors import ConfigError, Record
 
 # machine limit on arena words (`stack_base`): 128 MiB of Python list
 MAX_ARENA_WORDS = 1 << 24
+
+
+class MemoryFault(Exception):
+    """Low-level memory access failure; the interpreter wraps these."""
+
+    def __init__(self, kind, message):
+        super().__init__(message)
+        self.kind, self.message = kind, message
 
 
 class MemoryConfig(Record):
@@ -46,20 +52,24 @@ class MemoryConfig(Record):
 
     def validate(self):
         if self.word_bits not in (16, 32, 64):
-            raise ConfigError(f"word width must be 16, 32 or 64, got {self.word_bits}")
+            raise ConfigError("word width must be 16, 32 or 64, got %s"
+                              % self.word_bits)
         if self.num_freelists < 2:
-            raise ConfigError(f"need at least 2 free lists, got {self.num_freelists}")
+            raise ConfigError("need at least 2 free lists, got %s"
+                              % self.num_freelists)
         if self.stack_words < 4:
-            raise ConfigError(f"stack of {self.stack_words} words is too small")
+            raise ConfigError("stack of %s words is too small"
+                              % self.stack_words)
         if self.grow_blocks < 0:
             raise ConfigError("grow_blocks must be non-negative")
         if self.num_freelists >= 24 or self.arena_words() > MAX_ARENA_WORDS:
             raise ConfigError(
-                f"{self.num_freelists} free lists, {self.grow_blocks} growth "
-                f"blocks and {self.stack_words} stack words exceed the arena "
-                f"limit of {MAX_ARENA_WORDS} words")
+                "%s free lists, %s growth blocks and %s stack words exceed "
+                "the arena limit of %s words" % (
+                    self.num_freelists, self.grow_blocks, self.stack_words,
+                    MAX_ARENA_WORDS))
 
-    def arena_words(self) -> int:
+    def arena_words(self):
         """List heads, heap with its growth room, and stack: `stack_base`."""
         return (1 + self.num_freelists + self.stack_words
                 + (1 << self.num_freelists) * (1 + self.grow_blocks))
@@ -70,18 +80,18 @@ class FreeListSnapshot(Record):
 
     __slots__ = ("lists",)  # ((size, (address, ...)), ...)
 
-    def sizes_present(self) -> tuple[int, ...]:
+    def sizes_present(self):
         return tuple(size for size, addrs in self.lists if addrs)
 
     @property
-    def total_free_words(self) -> int:
+    def total_free_words(self):
         return sum(size * len(addrs) for size, addrs in self.lists)
 
 
 class MemoryImage:
     """Flat word memory, single-owner mutable."""
 
-    def __init__(self, config: MemoryConfig = MemoryConfig()):
+    def __init__(self, config=MemoryConfig()):
         config.validate()
         self.config = config
         self.word_bits = config.word_bits
@@ -95,35 +105,37 @@ class MemoryImage:
         self.stack_base = config.arena_words()
         if self.stack_base > self.mask:
             raise ConfigError(
-                f"{self.stack_base} words do not fit a {self.word_bits}-bit "
-                "address")
+                "%s words do not fit a %s-bit "
+                "address" % (self.stack_base, self.word_bits))
         self.words = [0] * self.stack_base
         # the whole heap starts as one free block on the largest list
         self.words[self.flp + self.num_freelists - 1] = self.hp
 
     # ------------------------------------------------------- raw access
 
-    def read_word(self, addr: int) -> int:
+    def read_word(self, addr):
         if addr == 0:
             raise MemoryFault("NilFault", "read through nil")
         if not 0 < addr < self.stack_base:
-            raise MemoryFault("AddressFault", f"read at {addr} out of bounds")
+            raise MemoryFault("AddressFault",
+                              "read at %s out of bounds" % addr)
         return self.words[addr]
 
-    def write_word(self, addr: int, value: int):
+    def write_word(self, addr, value):
         if addr == 0:
             raise MemoryFault("NilFault", "write through nil")
         if not 0 < addr < self.stack_base:
-            raise MemoryFault("AddressFault", f"write at {addr} out of bounds")
+            raise MemoryFault("AddressFault",
+                              "write at %s out of bounds" % addr)
         self.words[addr] = value & self.mask
 
     # ------------------------------------------------------- allocator
 
-    def malloc(self, osize: int) -> int:
+    def malloc(self, osize):
         """Allocate the smallest block holding osize words: pop the first
         non-empty list at or above its size class, then split downward."""
         if osize < 1:
-            raise ValueError(f"osize must be positive, got {osize}")
+            raise ValueError("osize must be positive, got %s" % osize)
         words, flp, nf = self.words, self.flp, self.num_freelists
         want = level = block_words(osize).bit_length() - 2
         while level < nf and not words[flp + level]:
@@ -131,7 +143,7 @@ class MemoryImage:
         if level >= nf:
             if self.config.grow_blocks == 0 or osize > self.top_size:
                 raise MemoryFault("OutOfMemory",
-                                  f"no block of {osize} words available")
+                                  "no block of %s words available" % osize)
             if self.heap_end + self.top_size > self.heap_max:
                 raise MemoryFault("OutOfMemory", "heap growth limit reached")
             level = nf - 1  # the last list is empty: append a block to it
@@ -145,7 +157,8 @@ class MemoryImage:
         if link and link == p - csize:
             raise MemoryFault(
                 "CorruptFree",
-                f"free list {csize} holds adjacent blocks {p} and {p - csize}")
+                "free list %s holds adjacent blocks %s and %s"
+                % (csize, p, p - csize))
         # split: the lower half heads the list below, go on with the upper
         while level > want:
             level -= 1
@@ -154,25 +167,25 @@ class MemoryImage:
             p += csize
         if any(words[p:p + csize]):
             raise MemoryFault("CorruptFree",
-                              f"allocated block at {p} not zero-cleared")
+                              "allocated block at %s not zero-cleared" % p)
         return p
 
-    def free(self, addr: int, osize: int):
+    def free(self, addr, osize):
         """Return a zero-cleared block: while the head of its list is its
         partner directly below, merge with it; then push the block."""
         if osize < 1:
-            raise ValueError(f"osize must be positive, got {osize}")
+            raise ValueError("osize must be positive, got %s" % osize)
         csize = block_words(osize)
         # non-LIFO merges can leave blocks off their power-of-two grid, so
         # only even parity is invariant
         if not self.hp <= addr < self.heap_end:
-            raise MemoryFault("CorruptFree", f"{addr} is not a heap block")
+            raise MemoryFault("CorruptFree", "%s is not a heap block" % addr)
         if (addr - self.hp) % 2 != 0:
             raise MemoryFault("CorruptFree",
-                              f"{addr} is not on a block boundary")
+                              "%s is not on a block boundary" % addr)
         if addr + csize > self.heap_end:
             raise MemoryFault("CorruptFree",
-                              f"block at {addr} overruns the heap")
+                              "block at %s overruns the heap" % addr)
         self._check_zero("freed", addr, addr, addr + csize)
         words, p = self.words, addr
         slot = first = self.flp + csize.bit_length() - 2
@@ -190,8 +203,8 @@ class MemoryImage:
             if words[p]:
                 raise MemoryFault(
                     "CorruptFree",
-                    f"merge partner {p} is not the only block in its free "
-                    f"list (word {p} = {words[p]})")
+                    "merge partner %s is not the only block in its free "
+                    "list (word %s = %s)" % (p, p, words[p]))
             slot += 1
             csize <<= 1
         words[p] = head
@@ -214,16 +227,18 @@ class MemoryImage:
         while addr != 0:
             if addr in seen:
                 raise MemoryFault("CorruptFree",
-                                  f"free list {size} contains a cycle at {addr}")
+                                  "free list %s contains a cycle at %s"
+                                  % (size, addr))
             if not self.hp <= addr <= self.heap_end - size or \
                     (addr - self.hp) % 2:
                 raise MemoryFault("CorruptFree",
-                                  f"free list {size} holds bad address {addr}")
+                                  "free list %s holds bad address %s"
+                                  % (size, addr))
             seen.add(addr)
             yield addr
             addr = self.words[addr]
 
-    def snapshot_free_lists(self) -> FreeListSnapshot:
+    def snapshot_free_lists(self):
         return FreeListSnapshot(tuple(
             (2 << i, tuple(self._free_chain(i)))
             for i in range(self.num_freelists)))
@@ -250,33 +265,33 @@ class MemoryImage:
             if any(chunk):
                 a = base + next(k for k, w in enumerate(chunk) if w)
                 raise MemoryFault("CorruptFree",
-                                  f"{what} block at {addr} not zero-cleared "
-                                  f"(word {a} = {words[a]})")
+                                  "%s block at %s not zero-cleared "
+                                  "(word %s = %s)" % (what, addr, a, words[a]))
 
-    def dump_free_lists(self) -> str:
+    def dump_free_lists(self):
         """One line per free list; a corrupt list raises CorruptFree."""
         return "\n".join(
-            f"2^{i + 1}: " + " -> ".join(
+            "2^%s: " % (i + 1) + " -> ".join(
                 [str(addr) for addr in self._free_chain(i)] + ["0"])
             for i in range(self.num_freelists))
 
-    def hex_dump(self, start: int, end: int) -> str:
+    def hex_dump(self, start, end):
         """Eight words a line, each line headed by its first address."""
         digits = self.word_bits // 4
-        return "\n".join(f"{base:08x}: " + " ".join(
-            f"{w:0{digits}x}" for w in self.words[base:min(base + 8, end)])
+        return "\n".join("%08x: " % base + " ".join(
+            "%0*x" % (digits, w) for w in self.words[base:min(base + 8, end)])
             for base in range(start, end, 8))
 
-    def clone(self) -> "MemoryImage":
+    def clone(self):
         other = MemoryImage.__new__(MemoryImage)
         other.__dict__.update(self.__dict__)
         other.words = list(self.words)
         return other
 
-    def same_words(self, other: "MemoryImage") -> bool:
+    def same_words(self, other):
         return self.words == other.words and self.heap_end == other.heap_end
 
 
-def init_memory(config: MemoryConfig = MemoryConfig()) -> MemoryImage:
+def init_memory(config=MemoryConfig()):
     """Fresh image: zeroed arena, one top-size block on the last free list."""
     return MemoryImage(config)

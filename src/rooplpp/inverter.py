@@ -11,8 +11,6 @@ inversion of the callee body cancels against call/uncall flipping), while
 everything beneath is inverted normally.
 """
 
-from __future__ import annotations
-
 from . import syntax as ast
 
 _MOD_INVERSE = {"+=": "-=", "-=": "+=", "^=": "^="}
@@ -24,7 +22,7 @@ INVERSE_KIND = {**dict(_PAIRS), **{b: a for a, b in _PAIRS}}
 _CALLS = (ast.LocalCall, ast.LocalUncall, ast.ObjectCall, ast.ObjectUncall)
 
 
-def invert_stmt(stmt: ast.Statement, keep_calls: bool = False) -> ast.Statement:
+def invert_stmt(stmt, keep_calls=False):
     """The inverse statement I[s].
 
     With `keep_calls` this is the modified inverter: calls and uncalls
@@ -61,10 +59,10 @@ def invert_stmt(stmt: ast.Statement, keep_calls: bool = False) -> ast.Statement:
     if type(stmt) in INVERSE_KIND:
         return INVERSE_KIND[type(stmt)](*[getattr(stmt, name)
                                           for name in stmt._fields])
-    raise TypeError(f"not a statement: {stmt!r}")
+    raise TypeError("not a statement: %r" % (stmt,))
 
 
-def invert_program(program: ast.Program) -> ast.Program:
+def invert_program(program):
     """Invert every method body via the modified top-level inverter."""
     return program.replace(classes=tuple(
         cls.replace(methods=tuple(

@@ -12,36 +12,30 @@ in a namespace of its own.  `main` runs the same way, over the main
 object, but pushes no frame word and no call-stack label.
 """
 
-from __future__ import annotations
-
 import sys
 import zlib
 
-from .classes import ClassMap
-from .errors import (ConfigError, ExecutionError, MemoryFault, Record,
-                     RuntimeErrorKind)
-from .heap import MemoryConfig, MemoryImage, init_memory
-from .emit import BACKWARD, FORWARD, Emitter, division
+from .errors import ConfigError, ExecutionError, Record
+from .heap import MemoryConfig, MemoryFault, init_memory
+from .emit import BACKWARD, FORWARD, E, Emitter, division
 from .inverter import invert_program, invert_stmt
 from .typecheck import main_class_of
 from . import syntax as ast
-
-E = RuntimeErrorKind
 
 _FAULT_KINDS = {"NilFault": E.NIL_DEREFERENCE, "AddressFault": E.ADDRESS_FAULT,
                 "OutOfMemory": E.OUT_OF_MEMORY, "CorruptFree": E.CORRUPT_FREE}
 
 
 class MachineState:
-    def __init__(self, memory: MemoryImage, step_limit: int = 10_000_000):
+    def __init__(self, memory, step_limit=10_000_000):
         self.memory = memory
         self.frame_top = memory.stack_base
         self.steps = 0
         self.step_limit = step_limit
-        self.live_slots: list[tuple[int, ast.TypeName]] = []  # the roots
+        self.live_slots = []  # the roots
         self.tracer = None
         self.program_crc = None  # crc32 of repr(program) of the last run
-        self._touched: list[int] = []
+        self._touched = []
 
     def signed(self, word):
         bits = self.memory.word_bits
@@ -61,11 +55,11 @@ class Interpreter:
     record), each with the tuple of its site: the span, the local blocks
     pushed and what else the emitter knew."""
 
-    def __init__(self, class_map: ClassMap, state: MachineState):
+    def __init__(self, class_map, state):
         self.class_map, self.state = class_map, state
         self.mem = mem = state.memory
         self.words = words = mem.words
-        self.methods: dict[tuple[int, str, bool], tuple] = {}
+        self.methods = {}
         self.tracer = state.tracer
 
         def poke(addr, value):
@@ -234,12 +228,12 @@ class Interpreter:
                  else (words[value + 1] + 1) & self.mem.mask)
 
 
-def run_program(program: ast.Program, class_map: ClassMap,
-                config: MemoryConfig = MemoryConfig(),
-                direction: str = FORWARD,
-                step_limit: int = 10_000_000,
+def run_program(program, class_map,
+                config=MemoryConfig(),
+                direction=FORWARD,
+                step_limit=10_000_000,
                 tracer=None,
-                state: MachineState | None = None) -> RunResult:
+                state=None):
     """Instantiate the main object and execute its main method.
 
     A pre-built `state` (e.g. from a state file) resumes execution over
@@ -301,23 +295,23 @@ def _check_resumed(state, class_map, this_slot):
     """Frames must lie below the main object, and every reference must
     pass `check_refcounts`, before the executor trusts the words."""
     if state.frame_top > this_slot:
-        raise ConfigError(f"frame top {state.frame_top} is above the main "
-                          f"object's slot {this_slot}")
+        raise ConfigError("frame top %s is above the main "
+                          "object's slot %s" % (state.frame_top, this_slot))
     try:
         check_refcounts(state, class_map)
     except (AssertionError, MemoryFault) as exc:
-        raise ConfigError(f"bad reference in the state: {exc}") from None
+        raise ConfigError("bad reference in the state: %s" % exc) from None
 
 
-def check_refcounts(state: MachineState, class_map: ClassMap):
+def check_refcounts(state, class_map):
     """Debug sweep: reference counts of every object and array reachable
     from the live typed slots must equal the number of slots holding the
     address, and each must lie inside memory.  Returns (counts, kinds)
     keyed by address; raises AssertionError or MemoryFault otherwise."""
     mem = state.memory
-    counts: dict[int, int] = {}
-    kinds: dict[int, ast.TypeName] = {}
-    queue: list[tuple[int, ast.TypeName]] = []
+    counts = {}
+    kinds = {}
+    queue = []
 
     def visit_slot(addr, ty):
         value = 0 if isinstance(ty, ast.IntType) else mem.read_word(addr)
@@ -337,12 +331,12 @@ def check_refcounts(state: MachineState, class_map: ClassMap):
                 info = class_map.by_id(mem.read_word(addr))
             except KeyError:
                 raise AssertionError(
-                    f"word at {addr} is not an object header") from None
+                    "word at %s is not an object header" % addr) from None
             size = len(info.fields)
         else:
             size = mem.read_word(addr)  # array length
         if addr + 2 + size > mem.stack_base:
-            raise AssertionError(f"block at {addr} overruns memory")
+            raise AssertionError("block at %s overruns memory" % addr)
         if isinstance(ty, ast.ClassRef):
             for i, (fty, _) in enumerate(info.fields):
                 visit_slot(addr + 2 + i, fty)
@@ -353,6 +347,6 @@ def check_refcounts(state: MachineState, class_map: ClassMap):
         stored = mem.read_word(addr + 1)
         if stored != n:
             raise AssertionError(
-                f"object at {addr} has refcount {stored}, but {n} live "
-                "bindings hold it")
+                "object at %s has refcount %s, but %s live "
+                "bindings hold it" % (addr, stored, n))
     return counts, kinds

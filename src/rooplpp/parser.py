@@ -13,8 +13,6 @@ Binary operators bind as `syntax.PRECEDENCE` says and associate left;
 parentheses group.
 """
 
-from __future__ import annotations
-
 from .errors import ParseError, Record, Span
 from . import syntax as ast
 
@@ -49,7 +47,7 @@ class Token(Record):
 _set_kind, _set_text, _set_span = Token._setters
 
 
-def tokenize(source: str) -> list[Token]:
+def tokenize(source):
     """The tokens of `source`, ending in an `eof` token.  Only "\n" ends a
     line; a column counts characters, so a tab or "\r" is one column."""
     tokens = []
@@ -80,7 +78,7 @@ def tokenize(source: str) -> list[Token]:
                     if text.startswith(sym, i):
                         break
                 else:
-                    raise ParseError(f"unexpected character {c!r}",
+                    raise ParseError("unexpected character %r" % c,
                                      Span(line, i + 1, line, i + 1))
                 j = i + len(sym)
                 append(Token("sym", sym, Span(line, i + 1, line, j + 1)))
@@ -97,10 +95,10 @@ class _Parser:
 
     # -- token plumbing ---------------------------------------------
 
-    def peek(self, k=1) -> Token:
+    def peek(self, k=1):
         return self.tokens[min(self.pos + k, len(self.tokens) - 1)]
 
-    def advance(self) -> Token:
+    def advance(self):
         tok = self.cur
         if tok.kind != "eof":
             self.pos += 1
@@ -126,16 +124,17 @@ class _Parser:
         if tok is None:
             want = what or text or kind
             got = self.cur.text or "end of input"
-            raise ParseError(f"got {got!r}", self.cur.span, expected=(str(want),))
+            raise ParseError("got %r" % got, self.cur.span,
+                             expected=(str(want),))
         return tok
 
-    def _span_from(self, start: Span) -> Span:
+    def _span_from(self, start):
         prev = self.tokens[max(self.pos - 1, 0)].span
         return Span(start.line, start.col, prev.end_line, prev.end_col)
 
     # -- programs / classes ------------------------------------------
 
-    def program(self) -> ast.Program:
+    def program(self):
         start = self.cur.span
         classes = []
         while not self.at("eof"):
@@ -144,7 +143,7 @@ class _Parser:
             raise ParseError("empty program", start, expected=("class",))
         return ast.Program(tuple(classes), self._span_from(start))
 
-    def class_decl(self) -> ast.ClassDecl:
+    def class_decl(self):
         start = self.expect("kw", "class").span
         name = self.expect("ident", what="class name").text
         parent = None
@@ -160,17 +159,17 @@ class _Parser:
         while self.at_kw("method"):
             methods.append(self.method_decl())
         if not methods:
-            raise ParseError(f"class {name} has no methods", self.cur.span,
+            raise ParseError("class %s has no methods" % name, self.cur.span,
                              expected=("method",))
         return ast.ClassDecl(name, parent, tuple(fields), tuple(methods),
                              self._span_from(start), tuple(spans))
 
-    def typed_name(self, what) -> tuple[ast.TypeName, str]:
+    def typed_name(self, what):
         ty = self.type_name()
-        name = self.expect("ident", what=f"{what} name").text
+        name = self.expect("ident", what="%s name" % what).text
         return (ty, name)
 
-    def type_name(self) -> ast.TypeName:
+    def type_name(self):
         if self.accept("kw", "int"):
             if self.accept("sym", "["):
                 self.expect("sym", "]")
@@ -183,7 +182,7 @@ class _Parser:
             return ast.ClassArrayType(name)
         return ast.ClassRef(name)
 
-    def method_decl(self) -> ast.MethodDecl:
+    def method_decl(self):
         start = self.expect("kw", "method").span
         name = self.expect("ident", what="method name").text
         params = self._parenthesized(lambda: self.typed_name("parameter"))
@@ -192,24 +191,24 @@ class _Parser:
 
     # -- statements ----------------------------------------------------
 
-    def statement_seq(self) -> ast.Statement:
+    def statement_seq(self):
         start = self.cur.span
         stmts = [self.statement()]
         while not self.at("eof") and not self.at_kw(*_STMT_FOLLOWERS):
             stmts.append(self.statement())
         return ast.seq(stmts, span=self._span_from(start))
 
-    def statement(self) -> ast.Statement:
+    def statement(self):
         tok = self.cur
         if tok.kind == "kw":
             handler = self._STATEMENTS.get(tok.text)
             if handler is None:
-                raise ParseError(f"got keyword {tok.text!r}", tok.span,
+                raise ParseError("got keyword %r" % tok.text, tok.span,
                                  expected=("statement",))
             return handler(self)
         if tok.kind == "ident":
             return self._assign_or_swap()
-        raise ParseError(f"got {tok.text or 'end of input'!r}", tok.span,
+        raise ParseError("got %r" % (tok.text or 'end of input'), tok.span,
                          expected=("statement",))
 
     def _assign_or_swap(self):
@@ -224,10 +223,10 @@ class _Parser:
                 self.advance()
                 expr = self.expression()
                 return ast.Assign(target, op, expr, self._span_from(start))
-        raise ParseError(f"got {self.cur.text!r} after lvalue", self.cur.span,
+        raise ParseError("got %r after lvalue" % self.cur.text, self.cur.span,
                          expected=("+=", "-=", "^=", "<=>"))
 
-    def lvalue(self) -> ast.LValue:
+    def lvalue(self):
         tok = self.expect("ident", what="variable")
         if self.accept("sym", "["):
             index = self.expression()
@@ -257,7 +256,7 @@ class _Parser:
         endvar = self.expect("ident", what="variable").text
         if endvar != var:
             raise ParseError(
-                f"destruct names {endvar!r}, construct introduced {var!r}",
+                "destruct names %r, construct introduced %r" % (endvar, var),
                 self.tokens[self.pos - 1].span)
         return ast.ObjectBlock(cname, var, body, self._span_from(start))
 
@@ -273,14 +272,15 @@ class _Parser:
         var2 = self.expect("ident", what="variable").text
         if var2 != var or ty2 != ty:
             raise ParseError(
-                f"delocal {ty2} {var2!r} does not match local {ty} {var!r}",
+                "delocal %s %r does not match local %s %r"
+                % (ty2, var2, ty, var),
                 self.tokens[self.pos - 1].span)
         self.expect("sym", "=")
         exit_ = self.expression()
         return ast.LocalBlock(ty, var, entry, body, exit_,
                               self._span_from(start))
 
-    def alloc_desc(self) -> ast.AllocDesc:
+    def alloc_desc(self):
         start, name, length = self.cur.span, None, None
         if not self.accept("kw", "int"):
             name = self.expect("ident", what="class name").text
@@ -327,10 +327,10 @@ class _Parser:
         "uncall": _call,
     }
 
-    def _argument(self) -> str:
+    def _argument(self):
         return self.expect("ident", what="argument").text
 
-    def _parenthesized(self, item) -> tuple:
+    def _parenthesized(self, item):
         """`(item, ...)`, perhaps empty."""
         self.expect("sym", "(")
         items = [] if self.at("sym", ")") else [item()]
@@ -341,7 +341,7 @@ class _Parser:
 
     # -- expressions ----------------------------------------------------
 
-    def expression(self, floor=1) -> ast.Expression:
+    def expression(self, floor=1):
         """Precedence climbing: fold operators binding at least `floor`;
         a right operand takes only tighter ones, so all associate left."""
         start = self.cur.span
@@ -352,7 +352,7 @@ class _Parser:
             expr = ast.BinOp(op, expr, right, self._span_from(start))
         return expr
 
-    def _atom(self) -> ast.Expression:
+    def _atom(self):
         tok = self.cur
         if tok.kind == "int":
             self.advance()
@@ -373,16 +373,16 @@ class _Parser:
             expr = self.expression()
             self.expect("sym", ")")
             return expr
-        raise ParseError(f"got {tok.text or 'end of input'!r}", tok.span,
+        raise ParseError("got %r" % (tok.text or 'end of input'), tok.span,
                          expected=("expression",))
 
 
-def parse(source: str) -> ast.Program:
+def parse(source):
     """Parse ROOPL++ source text into a Program AST."""
     return _Parser(tokenize(source)).program()
 
 
-def parse_statement(source: str) -> ast.Statement:
+def parse_statement(source):
     """Parse a bare statement sequence (test helper)."""
     p = _Parser(tokenize(source))
     stmt = p.statement_seq()
@@ -390,7 +390,7 @@ def parse_statement(source: str) -> ast.Statement:
     return stmt
 
 
-def parse_expression(source: str) -> ast.Expression:
+def parse_expression(source):
     """Parse a bare expression (test helper)."""
     p = _Parser(tokenize(source))
     expr = p.expression()

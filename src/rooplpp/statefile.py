@@ -11,12 +11,10 @@ lists are malformed or hold a block that is not zero-cleared past its link
 word (see `MemoryImage.check_free_blocks`).
 """
 
-from __future__ import annotations
-
 import struct
 
-from .errors import ConfigError, MemoryFault
-from .heap import MemoryConfig, MemoryImage
+from .errors import ConfigError
+from .heap import MemoryConfig, MemoryFault, MemoryImage
 from .machine import MachineState
 
 MAGIC = b"RPPM"
@@ -26,54 +24,57 @@ _HEADER = struct.Struct("<4sHBBII4QI")
 _WORD_FORMATS = {16: "H", 32: "I", 64: "Q"}
 
 
-def save_state(path: str, state: MachineState):
+def save_state(path, state):
     mem = state.memory
     header = _HEADER.pack(MAGIC, VERSION, mem.word_bits, mem.num_freelists,
                           mem.config.stack_words, mem.config.grow_blocks,
                           len(mem.words), mem.heap_end, state.frame_top,
                           state.steps, state.program_crc or 0)
-    words = struct.pack(f"<{len(mem.words)}{_WORD_FORMATS[mem.word_bits]}",
+    words = struct.pack("<%d%s" % (len(mem.words),
+                                   _WORD_FORMATS[mem.word_bits]),
                         *mem.words)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(words)
 
 
-def load_state(path: str) -> MachineState:
+def load_state(path):
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size or blob[:4] != MAGIC:
-        raise ConfigError(f"{path} is not a machine-state file")
+        raise ConfigError("%s is not a machine-state file" % path)
     (_, version, word_bits, num_freelists, stack_words, grow_blocks,
      total, heap_end, frame_top, steps, crc) = _HEADER.unpack_from(blob)
     if version != VERSION:
-        raise ConfigError(f"unsupported state-file version {version}")
+        raise ConfigError("unsupported state-file version %s" % version)
     config = MemoryConfig(word_bits=word_bits, num_freelists=num_freelists,
                           stack_words=stack_words, grow_blocks=grow_blocks)
     config.validate()
     # checked before the image is built, so a bad header allocates nothing
     if total != config.arena_words():
-        raise ConfigError(f"{path}: word count {total} does not match the "
-                          f"configuration ({config.arena_words()})")
-    word_format = struct.Struct(f"<{total}{_WORD_FORMATS[word_bits]}")
+        raise ConfigError("%s: word count %s does not match the "
+                          "configuration (%s)"
+                          % (path, total, config.arena_words()))
+    word_format = struct.Struct("<%s%s" % (total, _WORD_FORMATS[word_bits]))
     if len(blob) != _HEADER.size + word_format.size:
-        raise ConfigError(f"{path}: {len(blob)} bytes, expected "
-                          f"{_HEADER.size + word_format.size} for {total} "
-                          "words")
+        raise ConfigError("%s: %s bytes, expected %s for %s words" % (
+            path, len(blob), _HEADER.size + word_format.size, total))
     mem = MemoryImage(config)
     if not (mem.heap_end <= heap_end <= mem.heap_max
             and (heap_end - mem.hp) % mem.top_size == 0):
-        raise ConfigError(f"{path}: heap end {heap_end} does not match the "
-                          "configuration")
+        raise ConfigError("%s: heap end %s does not match the "
+                          "configuration" % (path, heap_end))
     if not mem.heap_max <= frame_top <= mem.stack_base:
-        raise ConfigError(f"{path}: frame top {frame_top} is outside the "
-                          f"frame region [{mem.heap_max}, {mem.stack_base}]")
+        raise ConfigError("%s: frame top %s is outside the frame region "
+                          "[%s, %s]" % (path, frame_top, mem.heap_max,
+                                        mem.stack_base))
     mem.words = list(word_format.unpack_from(blob, _HEADER.size))
     mem.heap_end = heap_end
     try:
         mem.check_free_blocks()
     except MemoryFault as exc:
-        raise ConfigError(f"{path}: {exc.kind}: {exc.message}") from None
+        raise ConfigError("%s: %s: %s"
+                          % (path, exc.kind, exc.message)) from None
     state = MachineState(mem)
     state.frame_top = frame_top
     state.steps = steps

@@ -4,8 +4,6 @@ Node equality is structural and ignores source spans, so parse/print
 round-trips compare cleanly.
 """
 
-from __future__ import annotations
-
 from .errors import NO_SPAN, Record
 
 MOD_OPS = ("+=", "-=", "^=")
@@ -59,7 +57,7 @@ class ClassArrayType(TypeName):
     __slots__ = ("name",)
 
     def __str__(self):
-        return f"{self.name}[]"
+        return "%s[]" % self.name
 
 
 INT = IntType()
@@ -92,7 +90,7 @@ class BinOp(Expression):
     __slots__ = ("op", "left", "right", "span")
 
 
-def vars_of(expr: Expression) -> frozenset[str]:
+def vars_of(expr):
     """Free variables of an expression."""
     if isinstance(expr, (Constant, Nil)):
         return frozenset()
@@ -102,7 +100,7 @@ def vars_of(expr: Expression) -> frozenset[str]:
         return frozenset((expr.name,)) | vars_of(expr.index)
     if isinstance(expr, BinOp):
         return vars_of(expr.left) | vars_of(expr.right)
-    raise TypeError(f"not an expression: {expr!r}")
+    raise TypeError("not an expression: %r" % (expr,))
 
 
 # -------------------------------------------------------------- lvalues
@@ -137,7 +135,7 @@ class AllocDesc(Node):
     def is_int_array(self):
         return self.is_array and self.name is None
 
-    def declared_type(self) -> TypeName:
+    def declared_type(self):
         if not self.is_array:
             return ClassRef(self.name)
         if self.is_int_array:
@@ -243,7 +241,7 @@ class Program(Node):
     __slots__ = ("classes", "span")
 
 
-def seq(stmts, span=NO_SPAN) -> Statement:
+def seq(stmts, span=NO_SPAN):
     """Build the flattened-sequence normal form from a statement list."""
     flat = []
     for s in stmts:

@@ -6,9 +6,7 @@ any non-int type the context supplies, and is an error where no context
 exists (e.g. `1 + nil`).
 """
 
-from __future__ import annotations
-
-from .classes import ClassMap, array_type_of
+from .classes import array_type_of
 from .errors import NO_SPAN, TypeError_
 from . import syntax as ast
 from .syntax import vars_of
@@ -28,17 +26,17 @@ class Checker:
     """A type environment `env` maps variable names to types; `check_method`
     sets `current_class` and `field_names` for the method it checks."""
 
-    def __init__(self, class_map: ClassMap):
+    def __init__(self, class_map):
         self.class_map = class_map
-        self.errors: list[TypeError_] = []
-        self.warnings: list[str] = []
+        self.errors = []
+        self.warnings = []
 
     def error(self, rule, message, span=NO_SPAN):
         self.errors.append(TypeError_(rule, message, span))
 
     # ---------------------------------------------------------- types
 
-    def assignable(self, actual: ast.TypeName, formal: ast.TypeName) -> bool:
+    def assignable(self, actual, formal):
         """actual may be passed where formal is expected (subtyping on
         classes, invariance everywhere else)."""
         if actual == formal:
@@ -49,8 +47,8 @@ class Checker:
 
     # ----------------------------------------------------- expressions
 
-    def check_expr(self, env: dict[str, ast.TypeName], expr: ast.Expression,
-                   expected: ast.TypeName | None = None) -> ast.TypeName | None:
+    def check_expr(self, env, expr,
+                   expected=None):
         """Type of expr, or None after reporting an error.
 
         `expected` supplies the context type used to resolve Nil.
@@ -69,26 +67,26 @@ class Checker:
             return self.place_type(env, expr, "T-ArrElemVar")
         if isinstance(expr, ast.BinOp):
             return self.check_binop(env, expr)
-        raise TypeError(f"not an expression: {expr!r}")
+        raise TypeError("not an expression: %r" % (expr,))
 
-    def place_type(self, env, place, rule) -> ast.TypeName | None:
+    def place_type(self, env, place, rule):
         """Type of a variable, array element or lvalue, or None after
         reporting an error under `rule`."""
         ty = env.get(place.name)
         if ty is None:
-            self.error(rule, f"unbound variable {place.name}", place.span)
+            self.error(rule, "unbound variable %s" % place.name, place.span)
             return None
         index = getattr(place, "index", None)
         if index is None:
             return ty
         if not isinstance(ty, (ast.IntArrayType, ast.ClassArrayType)):
-            self.error(rule, f"{place.name} has type {ty}, not an array",
+            self.error(rule, "%s has type %s, not an array" % (place.name, ty),
                        place.span)
             return None
         self.expect_int(env, index, rule, "array index")
         return array_type_of(ty)
 
-    def check_binop(self, env, expr: ast.BinOp) -> ast.TypeName | None:
+    def check_binop(self, env, expr):
         # a nil operand adopts the type of the other one, checked first
         if isinstance(expr.left, ast.Nil):
             if isinstance(expr.right, ast.Nil):
@@ -108,32 +106,34 @@ class Checker:
             if expr.op in ("=", "!="):
                 return ast.INT
             self.error("T-BinOpObj",
-                       f"operator {expr.op} is not defined on {lt} operands",
+                       "operator %s is not defined on %s operands"
+                       % (expr.op, lt),
                        expr.span)
             return None
         if expr.op in ("=", "!="):
-            self.error("T-BinOpObj", f"cannot compare {lt} with {rt}",
+            self.error("T-BinOpObj", "cannot compare %s with %s" % (lt, rt),
                        expr.span)
             return None
         self.error("T-BinOpInt",
-                   f"operator {expr.op} needs int operands, got {lt} and {rt}",
+                   "operator %s needs int operands, got %s and %s"
+                   % (expr.op, lt, rt),
                    expr.span)
         return None
 
     def expect_int(self, env, expr, rule, what):
         ty = self.check_expr(env, expr, expected=ast.INT)
         if ty is not None and ty != ast.INT:
-            self.error(rule, f"{what} must be int, got {ty}",
+            self.error(rule, "%s must be int, got %s" % (what, ty),
                        getattr(expr, "span", NO_SPAN))
             return False
         return ty is not None
 
     # ------------------------------------------------------ statements
 
-    def check_stmt(self, env: dict[str, ast.TypeName], stmt: ast.Statement):
+    def check_stmt(self, env, stmt):
         method = getattr(self, "_check_" + type(stmt).__name__, None)
         if method is None:
-            raise TypeError(f"not a statement: {stmt!r}")
+            raise TypeError("not a statement: %r" % (stmt,))
         method(env, stmt)
 
     def _check_Skip(self, env, stmt):
@@ -143,39 +143,42 @@ class Checker:
         for s in stmt.stmts:
             self.check_stmt(env, s)
 
-    def _check_Assign(self, env, stmt: ast.Assign):
+    def _check_Assign(self, env, stmt):
         target = stmt.target
         ty = env.get(target.name)
         if ty is None:
-            self.error("T-AssVar", f"unbound variable {target.name}", stmt.span)
+            self.error("T-AssVar", "unbound variable %s" % target.name,
+                       stmt.span)
             return
         if target.is_cell:
             if not isinstance(ty, ast.IntArrayType):
                 self.error("T-ArrElemAss",
-                           f"{target.name} has type {ty}; assignable cells "
-                           "need int[]", stmt.span)
+                           "%s has type %s; assignable cells "
+                           "need int[]" % (target.name, ty), stmt.span)
                 return
             self.expect_int(env, target.index, "T-ArrElemAss", "array index")
             banned = frozenset((target.name,)) | vars_of(target.index)
             overlap = banned & vars_of(stmt.expr)
             if overlap:
                 self.error("T-ArrElemAss",
-                           f"right-hand side references {', '.join(sorted(overlap))}",
+                           "right-hand side references %s"
+                           % ", ".join(sorted(overlap)),
                            stmt.span)
             self.expect_int(env, stmt.expr, "T-ArrElemAss", "right-hand side")
             return
         if ty != ast.INT:
             self.error("T-AssVar",
-                       f"{target.name} has type {ty}; {stmt.op} needs int",
+                       "%s has type %s; %s needs int"
+                       % (target.name, ty, stmt.op),
                        stmt.span)
             return
         if target.name in vars_of(stmt.expr):
             self.error("T-AssVar",
-                       f"{target.name} occurs on its own right-hand side",
+                       "%s occurs on its own right-hand side" % target.name,
                        stmt.span)
         self.expect_int(env, stmt.expr, "T-AssVar", "right-hand side")
 
-    def _check_Swap(self, env, stmt: ast.Swap):
+    def _check_Swap(self, env, stmt):
         lt = self.place_type(env, stmt.left, "T-SwpVar")
         rt = self.place_type(env, stmt.right, "T-SwpVar")
         if lt is None or rt is None or lt == rt:
@@ -186,40 +189,40 @@ class Checker:
                 return
             if stmt.right.is_cell and self.assignable(lt, rt):
                 return
-        self.error("T-SwpVar", f"cannot swap {lt} with {rt}", stmt.span)
+        self.error("T-SwpVar", "cannot swap %s with %s" % (lt, rt), stmt.span)
 
-    def _check_If(self, env, stmt: ast.If):
+    def _check_If(self, env, stmt):
         self.expect_int(env, stmt.cond, "T-If", "if condition")
         self.check_stmt(env, stmt.then_body)
         self.check_stmt(env, stmt.else_body)
         self.expect_int(env, stmt.assertion, "T-If", "fi assertion")
 
-    def _check_Loop(self, env, stmt: ast.Loop):
+    def _check_Loop(self, env, stmt):
         self.expect_int(env, stmt.assertion, "T-Loop", "from assertion")
         self.check_stmt(env, stmt.do_body)
         self.check_stmt(env, stmt.loop_body)
         self.expect_int(env, stmt.cond, "T-Loop", "until condition")
 
-    def known_class(self, name, rule, span) -> bool:
+    def known_class(self, name, rule, span):
         """False after reporting `name` as an unknown class; None, which
         names no class, is known."""
         if name is None or name in self.class_map:
             return True
-        self.error(rule, f"unknown class {name}", span)
+        self.error(rule, "unknown class %s" % name, span)
         return False
 
-    def _check_ObjectBlock(self, env, stmt: ast.ObjectBlock):
+    def _check_ObjectBlock(self, env, stmt):
         if not self.known_class(stmt.class_name, "T-ObjBlock", stmt.span):
             return
         prior = env.get(stmt.var)
         if prior is not None and prior != ast.ClassRef(stmt.class_name):
             self.warnings.append(
-                f"{stmt.span}: construct {stmt.class_name} {stmt.var} shadows "
-                f"variable {stmt.var} of type {prior}")
+                "%s: construct %s %s shadows variable %s of type %s" % (
+                    stmt.span, stmt.class_name, stmt.var, stmt.var, prior))
         self.check_stmt({**env, stmt.var: ast.ClassRef(stmt.class_name)},
                         stmt.body)
 
-    def _check_LocalBlock(self, env, stmt: ast.LocalBlock):
+    def _check_LocalBlock(self, env, stmt):
         ty = stmt.var_type
         if not self.known_class(getattr(ty, "name", None), "T-LocalBlock",
                                 stmt.span):
@@ -229,11 +232,11 @@ class Checker:
             et = self.check_expr(env, expr, expected=ty)
             if et is not None and et != ty:
                 self.error("T-LocalBlock",
-                           f"{what} has type {et}, expected {ty}",
+                           "%s has type %s, expected %s" % (what, et, ty),
                            getattr(expr, "span", stmt.span))
         self.check_stmt({**env, stmt.var: ty}, stmt.body)
 
-    def _desc_type(self, env, desc: ast.AllocDesc, rule) -> ast.TypeName | None:
+    def _desc_type(self, env, desc, rule):
         if not self.known_class(desc.name, rule, desc.span):
             return None
         if desc.is_array:
@@ -247,7 +250,8 @@ class Checker:
         if want is None or got is None:
             return
         if got != want:
-            self.error(rule, f"target has type {got}, descriptor says {want}",
+            self.error(rule, "target has type %s, descriptor says %s"
+                       % (got, want),
                        stmt.span)
 
     def _check_copy_uncopy(self, env, stmt):
@@ -260,7 +264,8 @@ class Checker:
         # both operands must carry exactly the declared type
         if st != want or tt != want:
             self.error(rule,
-                       f"operands have types {st} and {tt}, descriptor says {want}",
+                       "operands have types %s and %s, descriptor says %s"
+                       % (st, tt, want),
                        stmt.span)
 
     def _check_call(self, env, stmt):
@@ -275,23 +280,25 @@ class Checker:
             if cty is None:
                 return
             if not isinstance(cty, ast.ClassRef):
-                self.error(rule, f"callee has type {cty}, not an object",
+                self.error(rule, "callee has type %s, not an object" % cty,
                            stmt.span)
                 return
             class_name = cty.name
         mdecl = self.class_map[class_name].methods.get(stmt.method)
         if mdecl is None:
-            self.error(rule, f"class {class_name} has no method {stmt.method}",
+            self.error(rule, "class %s has no method %s"
+                       % (class_name, stmt.method),
                        stmt.span)
             return
         args = stmt.args
         if callee is not None and not callee.is_cell and callee.name in args:
-            self.error(rule, f"callee {callee.name} cannot also be an "
-                       "argument", stmt.span)
+            self.error(rule, "callee %s cannot also be an "
+                       "argument" % callee.name, stmt.span)
         if len(args) != len(mdecl.params):
             self.error(rule,
-                       f"{stmt.method} takes {len(mdecl.params)} arguments, "
-                       f"got {len(args)}", stmt.span)
+                       "%s takes %s arguments, got %s"
+                       % (stmt.method, len(mdecl.params), len(args)),
+                       stmt.span)
             return
         if len(set(args)) != len(args):
             self.error(rule, "argument list must contain unique variables",
@@ -299,17 +306,17 @@ class Checker:
         bad = [a for a in args if a in self.field_names]
         if callee is None and bad:
             self.error(rule,
-                       f"class fields cannot be passed to a local method: "
-                       f"{', '.join(bad)}", stmt.span)
+                       "class fields cannot be passed to a local method: "
+                       "%s" % ', '.join(bad), stmt.span)
         for arg, (pty, pname) in zip(args, mdecl.params):
             aty = env.get(arg)
             if aty is None:
-                self.error(rule, f"unbound argument {arg}", stmt.span)
+                self.error(rule, "unbound argument %s" % arg, stmt.span)
                 continue
             if not self.assignable(aty, pty):
                 self.error(rule,
-                           f"argument {arg} has type {aty}, parameter "
-                           f"{pname} wants {pty}", stmt.span)
+                           "argument %s has type %s, parameter "
+                           "%s wants %s" % (arg, aty, pname, pty), stmt.span)
 
     _check_New = _check_Delete = _check_new_delete
     _check_Copy = _check_Uncopy = _check_copy_uncopy
@@ -318,7 +325,7 @@ class Checker:
 
     # --------------------------------------------------------- programs
 
-    def check_method(self, class_name: str, mdecl: ast.MethodDecl):
+    def check_method(self, class_name, mdecl):
         info = self.class_map[class_name]
         env = {fname: fty for fty, fname in info.fields}
         self.current_class, self.field_names = class_name, frozenset(env)
@@ -327,7 +334,7 @@ class Checker:
         self.check_stmt(env, mdecl.body)
 
 
-def check_program(program: ast.Program, class_map: ClassMap, warnings=None):
+def check_program(program, class_map, warnings=None):
     """All type errors for a program (empty list means well-typed).
 
     Non-fatal findings (e.g. an object block shadowing a live variable of
@@ -350,7 +357,7 @@ def check_program(program: ast.Program, class_map: ClassMap, warnings=None):
     return checker.errors
 
 
-def main_class_of(program: ast.Program) -> str:
+def main_class_of(program):
     """Name of the class declaring the nullary main method."""
     for cls in program.classes:
         for m in cls.methods:

@@ -746,6 +746,48 @@ def test_failed_final_write_exit_4(args):
     assert result.stderr == "error: [Errno 28] No space left on device\n"
 
 
+_WARNS_ONLY = """\
+class Cell
+    int data
+
+    method poke(int v)
+        data += v
+
+class Main
+    int t
+
+    method main()
+        construct Cell t
+            skip
+        destruct t
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that refuses writes")
+@pytest.mark.parametrize("args, code", [
+    (["check", "Nope.rplpp"], 4),
+    (["check", "static/dup_args.rplpp"], 2),
+    (["check", "static/truncated.rplpp"], 3),
+    (["run", "errors/div_zero.rplpp"], 1),
+    (["run", "--bogus", "x"], 4),
+    (["check", "WARNS_ONLY"], 0),
+], ids=lambda value: value if isinstance(value, int) else " ".join(value))
+def test_refused_stderr_keeps_exit_code(tmp_path, args, code):
+    # the stderr line fails to print; the exit code stays the failure's own
+    warns = tmp_path / "warns.rplpp"
+    warns.write_text(_WARNS_ONLY)
+    argv = [str(warns) if arg == "WARNS_ONLY" else
+            str(FIXTURES_DIR / arg) if arg.endswith(".rplpp") else arg
+            for arg in args]
+    with open("/dev/full", "w") as full:
+        result = _buffered_cli(*argv, stdout=subprocess.PIPE, stderr=full,
+                               text=True)
+    assert result.returncode == code
+    # the same call with a working stderr prints one line or more there
+    assert cli(*argv).stderr
+
+
 def test_closed_pipe_exit_4():
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -830,7 +872,7 @@ def test_check_loads_no_back_end():
     assert "rooplpp.typecheck" in loaded           # the probe sees imports
     for name in ("dataclasses", "json", "rooplpp.machine", "rooplpp.heap",
                  "rooplpp.statefile", "rooplpp.inverter", "rooplpp.printer",
-                 *_ARGPARSE):
+                 "rooplpp.emit", "rooplpp.runner", *_ARGPARSE):
         assert name not in loaded, name
 
 
@@ -838,8 +880,65 @@ def test_invert_loads_neither_checker_nor_interpreter():
     loaded = _modules_after("invert", str(corpus_path("BinaryTree")))
     assert "rooplpp.inverter" in loaded
     for name in ("dataclasses", "rooplpp.typecheck", "rooplpp.machine",
-                 "rooplpp.heap", "rooplpp.statefile", *_ARGPARSE):
+                 "rooplpp.heap", "rooplpp.statefile", "rooplpp.emit",
+                 "rooplpp.runner", *_ARGPARSE):
         assert name not in loaded, name
+
+
+def test_cli_module_loads_no_front_end():
+    probe = ("import sys; import rooplpp.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('rooplpp')))")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True)
+    assert result.stdout.split() == ["['rooplpp',", "'rooplpp.cli']"]
+
+
+# `python -m rooplpp.cli` with the function each subcommand calls first
+# wrapped to print whether the cyclic collector is on
+_COLLECTOR_PROBE = """
+import gc, runpy, sys
+import rooplpp.inverter, rooplpp.runner, rooplpp.typecheck
+
+def probe(module, name):
+    inner = getattr(module, name)
+    def wrapper(*args, **kwargs):
+        print("collector", gc.isenabled(), file=sys.stderr)
+        return inner(*args, **kwargs)
+    setattr(module, name, wrapper)
+
+probe(rooplpp.typecheck, "check_program")
+probe(rooplpp.inverter, "invert_program")
+probe(rooplpp.runner, "run")
+runpy.run_module("rooplpp.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("command", ["check", "invert", "run"])
+def test_process_runs_without_the_collector(command):
+    result = subprocess.run([sys.executable, "-c", _COLLECTOR_PROBE, command,
+                             str(corpus_path("Fibonacci"))],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    # run calls the type checker and then the runner
+    assert result.stderr.split("\n")[:-1] == (
+        ["collector False"] * (2 if command == "run" else 1))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_alone(enabled):
+    import gc
+    from rooplpp.cli import main
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for command in ("check", "invert", "run"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    pytest.raises(SystemExit):
+                main([command, str(corpus_path("Fibonacci"))])
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_run_loads_json_only_for_json_or_trace(tmp_path):
