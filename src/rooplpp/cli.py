@@ -7,6 +7,9 @@ Each subcommand imports only the modules it uses, and this module imports
 none of them until a subcommand runs: `check` loads the front end and
 stops after the type checker, `invert` loads the parser, class analysis,
 inverter and printer, and only `run` loads the interpreter and `runner`.
+`run` itself loads `json` only for `--trace`, the inverter only to run a
+body backward or to resume a state that another program saved, and the
+state-file code only for `--resume` or `--save-state`.
 
 The `rooplpp` process runs without the cyclic garbage collector, which in
 a process this short frees nothing, and ends with `os._exit` once its

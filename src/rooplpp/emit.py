@@ -9,7 +9,6 @@ once per process.  Text is built with %, not f-strings (faster to compile)."""
 import enum
 import functools
 
-from .inverter import INVERSE_KIND
 from . import syntax as ast
 
 FORWARD = "forward"
@@ -47,8 +46,6 @@ class RuntimeErrorKind(enum.Enum):
 
 E = RuntimeErrorKind
 
-# trace records of a backward body name the source statement's kind
-_SOURCE_KIND = {a.__name__: b.__name__ for a, b in INVERSE_KIND.items()}
 # Python refuses 200 nested brackets, 100 indentation levels and 20 nested
 # loops in one function; emitted code spills well before each limit
 _MAX_BRACKETS, _MAX_INDENT, _MAX_LOOPS = 50, 50, 15
@@ -203,8 +200,9 @@ class Emitter:
             self.check("not (%s := %s)" % (divisor, right), E.DIVISION_BY_ZERO,
                        "division by zero in " + op, expr.span)
             right = divisor
-        elif left.isdigit() and right.isdigit():
-            return str(apply_binop(op, int(left), int(right), self.bits))
+        elif left.isdigit() and right.isdigit():  # fold, compiled once
+            return str(eval(_compiled(_binop_text(op, left, right, self.bits),
+                                      "<fold>", "eval"), division(self.bits)))
         text = _binop_text(op, left, right, self.bits, truth)
         if text.count("(") + text.count("[") <= _MAX_BRACKETS:
             return text
@@ -258,7 +256,10 @@ class Emitter:
             self.emit("S._touched = []")
         getattr(self, "_" + kind)(stmt, names)
         if self.traced:
-            rule = _SOURCE_KIND.get(kind, kind) if self.backward else kind
+            rule = kind
+            if self.backward:  # a record names the source statement's kind
+                from .inverter import INVERSE_KIND
+                rule = INVERSE_KIND.get(type(stmt), type(stmt)).__name__
             record = self.site(span, (span.line, span.col, span.end_line,
                                       span.end_col), rule,
                                BACKWARD if self.backward else FORWARD)

@@ -282,15 +282,6 @@ class MemoryImage:
             "%0*x" % (digits, w) for w in self.words[base:min(base + 8, end)])
             for base in range(start, end, 8))
 
-    def clone(self):
-        other = MemoryImage.__new__(MemoryImage)
-        other.__dict__.update(self.__dict__)
-        other.words = list(self.words)
-        return other
-
-    def same_words(self, other):
-        return self.words == other.words and self.heap_end == other.heap_end
-
 
 def init_memory(config=MemoryConfig()):
     """Fresh image: zeroed arena, one top-size block on the last free list."""

@@ -9,7 +9,9 @@ A body is emitted (`emit.Emitter`) on its first invocation in a run, once
 per (concrete class, method, direction), a backward body from its inverse;
 each distinct text is compiled once per process, and each run executes it
 in a namespace of its own.  `main` runs the same way, over the main
-object, but pushes no frame word and no call-stack label.
+object, but pushes no frame word and no call-stack label.  The inverter is
+imported only to emit a backward body, or to compare a resumed state's
+checksum with the inverse program's.
 """
 
 import sys
@@ -18,7 +20,6 @@ import zlib
 from .errors import ConfigError, ExecutionError, Record
 from .heap import MemoryConfig, MemoryFault, init_memory
 from .emit import BACKWARD, FORWARD, E, Emitter, division
-from .inverter import invert_program, invert_stmt
 from .typecheck import main_class_of
 from . import syntax as ast
 
@@ -81,7 +82,10 @@ class Interpreter:
             names = {x: "o + %d" % i for i, (_, x) in enumerate(fields, 2)}
             params = ["p%d" % i for i in range(len(mdecl.params))]
             names.update(zip((x for _, x in mdecl.params), params))
-            body = invert_stmt(mdecl.body) if backward else mdecl.body
+            body = mdecl.body
+            if backward:
+                from .inverter import invert_stmt
+                body = invert_stmt(body)
             run = Emitter(self, backward).compile(
                 ["t", "o", *params, "n", "b"], body, names)
             self.methods[key] = run, info.name + "::" + name
@@ -248,9 +252,10 @@ def run_program(program, class_map,
     fresh = state is None
     if fresh:
         state = MachineState(init_memory(config), step_limit=step_limit)
-    elif state.program_crc not in (None, checksum) and \
-            state.program_crc != _checksum(invert_program(program)):
-        raise ConfigError("the state was saved by a different program")
+    elif state.program_crc not in (None, checksum):
+        from .inverter import invert_program
+        if state.program_crc != _checksum(invert_program(program)):
+            raise ConfigError("the state was saved by a different program")
     state.program_crc = checksum
     state.tracer = tracer
     obj_addr = state.memory.stack_base - 2 - len(info.fields)

@@ -31,3 +31,16 @@ def load_pipeline(path):
     errors = check_program(program, class_map)
     assert not errors, errors
     return program, class_map
+
+
+def clone_memory(mem):
+    """A copy of the memory image `mem` with a word list of its own."""
+    other = type(mem).__new__(type(mem))
+    other.__dict__.update(mem.__dict__)
+    other.words = list(mem.words)
+    return other
+
+
+def same_words(mem, other):
+    """Whether two memory images hold the same words and heap end."""
+    return mem.words == other.words and mem.heap_end == other.heap_end

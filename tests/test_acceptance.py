@@ -19,7 +19,7 @@ from rooplpp import cli
 from rooplpp import syntax as ast
 
 from astgen import make_program, random_statement
-from conftest import FIXTURES_DIR, corpus_path
+from conftest import FIXTURES_DIR, corpus_path, same_words
 from oracles import BstOracle, ListBuddy, doubly_linked_oracle, increment_tape
 
 CORPUS_NAMES = ("Fibonacci", "LinkedList", "BinaryTree", "DoublyLinkedList",
@@ -217,7 +217,7 @@ def test_criterion_6_lifo_vs_garbage():
                     continue
         for addr, size in reversed(live):
             mem.free(addr, size)
-        assert mem.same_words(baseline), trial
+        assert same_words(mem, baseline), trial
 
     # a deallocation order that is not the reverse of allocation
     mem = init_memory(config)
@@ -230,7 +230,7 @@ def test_criterion_6_lifo_vs_garbage():
         mem.free(addr, size)
     snap = mem.snapshot_free_lists()
     assert snap.total_free_words == 16
-    assert not mem.same_words(baseline)
+    assert not same_words(mem, baseline)
     lists = dict(snap.lists)
     assert lists[2] == (hp + 12, hp + 14)
     assert lists[4] == (hp + 8,)

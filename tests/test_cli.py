@@ -13,9 +13,11 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rooplpp import BACKWARD, run_program
 from rooplpp.statefile import load_state, save_state
 
-from conftest import CORPUS_DIR, FIXTURES_DIR, corpus_path
+from conftest import (CORPUS, CORPUS_DIR, FIXTURES_DIR, corpus_path,
+                      load_pipeline)
 
 
 def cli(*args):
@@ -83,6 +85,73 @@ def test_run_dump_heap():
     assert result.returncode == 0
     assert "2^10: 11 -> 0" in result.stdout
     assert "00000000:" in result.stdout
+
+
+# fields named with a Latin-1 letter, two CJK ideographs and a letter
+# above U+FFFF, which `json.dumps` writes as a surrogate pair
+_UNICODE_FIELDS = """
+class Program
+    int \u00e9
+    int \u65e5\u672c
+    int \U0001d518
+
+    method main()
+        \u00e9 -= 1
+        \u65e5\u672c -= 300
+        \U0001d518 += 5
+        \U0001d518 -= 70000
+"""
+
+
+def _expected_json_and_heap(result):
+    """What `run --json --dump-heap` printed before the --json line was
+    formatted without json: `json.dumps` of the fields, count and free
+    lists, then the free lists and the heap words."""
+    mem = result.state.memory
+    line = json.dumps({"fields": result.fields, "steps": result.steps,
+                       "freelists": {str(size): list(addrs) for size, addrs
+                                     in mem.snapshot_free_lists().lists}})
+    return "%s\n%s\n%s\n" % (line, mem.dump_free_lists(),
+                               mem.hex_dump(0, mem.heap_end))
+
+
+@pytest.mark.parametrize("name", [p.stem for p in CORPUS] + ["unicode"])
+def test_json_line_is_json_dumps(name, tmp_path):
+    path = corpus_path(name)
+    if name == "unicode":
+        path = tmp_path / "unicode.rplpp"
+        path.write_text(_UNICODE_FIELDS, encoding="utf-8")
+    state = str(tmp_path / "forward.state")
+    forward = subprocess.run(
+        [sys.executable, "-m", "rooplpp.cli", "run", "--json", "--dump-heap",
+         "--save-state", state, str(path)], capture_output=True)
+    rewound = subprocess.run(
+        [sys.executable, "-m", "rooplpp.cli", "run", "--resume", state,
+         "--reverse", "--json", "--dump-heap", str(path)], capture_output=True)
+    assert forward.returncode == rewound.returncode == 0, forward.stderr
+    program, class_map = load_pipeline(path)
+    ran = run_program(program, class_map)
+    assert forward.stdout == _expected_json_and_heap(ran).encode()
+    back = run_program(program, class_map, direction=BACKWARD,
+                       state=ran.state)
+    assert rewound.stdout == _expected_json_and_heap(back).encode()
+    if name == "unicode":
+        assert json.loads(forward.stdout.splitlines()[0])["fields"] == {
+            "\u00e9": -1, "\u65e5\u672c": -300, "\U0001d518": -69995}
+        assert b"\\ud835\\udd18" in forward.stdout
+
+
+def test_json_line_formats_every_value_as_json_dumps():
+    from rooplpp.runner import json_line
+
+    cases = [({}, 0, ()),
+             ({"x": -(1 << 63), "_y1": (1 << 64) - 1}, 10 ** 12,
+              ((2, ()), (4, (5, 9)), (1024, (11,)))),
+             ({"\u00e9\u00e9x": 0, "a\U0001d518b\u0661": -7}, 3, ((2, (0,)),))]
+    for fields, steps, lists in cases:
+        assert json_line(fields, steps, lists) == json.dumps(
+            {"fields": fields, "steps": steps,
+             "freelists": {str(size): list(addrs) for size, addrs in lists}})
 
 
 def test_run_flags_configure_memory():
@@ -947,8 +1016,36 @@ def test_run_loads_json_only_for_json_or_trace(tmp_path):
     assert "rooplpp.machine" in plain
     for name in ("json", *_ARGPARSE):
         assert name not in plain, name
-    assert "json" in _modules_after("run", "--json", path)
+    # the --json line is formatted without json
+    assert "json" not in _modules_after("run", "--json", path)
     assert "json" in _modules_after("run", "--trace", str(tmp_path / "t"), path)
+
+
+def test_run_loads_the_inverter_only_to_run_backward(tmp_path):
+    path, state = str(corpus_path("BinaryTree")), str(tmp_path / "s")
+    forward = _modules_after("run", "--json", "--save-state", state, path)
+    assert "rooplpp.machine" in forward
+    assert "rooplpp.inverter" not in forward
+    assert "rooplpp.inverter" in _modules_after("run", "--resume", state,
+                                                "--reverse", path)
+    # RTM's one uncall is on a branch its tape never takes
+    assert "rooplpp.inverter" not in _modules_after(
+        "run", str(corpus_path("RTM")))
+    uncall = tmp_path / "uncall.rplpp"
+    uncall.write_text("class Program\n    int x\n\n    method main()\n"
+                      "        uncall inc()\n\n    method inc()\n"
+                      "        x += 1\n")
+    assert "rooplpp.inverter" in _modules_after("run", str(uncall))
+
+
+def test_run_loads_the_state_file_code_only_for_state_flags(tmp_path):
+    path, state = str(corpus_path("LinkedList")), str(tmp_path / "s")
+    for args in ((), ("--json",), ("--trace", str(tmp_path / "t"))):
+        assert "rooplpp.statefile" not in _modules_after("run", *args, path)
+    assert "rooplpp.statefile" in _modules_after("run", "--save-state", state,
+                                                 path)
+    assert "rooplpp.statefile" in _modules_after("run", "--resume", state,
+                                                 "--reverse", path)
 
 
 def test_package_exports_resolve_lazily():

@@ -37,6 +37,7 @@ TESTS_DIR = Path(__file__).parent
 sys.path.insert(0, str(TESTS_DIR))
 
 from astgen import make_program  # noqa: E402
+from conftest import clone_memory  # noqa: E402
 
 GOLDEN = TESTS_DIR / "fixtures" / "executor_golden.json"
 ASTGEN_CONFIG = MemoryConfig(num_freelists=6, stack_words=128)
@@ -63,7 +64,8 @@ def _fresh_state(program, class_map, config, step_limit):
 
 def _record(program, class_map, config, direction, state):
     """Run once untraced on `state` and once traced on a clone of it."""
-    twin = MachineState(state.memory.clone(), step_limit=state.step_limit)
+    twin = MachineState(clone_memory(state.memory),
+                        step_limit=state.step_limit)
     twin.frame_top, twin.steps = state.frame_top, state.steps
     twin.live_slots = list(state.live_slots)
     records = []

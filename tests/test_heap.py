@@ -4,6 +4,7 @@ import pytest
 
 from rooplpp import ConfigError, MemoryConfig, MemoryFault, init_memory
 
+from conftest import clone_memory, same_words
 from oracles import ListBuddy
 
 SMALL = MemoryConfig(num_freelists=4, stack_words=8)
@@ -104,12 +105,12 @@ def test_pop_leaving_empty_list_at_address_csize_is_not_adjacent():
     # with 3 free lists hp = 4, so the second 4-word block sits at 4 and
     # `p - csize` is 0, the value of the list head the pop leaves behind
     mem = init_memory(MemoryConfig(num_freelists=3, stack_words=8))
-    baseline = mem.clone()
+    baseline = clone_memory(mem)
     assert (mem.malloc(4), mem.malloc(4)) == (8, 4)
     assert mem.snapshot_free_lists().sizes_present() == ()
     mem.free(4, 4)
     mem.free(8, 4)
-    assert mem.same_words(baseline)
+    assert same_words(mem, baseline)
 
 
 def test_request_rounding_and_minimum():
@@ -154,7 +155,7 @@ def test_single_alloc_free_restores_init():
     baseline = fresh()
     addr = mem.malloc(2)
     mem.free(addr, 2)
-    assert mem.same_words(baseline)
+    assert same_words(mem, baseline)
 
 
 def test_non_opposite_deallocation_differs_but_conserves():
@@ -176,7 +177,7 @@ def test_non_opposite_deallocation_differs_but_conserves():
     assert lists[8] == (hp,)
     assert lists[16] == ()
     assert snap.total_free_words == 16
-    assert not mem.same_words(fresh())
+    assert not same_words(mem, fresh())
 
 
 def test_lifo_free_restores_init_random():
@@ -193,7 +194,7 @@ def test_lifo_free_restores_init_random():
                 break
         for addr, size in reversed(live):
             mem.free(addr, size)
-        assert mem.same_words(baseline)
+        assert same_words(mem, baseline)
 
 
 def test_freeing_nonzero_block_is_corrupt():
@@ -322,7 +323,7 @@ def test_exact_inverse_of_random_sequences():
                 undo_addr, undo_size = trace.pop()
                 mem.free(undo_addr, undo_size)
                 mem.check_free_blocks()
-        snapshot = mem.clone()
+        snapshot = clone_memory(mem)
         extra = []
         for _ in range(3):
             try:
@@ -333,7 +334,7 @@ def test_exact_inverse_of_random_sequences():
         for addr, size in reversed(extra):
             mem.free(addr, size)
             mem.check_free_blocks()
-        assert mem.same_words(snapshot)
+        assert same_words(mem, snapshot)
 
 
 class _CountingWords(list):
@@ -352,11 +353,11 @@ def test_free_reads_logarithmic_in_heap_size(log_heap):
     # scanned merge partners word by word read the whole heap (65,623
     # reads on 2^16 words, 1,048,683 on 2^20)
     mem = init_memory(MemoryConfig(num_freelists=log_heap, stack_words=8))
-    baseline = mem.clone()
+    baseline = clone_memory(mem)
     mem.words = _CountingWords(mem.words)
     mem.free(mem.malloc(2), 2)
     assert mem.words.reads < 200
-    assert mem.same_words(baseline)
+    assert same_words(mem, baseline)
 
 
 # ------------------------------------------------------- free-block sweep

@@ -909,6 +909,15 @@ def test_a_second_run_compiles_nothing(path):
     assert limited == first
 
 
+def test_a_second_run_folds_constants_without_compiling():
+    first = run_body("x += 2 * 3")
+    assert first.fields["x"] == 6
+    with _compiles() as texts:
+        again = run_body("x += 2 * 3")
+    assert texts == []
+    assert again.fields == first.fields
+
+
 # main's text is the same for both `step, local` pairs; its call sites
 # dispatch to different methods
 _SAME_MAIN = """

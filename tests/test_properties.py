@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from rooplpp import (BACKWARD, MemoryConfig, apply_binop, build_class_map,
                      init_memory, parse, run_program)
 
+from conftest import same_words
+
 widths = st.sampled_from((16, 32, 64))
 raw = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -138,7 +140,7 @@ def test_lifo_discipline_restores_free_lists(requests):
     for addr, size in reversed(live):
         mem.free(addr, size)
     mem.check_free_blocks()
-    assert mem.same_words(baseline)
+    assert same_words(mem, baseline)
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,4 +164,4 @@ def test_interleaved_lifo_stack_restores(requests, rng):
     for addr, s in reversed(live):
         mem.free(addr, s)
     mem.check_free_blocks()
-    assert mem.same_words(baseline)
+    assert same_words(mem, baseline)

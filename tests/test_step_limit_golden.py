@@ -30,6 +30,7 @@ TESTS_DIR = Path(__file__).parent
 sys.path.insert(0, str(TESTS_DIR))
 
 from astgen import make_program  # noqa: E402
+from conftest import clone_memory  # noqa: E402
 from test_executor_golden import (ASTGEN_CONFIG, _digest,  # noqa: E402
                                   _fresh_state)
 
@@ -38,7 +39,7 @@ CORPUS = ("LinkedList", "RTM")
 
 
 def _copy(state, step_limit):
-    twin = MachineState(state.memory.clone(), step_limit=step_limit)
+    twin = MachineState(clone_memory(state.memory), step_limit=step_limit)
     twin.frame_top, twin.steps = state.frame_top, state.steps
     twin.live_slots = list(state.live_slots)
     twin.program_crc = state.program_crc
