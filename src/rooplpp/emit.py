@@ -130,7 +130,7 @@ class Emitter:
         self.traced, mem = interp.tracer is not None, interp.mem
         self.bits, self.mask, self.heap_max = mem.word_bits, mem.mask, \
             mem.heap_max
-        self.sign, self.limit = 1 << (self.bits - 1), interp.state.step_limit
+        self.sign, self.limit = 1 << (self.bits - 1), interp.step_limit
         self.bound = {"L": self.limit}  # step limit, sites and caches by name
         self.functions, self.lines = [], []  # emitted, being emitted
         self.indent = self.loops = self.temps = self.pushed = 0
@@ -332,7 +332,7 @@ class Emitter:
             self.write("v + 1", "(w[v + 1] + 1) & %d" % self.mask,
                        "(v := w[%s])" % slot)
         self.stmt(stmt.body, {**names, stmt.var: slot})
-        value, signed = self.value(stmt.exit, names), self.interp.state.signed
+        value, signed = self.value(stmt.exit, names), self.interp.mem.signed
         self.check("(v := %s) != w[%s]" % (value, slot), E.DELOCAL_MISMATCH,
                    lambda cur, v2: "%s holds %d, delocal expects %d" % (
                        stmt.var, signed(cur), signed(v2)), stmt.span,

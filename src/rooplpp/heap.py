@@ -129,6 +129,10 @@ class MemoryImage:
                               "write at %s out of bounds" % addr)
         self.words[addr] = value & self.mask
 
+    def signed(self, word):
+        """The two's-complement value of the word `word`."""
+        return word - self.mask - 1 if word > self.mask >> 1 else word
+
     # ------------------------------------------------------- allocator
 
     def malloc(self, osize):

@@ -23,24 +23,14 @@ from .emit import BACKWARD, FORWARD, E, Emitter, division
 from .typecheck import main_class_of
 from . import syntax as ast
 
-_FAULT_KINDS = {"NilFault": E.NIL_DEREFERENCE, "AddressFault": E.ADDRESS_FAULT,
-                "OutOfMemory": E.OUT_OF_MEMORY, "CorruptFree": E.CORRUPT_FREE}
-
-
 class MachineState:
-    def __init__(self, memory, step_limit=10_000_000):
+    """What a state file holds, and no more."""
+
+    def __init__(self, memory):
         self.memory = memory
         self.frame_top = memory.stack_base
         self.steps = 0
-        self.step_limit = step_limit
-        self.live_slots = []  # the roots
-        self.tracer = None
         self.program_crc = None  # crc32 of repr(program) of the last run
-        self._touched = []
-
-    def signed(self, word):
-        bits = self.memory.word_bits
-        return word - (1 << bits) if word & (1 << (bits - 1)) else word
 
 
 class RunResult(Record):
@@ -49,29 +39,30 @@ class RunResult(Record):
 
 class Interpreter:
     """Runs method bodies, each emitted once per (class id, method,
-    direction), over one machine state for one run; with `state.tracer`
-    set, read once here, in their traced variant.  Emitted code calls the
-    helpers below through the globals `F` and `A` (failed checks), `X`
+    direction), over one machine state for one run of `step_limit` steps
+    at most; with a `tracer`, in their traced variant.  Emitted code calls
+    the helpers below through the globals `F` and `A` (failed checks), `X`
     (dispatch miss), `N`, `D` and `U` (new, delete, copy) and `T` (trace
     record), each with the tuple of its site: the span, the local blocks
     pushed and what else the emitter knew."""
 
-    def __init__(self, class_map, state):
+    def __init__(self, class_map, state, step_limit, tracer):
         self.class_map, self.state = class_map, state
+        self.step_limit, self.tracer = step_limit, tracer
         self.mem = mem = state.memory
         self.words = words = mem.words
         self.methods = {}
-        self.tracer = state.tracer
+        self._touched = []  # words written by the traced statement
 
         def poke(addr, value):
             words[addr] = value
-            state._touched.append(addr)
-        self.put = words.__setitem__ if self.tracer is None else poke
+            self._touched.append(addr)
+        self.put = words.__setitem__ if tracer is None else poke
         self.globals = {"w": words, "F": self.fail, "A": self.cell_fault,
                         "X": self.dispatch, "N": self.new, "D": self.delete,
                         "U": self.copy, **division(mem.word_bits)}
-        if self.tracer is not None:
-            self.globals.update(P=poke, T=self.record, S=state)
+        if tracer is not None:
+            self.globals.update(P=poke, T=self.record, S=self)
 
     def _method(self, info, name, backward):
         """(function, label) of `name` on `info`, emitted once; a backward
@@ -121,7 +112,7 @@ class Interpreter:
             self.error(site, E.UNINITIALIZED_ARRAY,
                        "array %s has not been allocated" % name)
         self.error(site, E.INDEX_OUT_OF_BOUNDS, "index %d outside [0, %d) of"
-                   " %s" % (self.state.signed(index), self.words[array], name))
+                   " %s" % (self.mem.signed(index), self.words[array], name))
 
     def dispatch(self, site, obj, base):
         """(function, label) of the call at `site` on the object `obj`."""
@@ -143,7 +134,7 @@ class Interpreter:
 
     def record(self, site):
         _, _, where, rule, direction = site
-        touched = self.state._touched  # an enclosing statement may append
+        touched = self._touched  # an enclosing statement may append
         self.tracer({"span": [*where], "rule": rule, "direction": direction,
                      "touched": sorted(set(touched)) if len(touched) > 1
                      else touched[:]})
@@ -156,7 +147,7 @@ class Interpreter:
                        "word at %d is not an object header" % addr)
 
     def _length(self, site, value):
-        length = self.state.signed(value)
+        length = self.mem.signed(value)
         if length < 1:
             self.error(site, E.INVALID_ARRAY_LENGTH,
                        "array length %d is not positive" % length)
@@ -166,7 +157,7 @@ class Interpreter:
         try:
             return operation(*args)  # looked up per call: tools wrap them
         except MemoryFault as fault:
-            self.error(site, _FAULT_KINDS[fault.kind], fault.message)
+            self.error(site, E(fault.kind), fault.message)
 
     def new(self, site, slot, length=None):
         """Allocate the object or array of `site` into the word at `slot`."""
@@ -238,39 +229,37 @@ def run_program(program, class_map,
                 step_limit=10_000_000,
                 tracer=None,
                 state=None):
-    """Instantiate the main object and execute its main method.
+    """Instantiate the main object and execute its main method; the step
+    count goes on from the state's, up to `step_limit`, and `tracer`, if
+    given, gets each statement's trace record.
 
     A pre-built `state` (e.g. from a state file) resumes execution over
-    existing memory; otherwise a fresh image is initialized and the main
-    object is placed in the frame region.  A state last run by a program
-    other than this one or its inverse, or whose references fail
-    `check_refcounts` before its first run here, raises ConfigError.
+    existing memory in its own configuration: `config` shapes only a
+    fresh image, in which the main object is placed in the frame region.
+    A state last run by a program other than this one or its inverse, or
+    that fails `_check_resumed`, raises ConfigError.
     """
     main_cls = main_class_of(program)
     info = class_map[main_cls]
     checksum = _checksum(program)
-    fresh = state is None
-    if fresh:
-        state = MachineState(init_memory(config), step_limit=step_limit)
-    elif state.program_crc not in (None, checksum):
-        from .inverter import invert_program
-        if state.program_crc != _checksum(invert_program(program)):
-            raise ConfigError("the state was saved by a different program")
-    state.program_crc = checksum
-    state.tracer = tracer
-    obj_addr = state.memory.stack_base - 2 - len(info.fields)
-    this_slot = obj_addr - 1
-    if fresh:
-        state.frame_top = this_slot
+    if state is None:
+        state = MachineState(init_memory(config))
+        obj_addr = _main_address(state.memory, info)
+        state.frame_top = this_slot = obj_addr - 1
         state.memory.write_word(obj_addr, info.class_id)
         state.memory.write_word(obj_addr + 1, 1)
         state.memory.write_word(this_slot, obj_addr)
-    root = (this_slot, ast.ClassRef(main_cls))
-    if root not in state.live_slots:
-        state.live_slots.append(root)
-        if not fresh:
-            _check_resumed(state, class_map, this_slot)
-    interp = Interpreter(class_map, state)
+    else:
+        if state.program_crc not in (None, checksum):
+            from .inverter import invert_program
+            if state.program_crc != _checksum(invert_program(program)):
+                raise ConfigError("the state was saved by a different "
+                                  "program")
+        obj_addr = _main_address(state.memory, info)
+        this_slot = obj_addr - 1
+        _check_resumed(state, class_map, main_cls, this_slot)
+    state.program_crc = checksum
+    interp = Interpreter(class_map, state, step_limit, tracer)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 100_000))
     try:
@@ -287,7 +276,8 @@ def run_program(program, class_map,
                              info.methods["main"].span)
     finally:
         sys.setrecursionlimit(old_limit)
-    fields = {fname: state.signed(state.memory.read_word(obj_addr + 2 + i))
+    signed, read = state.memory.signed, state.memory.read_word
+    fields = {fname: signed(read(obj_addr + 2 + i))
               for i, (fty, fname) in enumerate(info.fields)}
     return RunResult(fields, state.steps, state, obj_addr)
 
@@ -296,22 +286,27 @@ def _checksum(program):
     return zlib.crc32(repr(program).encode())  # reprs ignore spans
 
 
-def _check_resumed(state, class_map, this_slot):
+def _main_address(memory, info):
+    """The main object's address: it ends just below `stack_base`."""
+    return memory.stack_base - 2 - len(info.fields)
+
+
+def _check_resumed(state, class_map, main_class, this_slot):
     """Frames must lie below the main object, and every reference must
     pass `check_refcounts`, before the executor trusts the words."""
     if state.frame_top > this_slot:
         raise ConfigError("frame top %s is above the main "
                           "object's slot %s" % (state.frame_top, this_slot))
     try:
-        check_refcounts(state, class_map)
+        check_refcounts(state, class_map, main_class)
     except (AssertionError, MemoryFault) as exc:
         raise ConfigError("bad reference in the state: %s" % exc) from None
 
 
-def check_refcounts(state, class_map):
-    """Debug sweep: reference counts of every object and array reachable
-    from the live typed slots must equal the number of slots holding the
-    address, and each must lie inside memory.  Returns (counts, kinds)
+def check_refcounts(state, class_map, main_class):
+    """Debug sweep from the `main_class` object's slot: each object and
+    array reachable must lie inside memory, its reference count equal to
+    the number of slots holding its address.  Returns (counts, kinds)
     keyed by address; raises AssertionError or MemoryFault otherwise."""
     mem = state.memory
     counts = {}
@@ -327,8 +322,8 @@ def check_refcounts(state, class_map):
             kinds[value] = ty
             queue.append((value, ty))
 
-    for addr, ty in state.live_slots:
-        visit_slot(addr, ty)
+    visit_slot(_main_address(mem, class_map[main_class]) - 1,
+               ast.ClassRef(main_class))
     while queue:
         addr, ty = queue.pop()
         if isinstance(ty, ast.ClassRef):

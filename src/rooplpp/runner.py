@@ -52,7 +52,6 @@ def run(args, program, class_map):
     if args.resume is not None:
         from .statefile import load_state
         state = load_state(args.resume)
-        state.step_limit = args.step_limit
     made = args.save_state is not None and not os.path.exists(args.save_state)
     if args.save_state is not None:  # fail before the run; truncate nothing
         open(args.save_state, "ab").close()

@@ -5,7 +5,8 @@ heap words, and width-independence."""
 import pytest
 
 from rooplpp import (BACKWARD, MemoryConfig, build_class_map, check_program,
-                     check_refcounts, invert_program, parse, run_program)
+                     check_refcounts, invert_program, main_class_of, parse,
+                     run_program)
 from rooplpp.classes import block_words
 from rooplpp.syntax import ClassRef
 
@@ -21,10 +22,11 @@ EXPECTED_FIELDS = {
 }
 
 
-def live_heap_words(state, class_map) -> int:
-    """Total block words of live heap objects reachable from the roots."""
+def live_heap_words(state, class_map, main_class) -> int:
+    """Total block words of live heap objects reachable from the main
+    object."""
     mem = state.memory
-    _, kinds = check_refcounts(state, class_map)
+    _, kinds = check_refcounts(state, class_map, main_class)
     total = 0
     for addr, ty in kinds.items():
         if not mem.hp <= addr < mem.heap_end:
@@ -58,9 +60,9 @@ def test_fibonacci_matches_oracle():
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_FIELDS))
 def test_heap_words_conserved(name):
-    _, class_map, result = run_corpus(name)
+    program, class_map, result = run_corpus(name)
     free = result.state.memory.snapshot_free_lists().total_free_words
-    live = live_heap_words(result.state, class_map)
+    live = live_heap_words(result.state, class_map, main_class_of(program))
     assert free + live == 1024
 
 

@@ -48,10 +48,10 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:20]
 
 
-def _fresh_state(program, class_map, config, step_limit):
+def _fresh_state(program, class_map, config):
     """The state `run_program` builds for a fresh run, kept by the caller
     so that it stays inspectable after a runtime error."""
-    state = MachineState(init_memory(config), step_limit=step_limit)
+    state = MachineState(init_memory(config))
     info = class_map[main_class_of(program)]
     mem = state.memory
     obj = mem.stack_base - 2 - len(info.fields)
@@ -62,24 +62,23 @@ def _fresh_state(program, class_map, config, step_limit):
     return state
 
 
-def _record(program, class_map, config, direction, state):
-    """Run once untraced on `state` and once traced on a clone of it."""
-    twin = MachineState(clone_memory(state.memory),
-                        step_limit=state.step_limit)
+def _record(program, class_map, config, direction, state, step_limit):
+    """Run once untraced on `state` and once traced on a clone of it, each
+    under `step_limit`."""
+    twin = MachineState(clone_memory(state.memory))
     twin.frame_top, twin.steps = state.frame_top, state.steps
-    twin.live_slots = list(state.live_slots)
     records = []
     out = {}
     try:
         run_program(program, class_map, config, direction=direction,
-                    state=state)
+                    step_limit=step_limit, state=state)
     except ExecutionError as exc:
         out["error"] = [exc.kind.value, [exc.span.line, exc.span.col,
                                          exc.span.end_line, exc.span.end_col],
                         exc.message, len(exc.trace)]
     try:
         run_program(program, class_map, config, direction=direction,
-                    state=twin, tracer=records.append)
+                    step_limit=step_limit, state=twin, tracer=records.append)
     except ExecutionError:
         pass
     mem = state.memory
@@ -98,15 +97,15 @@ def _corpus_cases():
         program = parse(path.read_text())
         class_map = build_class_map(program)
         config = MemoryConfig()
-        state = _fresh_state(program, class_map, config, 10_000_000)
+        state = _fresh_state(program, class_map, config)
         yield f"corpus/{path.stem}/forward", _record(
-            program, class_map, config, FORWARD, state)
+            program, class_map, config, FORWARD, state, 10_000_000)
         with tempfile.TemporaryDirectory() as tmp:
             saved = str(Path(tmp) / "state")
             save_state(saved, state)
             state = load_state(saved)
         yield f"corpus/{path.stem}/reverse", _record(
-            program, class_map, config, BACKWARD, state)
+            program, class_map, config, BACKWARD, state, 10_000_000)
 
 
 def _error_cases():
@@ -114,9 +113,9 @@ def _error_cases():
         program = parse(path.read_text())
         class_map = build_class_map(program)
         config = MemoryConfig()
-        state = _fresh_state(program, class_map, config, ERROR_STEP_LIMIT)
+        state = _fresh_state(program, class_map, config)
         yield f"errors/{path.stem}", _record(program, class_map, config,
-                                             FORWARD, state)
+                                             FORWARD, state, ERROR_STEP_LIMIT)
 
 
 def _astgen_cases(seeds=range(200)):
@@ -124,14 +123,14 @@ def _astgen_cases(seeds=range(200)):
         program, _ = make_program(seed, length=8)
         class_map = build_class_map(program)
         config = ASTGEN_CONFIG
-        state = _fresh_state(program, class_map, config, 100_000)
+        state = _fresh_state(program, class_map, config)
         yield f"astgen/{seed}/forward", _record(program, class_map, config,
-                                                FORWARD, state)
+                                                FORWARD, state, 100_000)
         yield f"astgen/{seed}/rewind", _record(program, class_map, config,
-                                               BACKWARD, state)
-        state = _fresh_state(program, class_map, config, 100_000)
+                                               BACKWARD, state, 100_000)
+        state = _fresh_state(program, class_map, config)
         yield f"astgen/{seed}/backward", _record(program, class_map, config,
-                                                 BACKWARD, state)
+                                                 BACKWARD, state, 100_000)
 
 
 def all_cases() -> dict:

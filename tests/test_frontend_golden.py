@@ -19,6 +19,7 @@ Rewrite the fixture only for an intended behaviour change:
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -144,15 +145,30 @@ def test_frontend_matches_golden(golden, group):
 _API_ONLY = ("no class named", "is not an array type")
 
 
+def _rejection_calls(tree):
+    """The `raise ParseError(...)`, `raise ClassError(...)` and
+    `self.error(...)` calls in a module's syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                and ast.unparse(node.exc.func) in ("ParseError", "ClassError"):
+            yield node.exc
+        elif isinstance(node, ast.Call) \
+                and ast.unparse(node.func) == "self.error":
+            yield node
+
+
 def _rejection_lines():
+    """(file, line) of each rejection site of the front end: the line its
+    call starts on, the first a line trace reports for it.  A site is
+    exempt if one of `_API_ONLY` is in the call's whole text, with its
+    string literals joined as Python joins them, so wrapping a call
+    changes neither set."""
     lines = set()
-    for module, marker in ((typecheck, "self.error("),
-                           (parser, "raise ParseError"),
-                           (classes, "raise ClassError")):
-        text = Path(module.__file__).read_text().splitlines()
-        for number, line in enumerate(text, 1):
-            if marker in line and not any(s in line for s in _API_ONLY):
-                lines.add((module.__file__, number))
+    for module in (typecheck, parser, classes):
+        tree = ast.parse(Path(module.__file__).read_text())
+        for call in _rejection_calls(tree):
+            if not any(s in ast.unparse(call) for s in _API_ONLY):
+                lines.add((module.__file__, call.lineno))
     return lines
 
 

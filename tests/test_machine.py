@@ -7,8 +7,8 @@ from collections import Counter
 
 import pytest
 
-from rooplpp import (BACKWARD, FORWARD, ExecutionError, Interpreter,
-                     MachineState, MemoryConfig, MemoryImage,
+from rooplpp import (BACKWARD, FORWARD, ConfigError, ExecutionError,
+                     Interpreter, MachineState, MemoryConfig, MemoryImage,
                      RuntimeErrorKind, apply_binop, build_class_map,
                      check_program, check_refcounts, init_memory,
                      invert_program, main_class_of, parse, parse_statement,
@@ -578,6 +578,19 @@ class Main
     assert exc.value.kind == E.STEP_LIMIT_EXCEEDED
 
 
+def test_step_limit_counts_on_from_a_given_state():
+    program = parse(corpus_path("LinkedList").read_text())
+    class_map = build_class_map(program)
+    state = run_program(program, class_map).state
+    limit = state.steps + 5
+    with pytest.raises(ExecutionError) as exc:
+        run_program(program, class_map, direction=BACKWARD, step_limit=limit,
+                    state=state)
+    assert exc.value.kind == E.STEP_LIMIT_EXCEEDED
+    assert exc.value.message == "exceeded %d steps" % limit
+    assert state.steps == limit + 1
+
+
 def test_errors_carry_span_and_trace():
     err = expect_error(
         "x += 5 new Helper h call h::bump(x) delete Helper h",
@@ -688,7 +701,7 @@ def test_refcounts_consistent_after_corpus_run(name):
     program = parse(source)
     class_map = build_class_map(program)
     result = run_program(program, class_map)
-    check_refcounts(result.state, class_map)
+    check_refcounts(result.state, class_map, main_class_of(program))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -696,7 +709,7 @@ def test_refcounts_consistent_after_random_runs(seed):
     program, _ = make_program(seed, length=8)
     class_map = build_class_map(program)
     result = run_program(program, class_map, SMALL)
-    check_refcounts(result.state, class_map)
+    check_refcounts(result.state, class_map, main_class_of(program))
 
 
 def test_refcounts_survive_rewind_replay_cycles():
@@ -707,7 +720,18 @@ def test_refcounts_survive_rewind_replay_cycles():
                           state=result.state)
     replay = run_program(program, class_map, state=rewound.state)
     assert replay.fields["total"] == 55
-    check_refcounts(replay.state, class_map)
+    check_refcounts(replay.state, class_map, main_class_of(program))
+
+
+def test_a_state_is_checked_again_before_each_run():
+    program = parse(corpus_path("LinkedList").read_text())
+    class_map = build_class_map(program)
+    result = run_program(program, class_map)
+    head = result.state.memory.words[result.main_address + 2]
+    result.state.memory.words[head + 1] += 1      # the head's refcount
+    with pytest.raises(ConfigError, match="bad reference in the state"):
+        run_program(program, class_map, direction=BACKWARD,
+                    state=result.state)
 
 
 def test_refcount_sweep_refuses_a_block_past_memory():
@@ -718,7 +742,7 @@ def test_refcount_sweep_refuses_a_block_past_memory():
     tape = mem.words[result.main_address + 2]     # RTM's first field
     mem.words[tape] = mem.stack_base               # the array's length
     with pytest.raises(AssertionError, match=f"block at {tape} overruns"):
-        check_refcounts(result.state, class_map)
+        check_refcounts(result.state, class_map, main_class_of(program))
 
 
 def test_refcount_sweep_refuses_a_bad_object_header():
@@ -728,7 +752,7 @@ def test_refcount_sweep_refuses_a_bad_object_header():
     head = result.state.memory.words[result.main_address + 2]
     result.state.memory.words[head] = 99
     with pytest.raises(AssertionError, match="not an object header"):
-        check_refcounts(result.state, class_map)
+        check_refcounts(result.state, class_map, main_class_of(program))
 
 
 # ------------------------------------------------- generated functions
@@ -826,8 +850,8 @@ def test_untraced_code_holds_no_trace_code():
     names = {}
     for tracer in (None, print):
         state = MachineState(init_memory(MemoryConfig()))
-        state.tracer = tracer
-        run, _ = Interpreter(class_map, state)._method(info, "main", False)
+        run, _ = Interpreter(class_map, state, 10_000_000,
+                             tracer)._method(info, "main", False)
         names[tracer] = _code_names(run.__code__)
     trace_names = {"P", "T", "_touched"}  # the logging put and the record
     assert trace_names <= names[print]
@@ -893,6 +917,7 @@ def _round_trip(program, class_map, step_limit=10_000_000):
     forward = run_program(program, class_map, step_limit=step_limit)
     ran = _outcome(forward)
     return ran, _outcome(run_program(program, class_map, direction=BACKWARD,
+                                     step_limit=step_limit,
                                      state=forward.state))
 
 

@@ -38,10 +38,9 @@ GOLDEN = TESTS_DIR / "fixtures" / "step_limit_golden.json"
 CORPUS = ("LinkedList", "RTM")
 
 
-def _copy(state, step_limit):
-    twin = MachineState(clone_memory(state.memory), step_limit=step_limit)
+def _copy(state):
+    twin = MachineState(clone_memory(state.memory))
     twin.frame_top, twin.steps = state.frame_top, state.steps
-    twin.live_slots = list(state.live_slots)
     twin.program_crc = state.program_crc
     return twin
 
@@ -51,17 +50,16 @@ def _outcome(program, class_map, config, direction, start, step_limit):
     run on a copy of `start` with `step_limit`, once untraced and once
     traced; the error kind and span are null for a finished run."""
     out = [None, None]
-    state, twin, records = _copy(start, step_limit), \
-        _copy(start, step_limit), []
+    state, twin, records = _copy(start), _copy(start), []
     try:
         run_program(program, class_map, config, direction=direction,
-                    state=state)
+                    step_limit=step_limit, state=state)
     except ExecutionError as exc:
         s = exc.span
         out = [exc.kind.value, [s.line, s.col, s.end_line, s.end_col]]
     try:
         run_program(program, class_map, config, direction=direction,
-                    state=twin, tracer=records.append)
+                    step_limit=step_limit, state=twin, tracer=records.append)
     except ExecutionError:
         pass
     mem = state.memory
@@ -86,17 +84,17 @@ def _cases(names=CORPUS, seeds=range(20)):
         program = parse((TESTS_DIR / "corpus" / f"{name}.rplpp").read_text())
         class_map = build_class_map(program)
         config = MemoryConfig()
-        fresh = _fresh_state(program, class_map, config, 10_000_000)
+        fresh = _fresh_state(program, class_map, config)
         yield f"{name}/forward", _sweep(program, class_map, config, FORWARD,
                                         fresh)
-        done = _copy(fresh, 10_000_000)
+        done = _copy(fresh)
         run_program(program, class_map, config, state=done)
         yield f"{name}/backward", _sweep(program, class_map, config,
                                          BACKWARD, done)
     for seed in seeds:
         program, _ = make_program(seed, length=8)
         class_map = build_class_map(program)
-        fresh = _fresh_state(program, class_map, ASTGEN_CONFIG, 100_000)
+        fresh = _fresh_state(program, class_map, ASTGEN_CONFIG)
         yield f"astgen/{seed}/forward", _sweep(program, class_map,
                                                ASTGEN_CONFIG, FORWARD, fresh)
 
