@@ -21,7 +21,7 @@ _EXPORTS = {
     "BACKWARD": "machine", "FORWARD": "machine",
     "Interpreter": "machine", "MachineState": "machine",
     "RuntimeErrorKind": "emit", "apply_binop": "emit",
-    "check_refcounts": "machine",
+    "census": "machine",
     "run_program": "machine",
     "parse": "parser", "parse_expression": "parser",
     "parse_statement": "parser",

@@ -104,8 +104,8 @@ ends the flags.
 
 # each `run` flag: its default and its value type, "int", "path" or "switch"
 RUN_FLAGS = {
-    "--freelists": (10, "int"), "--word-bits": (32, "int"),
-    "--stack-words": (1024, "int"), "--heap-grow": (False, "switch"),
+    "--freelists": (None, "int"), "--word-bits": (None, "int"),
+    "--stack-words": (None, "int"), "--heap-grow": (None, "switch"),
     "--step-limit": (10_000_000, "int"), "--reverse": (False, "switch"),
     "--json": (False, "switch"), "--dump-heap": (False, "switch"),
     "--trace": (None, "path"), "--resume": (None, "path"),

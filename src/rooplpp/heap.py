@@ -21,9 +21,9 @@ Free-block invariant: every word of a free block other than its link word
 is zero.  `free` refuses a block that is not zero-cleared, a merge joins
 two such blocks, and `malloc` zeroes the link word it pops, so each merge
 level reads only the partner's link word: `free` costs O(number of free
-lists) word reads, not O(heap).  `check_free_blocks`, which
-`statefile.load_state` runs, sweeps every free block for words written
-outside the allocator.  It, the snapshot and the dump all walk the lists
+lists) word reads, not O(heap).  `check_free_blocks`, the free half of
+`machine.census`, sweeps every free block for words written outside the
+allocator.  It, the snapshot and the dump all walk the lists
 with `_free_chain`, which refuses a cycle or a stray address.
 """
 
@@ -248,16 +248,15 @@ class MemoryImage:
             for i in range(self.num_freelists)))
 
     def check_free_blocks(self):
-        """Sweep the free lists in the style of `check_refcounts`.
-
-        Every list must be well formed and every word of a free block past
-        its link word must be zero (the free-block invariant the allocator
-        relies on instead of scanning).  Raises MemoryFault("CorruptFree")
-        at the first violation.
-        """
-        for i in range(self.num_freelists):
-            for addr in self._free_chain(i):
-                self._check_zero("free", addr, addr + 1, addr + (2 << i))
+        """The (address, words) of each free block, list by list, once
+        every list is well formed and every word of a free block past its
+        link word is zero (the free-block invariant the allocator relies on
+        instead of scanning); else MemoryFault("CorruptFree")."""
+        blocks = [(addr, 2 << i) for i in range(self.num_freelists)
+                  for addr in self._free_chain(i)]
+        for addr, size in blocks:
+            self._check_zero("free", addr, addr + 1, addr + size)
+        return blocks
 
     def _check_zero(self, what, addr, start, end):
         """Raise CorruptFree at the first non-zero word in [start, end)."""

@@ -17,6 +17,7 @@ checksum with the inverse program's.
 import sys
 import zlib
 
+from .classes import block_words
 from .errors import ConfigError, ExecutionError, Record
 from .heap import MemoryConfig, MemoryFault, init_memory
 from .emit import BACKWARD, FORWARD, E, Emitter, division
@@ -223,12 +224,8 @@ class Interpreter:
                  else (words[value + 1] + 1) & self.mem.mask)
 
 
-def run_program(program, class_map,
-                config=MemoryConfig(),
-                direction=FORWARD,
-                step_limit=10_000_000,
-                tracer=None,
-                state=None):
+def run_program(program, class_map, config=MemoryConfig(), direction=FORWARD,
+                step_limit=10_000_000, tracer=None, state=None):
     """Instantiate the main object and execute its main method; the step
     count goes on from the state's, up to `step_limit`, and `tracer`, if
     given, gets each statement's trace record.
@@ -237,7 +234,7 @@ def run_program(program, class_map,
     existing memory in its own configuration: `config` shapes only a
     fresh image, in which the main object is placed in the frame region.
     A state last run by a program other than this one or its inverse, or
-    that fails `_check_resumed`, raises ConfigError.
+    that fails the `census`, raises ConfigError.
     """
     main_cls = main_class_of(program)
     info = class_map[main_cls]
@@ -246,9 +243,8 @@ def run_program(program, class_map,
         state = MachineState(init_memory(config))
         obj_addr = _main_address(state.memory, info)
         state.frame_top = this_slot = obj_addr - 1
-        state.memory.write_word(obj_addr, info.class_id)
-        state.memory.write_word(obj_addr + 1, 1)
-        state.memory.write_word(this_slot, obj_addr)
+        state.memory.words[this_slot:obj_addr + 2] = \
+            obj_addr, info.class_id, 1
     else:
         if state.program_crc not in (None, checksum):
             from .inverter import invert_program
@@ -257,7 +253,7 @@ def run_program(program, class_map,
                                   "program")
         obj_addr = _main_address(state.memory, info)
         this_slot = obj_addr - 1
-        _check_resumed(state, class_map, main_cls, this_slot)
+        census(state, class_map, main_cls)
     state.program_crc = checksum
     interp = Interpreter(class_map, state, step_limit, tracer)
     old_limit = sys.getrecursionlimit()
@@ -291,62 +287,65 @@ def _main_address(memory, info):
     return memory.stack_base - 2 - len(info.fields)
 
 
-def _check_resumed(state, class_map, main_class, this_slot):
-    """Frames must lie below the main object, and every reference must
-    pass `check_refcounts`, before the executor trusts the words."""
-    if state.frame_top > this_slot:
-        raise ConfigError("frame top %s is above the main "
-                          "object's slot %s" % (state.frame_top, this_slot))
+def census(state, class_map, main_class):
+    """The one check of a state before it runs: the main object's slot
+    holds it under its class's header, each object or array reachable from
+    it has a reference count equal to the words that hold its address, all
+    as one kind, their blocks and the free ones tile [hp, heap_end), and
+    the words from there to the frame top are 0.  Returns (live words, free
+    words, largest free block); raises ConfigError otherwise."""
+    mem, info = state.memory, class_map[main_class]
+    words, heap_end, main = mem.words, mem.heap_end, _main_address(mem, info)
     try:
-        check_refcounts(state, class_map, main_class)
-    except (AssertionError, MemoryFault) as exc:
+        free = mem.check_free_blocks()
+    except MemoryFault as exc:
+        raise ConfigError("%s: %s" % (exc.kind, exc.message)) from None
+    refs = {c.class_id: (c.alloc_words, [  # the fields holding references
+        (i, type(ty)) for i, (ty, _) in enumerate(c.fields, 2)
+        if type(ty) is not ast.IntType]) for c in class_map.entries.values()}
+    counts = {(main, ast.ClassRef): 1}  # (address, kind): words holding it
+    live, queue = [], list(counts)
+    try:
+        if (words[main - 1], words[main]) != (main, info.class_id):
+            raise ValueError("slot %s does not hold the %s object at %s"
+                             % (main - 1, info.name, main))
+        while queue:
+            addr, kind = queue.pop()
+            header = mem.read_word(addr)
+            if kind is not ast.ClassRef:  # an array; its cells read lazily
+                size = block_words(header + 2)
+                slots = () if kind is ast.IntArrayType else (
+                    (i, ast.ClassRef) for i in range(2, header + 2))
+            elif header in refs:
+                size, slots = refs[header]
+            else:
+                raise ValueError("word at %s is not an object header" % addr)
+            if addr != main:
+                if not mem.hp <= addr <= heap_end - size:
+                    raise ValueError("block at %s overruns the heap" % addr)
+                live.append((addr, size))
+            for i, reached in slots:
+                key = words[addr + i], reached
+                if key[0] and key not in counts:
+                    queue.append(key)
+                counts[key] = counts.get(key, 0) + 1
+        for (a, _), n in counts.items():
+            if a and words[a + 1] != n:
+                raise ValueError("object at %s has refcount %s, but %s live "
+                                 "bindings hold it" % (a, words[a + 1], n))
+    except (MemoryFault, ValueError) as exc:
         raise ConfigError("bad reference in the state: %s" % exc) from None
-
-
-def check_refcounts(state, class_map, main_class):
-    """Debug sweep from the `main_class` object's slot: each object and
-    array reachable must lie inside memory, its reference count equal to
-    the number of slots holding its address.  Returns (counts, kinds)
-    keyed by address; raises AssertionError or MemoryFault otherwise."""
-    mem = state.memory
-    counts = {}
-    kinds = {}
-    queue = []
-
-    def visit_slot(addr, ty):
-        value = 0 if isinstance(ty, ast.IntType) else mem.read_word(addr)
-        if value == 0:
-            return
-        counts[value] = counts.get(value, 0) + 1
-        if value not in kinds:
-            kinds[value] = ty
-            queue.append((value, ty))
-
-    visit_slot(_main_address(mem, class_map[main_class]) - 1,
-               ast.ClassRef(main_class))
-    while queue:
-        addr, ty = queue.pop()
-        if isinstance(ty, ast.ClassRef):
-            try:
-                info = class_map.by_id(mem.read_word(addr))
-            except KeyError:
-                raise AssertionError(
-                    "word at %s is not an object header" % addr) from None
-            size = len(info.fields)
-        else:
-            size = mem.read_word(addr)  # array length
-        if addr + 2 + size > mem.stack_base:
-            raise AssertionError("block at %s overruns memory" % addr)
-        if isinstance(ty, ast.ClassRef):
-            for i, (fty, _) in enumerate(info.fields):
-                visit_slot(addr + 2 + i, fty)
-        elif isinstance(ty, ast.ClassArrayType):
-            for i in range(size):
-                visit_slot(addr + 2 + i, ast.ClassRef(ty.name))
-    for addr, n in counts.items():
-        stored = mem.read_word(addr + 1)
-        if stored != n:
-            raise AssertionError(
-                "object at %s has refcount %s, but %s live "
-                "bindings hold it" % (addr, stored, n))
-    return counts, kinds
+    at = last = mem.hp
+    for addr, size in sorted(free + live) + [(heap_end, 0)]:
+        if addr != at:
+            raise ConfigError("bad heap in the state: " + (
+                "blocks at %s and %s overlap" % (last, addr) if addr < at
+                else "words %s to %s are in no block" % (at, addr - 1)))
+        last, at = addr, addr + size
+    unused = words[heap_end:state.frame_top]
+    if unused.count(0) != len(unused):
+        at = heap_end + next(i for i, word in enumerate(unused) if word)
+        raise ConfigError("word %s between the heap end and the frame top %s"
+                          " is %s, not 0" % (at, state.frame_top, words[at]))
+    sizes = [size for _, size in free]
+    return sum(size for _, size in live), sum(sizes), max(sizes, default=0)

@@ -8,6 +8,7 @@ and the state-file code only for `--resume` or `--save-state`."""
 
 import os
 
+from .errors import ConfigError
 from .heap import MemoryConfig
 from .machine import BACKWARD, FORWARD, run_program
 
@@ -44,14 +45,22 @@ def json_line(fields, steps, free_lists):
 
 def run(args, program, class_map):
     """Run `program` as the options of `cli.parse_args` in `args` say."""
-    config = MemoryConfig(args.word_bits, args.freelists, args.stack_words,
-                          grow_blocks=8 if args.heap_grow else 0)
-    config.validate()
-
-    state = result = None
-    if args.resume is not None:
+    given = [(flag, field, value) for flag, field, value in zip(
+        ("--word-bits", "--freelists", "--stack-words", "--heap-grow"),
+        MemoryConfig.__slots__, (args.word_bits, args.freelists,
+                                 args.stack_words, args.heap_grow and 8))
+        if value is not None]
+    config = state = result = None
+    if args.resume is None:
+        config = MemoryConfig(**{field: value for _, field, value in given})
+        config.validate()
+    else:
         from .statefile import load_state
         state = load_state(args.resume)
+        for flag, field, value in given:
+            if value != getattr(state.memory.config, field):
+                raise ConfigError("%s sets %s to %s, but the state has %s" % (
+                    flag, field, value, getattr(state.memory.config, field)))
     made = args.save_state is not None and not os.path.exists(args.save_state)
     if args.save_state is not None:  # fail before the run; truncate nothing
         open(args.save_state, "ab").close()

@@ -4,17 +4,12 @@ Layout (version 2): magic ``RPPM``, u16 version, u8 word bits, u8
 free-list count, u32 stack words, u32 grow blocks, then u64 total words,
 heap end, frame top and step count, u32 `MachineState.program_crc` (0 if
 no program ran; `run_program` checks it), then the words little-endian.
-
-Loading refuses a file whose length, word count or heap end does not match
-its header, whose frame top lies outside the frame region, or whose free
-lists are malformed or hold a block that is not zero-cleared past its link
-word (see `MemoryImage.check_free_blocks`).
 """
 
 import struct
 
 from .errors import ConfigError
-from .heap import MemoryConfig, MemoryFault, MemoryImage
+from .heap import MemoryConfig, MemoryImage
 from .machine import MachineState
 
 MAGIC = b"RPPM"
@@ -39,6 +34,10 @@ def save_state(path, state):
 
 
 def load_state(path):
+    """The state saved at `path`, checked only for what the format promises:
+    its length, word count and heap end match its header, and its frame top
+    lies in the frame region.  What the words hold, heap, free lists and
+    frames, `machine.census` checks when the state runs."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size or blob[:4] != MAGIC:
@@ -47,8 +46,7 @@ def load_state(path):
      total, heap_end, frame_top, steps, crc) = _HEADER.unpack_from(blob)
     if version != VERSION:
         raise ConfigError("unsupported state-file version %s" % version)
-    config = MemoryConfig(word_bits=word_bits, num_freelists=num_freelists,
-                          stack_words=stack_words, grow_blocks=grow_blocks)
+    config = MemoryConfig(word_bits, num_freelists, stack_words, grow_blocks)
     config.validate()
     # checked before the image is built, so a bad header allocates nothing
     if total != config.arena_words():
@@ -70,13 +68,7 @@ def load_state(path):
                                         mem.stack_base))
     mem.words = list(word_format.unpack_from(blob, _HEADER.size))
     mem.heap_end = heap_end
-    try:
-        mem.check_free_blocks()
-    except MemoryFault as exc:
-        raise ConfigError("%s: %s: %s"
-                          % (path, exc.kind, exc.message)) from None
     state = MachineState(mem)
-    state.frame_top = frame_top
-    state.steps = steps
+    state.frame_top, state.steps = frame_top, steps
     state.program_crc = crc or None
     return state

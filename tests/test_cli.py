@@ -432,6 +432,105 @@ def test_resume_sweeps_the_objects_of_a_class_array(tmp_path):
         "but 1 live bindings hold it\n")
 
 
+HEAP4 = """\
+class Cell
+    int data
+
+    method nop()
+        skip
+
+class Main
+    Cell a
+    Cell b
+    int[] c
+    Cell d
+
+    method main()
+        new Cell d
+        new int[1] c
+        new Cell a
+        new Cell b
+        delete Cell d
+"""
+
+
+@pytest.fixture(scope="module")
+def heap4(tmp_path_factory):
+    """HEAP4 and its final state: hp 11, heap end 1035, free blocks of 4
+    words at 1031 and of 16 ... 512 below 1019; b, a and c at 1019, 1023
+    and 1027; the main object at 2053, its fields a-d at 2055-2058, its
+    slot 2052 the frame top.  Cell's class id is 1."""
+    tmp = tmp_path_factory.mktemp("heap4")
+    path, saved = tmp / "heap4.rplpp", tmp / "heap4.state"
+    path.write_text(HEAP4)
+    assert cli("run", "--save-state", str(saved), str(path)).returncode == 0
+    return path, saved
+
+
+# words written into HEAP4's state, and the line its resumed run prints
+CRAFTED_HEAPS = {
+    "alias_with_leak": ({2056: 1023, 1024: 2},       # b = a, leaving b's block
+                        "bad heap in the state: words 1019 to 1022 are in "
+                        "no block"),
+    "leak": ({2056: 0}, "bad heap in the state: words 1019 to 1022 are in no "
+             "block"),
+    "live_blocks_overlap": ({2058: 1021, 1021: 1, 1022: 1},   # d inside b
+                            "bad heap in the state: blocks at 1019 and 1021 "
+                            "overlap"),
+    "live_block_over_a_free_one": ({1027: 3},        # c's length 1 -> 3
+                                   "bad heap in the state: blocks at 1027 "
+                                   "and 1031 overlap"),
+    "word_above_the_heap_end": ({1040: 7}, "word 1040 between the heap end "
+                                "and the frame top 2052 is 7, not 0"),
+    "live_block_at_an_odd_offset": ({2058: 1020, 1021: 1},   # d at b + 1
+                                    "bad heap in the state: blocks at 1019 "
+                                    "and 1020 overlap"),
+    "int_array_names_an_object": ({2057: 1023, 1024: 2},      # c = a
+                                  "bad reference in the state: object at "
+                                  "1023 has refcount 2, but 1 live bindings "
+                                  "hold it"),
+    "main_slot_holds_another_object": ({2052: 1023},
+                                       "bad reference in the state: slot "
+                                       "2052 does not hold the Main object "
+                                       "at 2053"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRAFTED_HEAPS))
+def test_resume_refuses_a_heap_that_is_not_a_partition(tmp_path, heap4, name):
+    path, saved = heap4
+    state = load_state(str(saved))
+    words, message = CRAFTED_HEAPS[name]
+    for addr, value in words.items():
+        state.memory.words[addr] = value
+    bad = tmp_path / "bad.state"
+    save_state(str(bad), state)
+    result = cli("run", "--resume", str(bad), "--reverse", str(path))
+    assert _one_error_line(result) == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("flags", [
+    ("--freelists", "12"), ("--word-bits", "16"), ("--stack-words", "4096"),
+    ("--heap-grow",)])
+def test_resume_refuses_a_flag_that_differs_from_the_state(heap4, flags):
+    path, saved = heap4
+    result = cli("run", "--resume", str(saved), "--reverse", *flags,
+                 str(path))
+    line = _one_error_line(result)
+    assert line.startswith("error: %s " % flags[0]), line
+    stored = {"--freelists": "10", "--word-bits": "32",
+              "--stack-words": "1024", "--heap-grow": "0"}[flags[0]]
+    assert line.endswith(" but the state has %s\n" % stored), line
+
+
+def test_resume_accepts_flags_equal_to_the_state(heap4):
+    path, saved = heap4
+    result = cli("run", "--resume", str(saved), "--reverse", "--freelists",
+                 "10", "--word-bits", "32", "--stack-words", "1024", str(path))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "a = 0\nb = 0\nc = 0\nd = 0\n"
+
+
 def test_resume_under_another_program_exit_4(tmp_path):
     saved = tmp_path / "list.state"
     cli("run", "--save-state", str(saved), str(corpus_path("LinkedList")))

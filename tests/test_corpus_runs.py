@@ -4,11 +4,9 @@ heap words, and width-independence."""
 
 import pytest
 
-from rooplpp import (BACKWARD, MemoryConfig, build_class_map, check_program,
-                     check_refcounts, invert_program, main_class_of, parse,
+from rooplpp import (BACKWARD, MemoryConfig, build_class_map, census,
+                     check_program, invert_program, main_class_of, parse,
                      run_program)
-from rooplpp.classes import block_words
-from rooplpp.syntax import ClassRef
 
 from conftest import corpus_path
 from oracles import fib_pair
@@ -20,22 +18,6 @@ EXPECTED_FIELDS = {
     "DoublyLinkedList": {"length": 10},
     "RTM": {"pos": 3, "state": 3, "steps": 3},
 }
-
-
-def live_heap_words(state, class_map, main_class) -> int:
-    """Total block words of live heap objects reachable from the main
-    object."""
-    mem = state.memory
-    _, kinds = check_refcounts(state, class_map, main_class)
-    total = 0
-    for addr, ty in kinds.items():
-        if not mem.hp <= addr < mem.heap_end:
-            continue  # the main object lives in the frame region
-        if isinstance(ty, ClassRef):
-            total += class_map.by_id(mem.read_word(addr)).alloc_words
-        else:
-            total += block_words(mem.read_word(addr) + 2)
-    return total
 
 
 def run_corpus(name, config=MemoryConfig(), direction="forward", state=None):
@@ -61,8 +43,8 @@ def test_fibonacci_matches_oracle():
 @pytest.mark.parametrize("name", sorted(EXPECTED_FIELDS))
 def test_heap_words_conserved(name):
     program, class_map, result = run_corpus(name)
-    free = result.state.memory.snapshot_free_lists().total_free_words
-    live = live_heap_words(result.state, class_map, main_class_of(program))
+    live, free, _ = census(result.state, class_map, main_class_of(program))
+    assert free == result.state.memory.snapshot_free_lists().total_free_words
     assert free + live == 1024
 
 

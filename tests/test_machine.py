@@ -10,7 +10,7 @@ import pytest
 from rooplpp import (BACKWARD, FORWARD, ConfigError, ExecutionError,
                      Interpreter, MachineState, MemoryConfig, MemoryImage,
                      RuntimeErrorKind, apply_binop, build_class_map,
-                     check_program, check_refcounts, init_memory,
+                     census, check_program, init_memory,
                      invert_program, main_class_of, parse, parse_statement,
                      run_program)
 from rooplpp import emit, machine, syntax as ast
@@ -701,7 +701,7 @@ def test_refcounts_consistent_after_corpus_run(name):
     program = parse(source)
     class_map = build_class_map(program)
     result = run_program(program, class_map)
-    check_refcounts(result.state, class_map, main_class_of(program))
+    census(result.state, class_map, main_class_of(program))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -709,7 +709,7 @@ def test_refcounts_consistent_after_random_runs(seed):
     program, _ = make_program(seed, length=8)
     class_map = build_class_map(program)
     result = run_program(program, class_map, SMALL)
-    check_refcounts(result.state, class_map, main_class_of(program))
+    census(result.state, class_map, main_class_of(program))
 
 
 def test_refcounts_survive_rewind_replay_cycles():
@@ -720,7 +720,7 @@ def test_refcounts_survive_rewind_replay_cycles():
                           state=result.state)
     replay = run_program(program, class_map, state=rewound.state)
     assert replay.fields["total"] == 55
-    check_refcounts(replay.state, class_map, main_class_of(program))
+    census(replay.state, class_map, main_class_of(program))
 
 
 def test_a_state_is_checked_again_before_each_run():
@@ -741,8 +741,8 @@ def test_refcount_sweep_refuses_a_block_past_memory():
     mem = result.state.memory
     tape = mem.words[result.main_address + 2]     # RTM's first field
     mem.words[tape] = mem.stack_base               # the array's length
-    with pytest.raises(AssertionError, match=f"block at {tape} overruns"):
-        check_refcounts(result.state, class_map, main_class_of(program))
+    with pytest.raises(ConfigError, match=f"block at {tape} overruns"):
+        census(result.state, class_map, main_class_of(program))
 
 
 def test_refcount_sweep_refuses_a_bad_object_header():
@@ -751,8 +751,8 @@ def test_refcount_sweep_refuses_a_bad_object_header():
     result = run_program(program, class_map)
     head = result.state.memory.words[result.main_address + 2]
     result.state.memory.words[head] = 99
-    with pytest.raises(AssertionError, match="not an object header"):
-        check_refcounts(result.state, class_map, main_class_of(program))
+    with pytest.raises(ConfigError, match="not an object header"):
+        census(result.state, class_map, main_class_of(program))
 
 
 # ------------------------------------------------- generated functions

@@ -90,8 +90,10 @@ def test_nonzero_free_block_interior_rejected(tmp_path):
     mem.words[addrs[0] + size - 1] = 3
     path = tmp_path / "m.state"
     save_state(str(path), result.state)
+    program = parse(corpus_path("Fibonacci").read_text())
     with pytest.raises(ConfigError, match="CorruptFree"):
-        load_state(str(path))
+        run_program(program, build_class_map(program),
+                    state=load_state(str(path)))
 
 
 def _with_frame_top(tmp_path, frame_top):
