@@ -224,8 +224,12 @@ class Interpreter:
                  else (words[value + 1] + 1) & self.mem.mask)
 
 
-def run_program(program, class_map, config=MemoryConfig(), direction=FORWARD,
-                step_limit=10_000_000, tracer=None, state=None):
+def run_program(program, class_map,
+                config=MemoryConfig(),
+                direction=FORWARD,
+                step_limit=10_000_000,
+                tracer=None,
+                state=None):
     """Instantiate the main object and execute its main method; the step
     count goes on from the state's, up to `step_limit`, and `tracer`, if
     given, gets each statement's trace record.
@@ -243,8 +247,9 @@ def run_program(program, class_map, config=MemoryConfig(), direction=FORWARD,
         state = MachineState(init_memory(config))
         obj_addr = _main_address(state.memory, info)
         state.frame_top = this_slot = obj_addr - 1
-        state.memory.words[this_slot:obj_addr + 2] = \
-            obj_addr, info.class_id, 1
+        state.memory.write_word(obj_addr, info.class_id)
+        state.memory.write_word(obj_addr + 1, 1)
+        state.memory.write_word(this_slot, obj_addr)
     else:
         if state.program_crc not in (None, checksum):
             from .inverter import invert_program
@@ -290,47 +295,59 @@ def _main_address(memory, info):
 def census(state, class_map, main_class):
     """The one check of a state before it runs: the main object's slot
     holds it under its class's header, each object or array reachable from
-    it has a reference count equal to the words that hold its address, all
-    as one kind, their blocks and the free ones tile [hp, heap_end), and
-    the words from there to the frame top are 0.  Returns (live words, free
-    words, largest free block); raises ConfigError otherwise."""
+    it is held by words of one kind (object, int[] or object array) and
+    has a reference count equal to their number, and is zero past its
+    fields or cells, their blocks and the free ones tile [hp, heap_end),
+    and the words from there to the frame top are 0.  Returns (live words,
+    free words, largest free block); raises ConfigError otherwise."""
     mem, info = state.memory, class_map[main_class]
     words, heap_end, main = mem.words, mem.heap_end, _main_address(mem, info)
     try:
         free = mem.check_free_blocks()
     except MemoryFault as exc:
         raise ConfigError("%s: %s" % (exc.kind, exc.message)) from None
-    refs = {c.class_id: (c.alloc_words, [  # the fields holding references
+    # each class id: its block's words, the words it uses, the fields
+    # holding references
+    refs = {c.class_id: (c.alloc_words, 2 + len(c.fields), [
         (i, type(ty)) for i, (ty, _) in enumerate(c.fields, 2)
         if type(ty) is not ast.IntType]) for c in class_map.entries.values()}
-    counts = {(main, ast.ClassRef): 1}  # (address, kind): words holding it
-    live, queue = [], list(counts)
+    held = {main: [ast.ClassRef, 1]}  # address: its kind, words holding it
+    live, queue, dirty = [], [main], []  # dirty: (block, words it uses)
     try:
         if (words[main - 1], words[main]) != (main, info.class_id):
             raise ValueError("slot %s does not hold the %s object at %s"
                              % (main - 1, info.name, main))
         while queue:
-            addr, kind = queue.pop()
-            header = mem.read_word(addr)
+            addr = queue.pop()
+            kind, header = held[addr][0], mem.read_word(addr)
             if kind is not ast.ClassRef:  # an array; its cells read lazily
-                size = block_words(header + 2)
+                used = header + 2
+                size = block_words(used)
                 slots = () if kind is ast.IntArrayType else (
-                    (i, ast.ClassRef) for i in range(2, header + 2))
+                    (i, ast.ClassRef) for i in range(2, used))
             elif header in refs:
-                size, slots = refs[header]
+                size, used, slots = refs[header]
             else:
                 raise ValueError("word at %s is not an object header" % addr)
             if addr != main:
                 if not mem.hp <= addr <= heap_end - size:
                     raise ValueError("block at %s overruns the heap" % addr)
+                if any(words[addr + used:addr + size]):
+                    dirty.append((addr, used))
                 live.append((addr, size))
             for i, reached in slots:
-                key = words[addr + i], reached
-                if key[0] and key not in counts:
-                    queue.append(key)
-                counts[key] = counts.get(key, 0) + 1
-        for (a, _), n in counts.items():
-            if a and words[a + 1] != n:
+                ref = words[addr + i]
+                if ref in held:
+                    if held[ref][0] is not reached:
+                        raise ValueError(
+                            "block at %s is held both as %s and %s" % (
+                                ref, held[ref][0].__name__, reached.__name__))
+                    held[ref][1] += 1
+                elif ref:
+                    held[ref] = [reached, 1]
+                    queue.append(ref)
+        for a, (_, n) in held.items():
+            if words[a + 1] != n:
                 raise ValueError("object at %s has refcount %s, but %s live "
                                  "bindings hold it" % (a, words[a + 1], n))
     except (MemoryFault, ValueError) as exc:
@@ -342,8 +359,11 @@ def census(state, class_map, main_class):
                 "blocks at %s and %s overlap" % (last, addr) if addr < at
                 else "words %s to %s are in no block" % (at, addr - 1)))
         last, at = addr, addr + size
+    if dirty:
+        raise ConfigError("bad heap in the state: block at %s is not zero "
+                          "past its %s words" % dirty[0])
     unused = words[heap_end:state.frame_top]
-    if unused.count(0) != len(unused):
+    if any(unused):
         at = heap_end + next(i for i, word in enumerate(unused) if word)
         raise ConfigError("word %s between the heap end and the frame top %s"
                           " is %s, not 0" % (at, state.frame_top, words[at]))

@@ -45,10 +45,11 @@ def json_line(fields, steps, free_lists):
 
 def run(args, program, class_map):
     """Run `program` as the options of `cli.parse_args` in `args` say."""
-    given = [(flag, field, value) for flag, field, value in zip(
-        ("--word-bits", "--freelists", "--stack-words", "--heap-grow"),
-        MemoryConfig.__slots__, (args.word_bits, args.freelists,
-                                 args.stack_words, args.heap_grow and 8))
+    given = [(flag, field, value) for flag, field, value in (
+        ("--word-bits", "word_bits", args.word_bits),
+        ("--freelists", "num_freelists", args.freelists),
+        ("--stack-words", "stack_words", args.stack_words),
+        ("--heap-grow", "grow_blocks", args.heap_grow and 8))
         if value is not None]
     config = state = result = None
     if args.resume is None:

@@ -46,7 +46,8 @@ def load_state(path):
      total, heap_end, frame_top, steps, crc) = _HEADER.unpack_from(blob)
     if version != VERSION:
         raise ConfigError("unsupported state-file version %s" % version)
-    config = MemoryConfig(word_bits, num_freelists, stack_words, grow_blocks)
+    config = MemoryConfig(word_bits=word_bits, num_freelists=num_freelists,
+                          stack_words=stack_words, grow_blocks=grow_blocks)
     config.validate()
     # checked before the image is built, so a bad header allocates nothing
     if total != config.arena_words():
@@ -69,6 +70,7 @@ def load_state(path):
     mem.words = list(word_format.unpack_from(blob, _HEADER.size))
     mem.heap_end = heap_end
     state = MachineState(mem)
-    state.frame_top, state.steps = frame_top, steps
+    state.frame_top = frame_top
+    state.steps = steps
     state.program_crc = crc or None
     return state

@@ -444,6 +444,7 @@ class Main
     Cell b
     int[] c
     Cell d
+    Cell[] e
 
     method main()
         new Cell d
@@ -458,8 +459,8 @@ class Main
 def heap4(tmp_path_factory):
     """HEAP4 and its final state: hp 11, heap end 1035, free blocks of 4
     words at 1031 and of 16 ... 512 below 1019; b, a and c at 1019, 1023
-    and 1027; the main object at 2053, its fields a-d at 2055-2058, its
-    slot 2052 the frame top.  Cell's class id is 1."""
+    and 1027; the main object at 2052, its fields a-e at 2054-2058, its
+    slot 2051 the frame top.  Cell's class id is 1."""
     tmp = tmp_path_factory.mktemp("heap4")
     path, saved = tmp / "heap4.rplpp", tmp / "heap4.state"
     path.write_text(HEAP4)
@@ -469,30 +470,47 @@ def heap4(tmp_path_factory):
 
 # words written into HEAP4's state, and the line its resumed run prints
 CRAFTED_HEAPS = {
-    "alias_with_leak": ({2056: 1023, 1024: 2},       # b = a, leaving b's block
+    "alias_with_leak": ({2055: 1023, 1024: 2},       # b = a, leaving b's block
                         "bad heap in the state: words 1019 to 1022 are in "
                         "no block"),
-    "leak": ({2056: 0}, "bad heap in the state: words 1019 to 1022 are in no "
+    "leak": ({2055: 0}, "bad heap in the state: words 1019 to 1022 are in no "
              "block"),
-    "live_blocks_overlap": ({2058: 1021, 1021: 1, 1022: 1},   # d inside b
+    "live_blocks_overlap": ({2057: 1021, 1021: 1, 1022: 1},   # d inside b
                             "bad heap in the state: blocks at 1019 and 1021 "
                             "overlap"),
     "live_block_over_a_free_one": ({1027: 3},        # c's length 1 -> 3
                                    "bad heap in the state: blocks at 1027 "
                                    "and 1031 overlap"),
     "word_above_the_heap_end": ({1040: 7}, "word 1040 between the heap end "
-                                "and the frame top 2052 is 7, not 0"),
-    "live_block_at_an_odd_offset": ({2058: 1020, 1021: 1},   # d at b + 1
+                                "and the frame top 2051 is 7, not 0"),
+    "live_block_at_an_odd_offset": ({2057: 1020, 1021: 1},   # d at b + 1
                                     "bad heap in the state: blocks at 1019 "
                                     "and 1020 overlap"),
-    "int_array_names_an_object": ({2057: 1023, 1024: 2},      # c = a
-                                  "bad reference in the state: object at "
-                                  "1023 has refcount 2, but 1 live bindings "
-                                  "hold it"),
-    "main_slot_holds_another_object": ({2052: 1023},
+    "int_array_names_an_object": ({2056: 1023, 1024: 2},      # c = a
+                                  "bad reference in the state: block at 1023 "
+                                  "is held both as ClassRef and IntArrayType"),
+    # c = this, and c's block put on the free list of 4-word blocks
+    "int_array_names_the_main_object": ({2056: 2052, 2: 1027, 1027: 1031,
+                                         1028: 0},
+                                        "bad reference in the state: block at "
+                                        "2052 is held both as ClassRef and "
+                                        "IntArrayType"),
+    # e = this, read as an array of 2 cells (Main's class id) a and b, and
+    # a's and b's refcounts 2 to match
+    "object_array_names_the_main_object": ({2058: 2052, 1024: 2, 1020: 2},
+                                           "bad reference in the state: block "
+                                           "at 2052 is held both as ClassRef "
+                                           "and ClassArrayType"),
+    "word_past_an_objects_fields": ({1022: 5},        # b's fourth word
+                                    "bad heap in the state: block at 1019 "
+                                    "is not zero past its 3 words"),
+    "word_past_an_arrays_cells": ({1030: 5},          # c's fourth word
+                                  "bad heap in the state: block at 1027 is "
+                                  "not zero past its 3 words"),
+    "main_slot_holds_another_object": ({2051: 1023},
                                        "bad reference in the state: slot "
-                                       "2052 does not hold the Main object "
-                                       "at 2053"),
+                                       "2051 does not hold the Main object "
+                                       "at 2052"),
 }
 
 
@@ -528,7 +546,7 @@ def test_resume_accepts_flags_equal_to_the_state(heap4):
     result = cli("run", "--resume", str(saved), "--reverse", "--freelists",
                  "10", "--word-bits", "32", "--stack-words", "1024", str(path))
     assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == "a = 0\nb = 0\nc = 0\nd = 0\n"
+    assert result.stdout == "a = 0\nb = 0\nc = 0\nd = 0\ne = 0\n"
 
 
 def test_resume_under_another_program_exit_4(tmp_path):

@@ -755,6 +755,20 @@ def test_refcount_sweep_refuses_a_bad_object_header():
         census(result.state, class_map, main_class_of(program))
 
 
+def test_census_refuses_the_main_object_held_as_an_array():
+    # read as an array, Main (class id 2, one field) would reach past memory
+    program = parse("class A\n    int x\n\n    method nop()\n        skip\n\n"
+                    "class Main\n    A[] xs\n\n"
+                    "    method main()\n        skip\n")
+    class_map = build_class_map(program)
+    result = run_program(program, class_map)
+    main = result.main_address
+    result.state.memory.words[main + 2] = main
+    with pytest.raises(ConfigError, match=f"block at {main} is held both as "
+                                          "ClassRef and ClassArrayType"):
+        census(result.state, class_map, main_class_of(program))
+
+
 # ------------------------------------------------- generated functions
 
 CHURN = """
