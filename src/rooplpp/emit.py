@@ -1,7 +1,8 @@
 """Code generation: a method body as the source of one Python function,
 every name resolved to its word's address as the paper's compiler
 resolves it to an offset; only failing checks and `/` or `%` of a negative
-word call helpers (`machine.Interpreter`).  Sites, call-site caches and the
+word call helpers (`machine.Interpreter`), and allocation statements call
+the allocator on the memory image.  Sites, call-site caches and the
 step limit are globals of the namespace the code runs in, so a text depends
 only on the body, direction, tracing and `MemoryConfig`, and each is compiled
 once per process.  Text is built with %, not f-strings (faster to compile)."""
@@ -165,15 +166,10 @@ class Emitter:
         self.temps += 1
         return prefix + str(self.temps)
 
-    @staticmethod
-    def call(helper, site, *args):
-        """Text of a call of `helper` with the site and `args`."""
-        return "%s(%s)" % (helper, ", ".join([site, *args]))
-
     def check(self, test, kind, message, span, *values):
         """Emit `if test:` raising the error `kind` with `message`."""
         site = self.site(span, kind, message)
-        self.emit("if %s: %s" % (test, self.call("F", site, *values)))
+        self.emit("if %s: F(%s)" % (test, ", ".join([site, *values])))
 
     def write(self, addr, value, test=""):
         """Emit the write of `value` to the word at `addr`, if `test`."""
@@ -223,8 +219,8 @@ class Emitter:
             bounds = "(%s := %s) >= w[%s] or %s >= %d" % (k, i, base, k,
                                                           self.sign)
             address = "%s + 2 + %s" % (base, k)
-        fault = self.call("A", self.site(node.span, name), base,
-                          "%s and %s" % (base, k))
+        fault = "A(%s, %s, %s and %s)" % (self.site(node.span, name), base,
+                                          base, k)
         unset = "not (%s := w[%s])" % (base, names[name])
         if len(self.lines) == mark:  # the index cannot fail
             self.emit("if %s or %s: %s" % (unset, bounds, fault))
@@ -347,38 +343,105 @@ class Emitter:
     def _ObjectBlock(self, stmt, names):
         # construct c x  s  destruct x  is new/delete around a local nil
         # block: allocate at entry and deallocate at exit in either direction
-        desc = ast.AllocDesc(stmt.class_name)
-        slot = self.push(stmt.span)
-        site = self.site(stmt.span, desc, self.interp.class_map[desc.name])
-        self.emit(self.call("N", site, slot))
-        self.stmt(stmt.body, {**names, stmt.var: slot})
-        self.emit(self.call("D", site, slot))
+        names = {**names, stmt.var: self.push(stmt.span)}
+        new = ast.New(ast.AllocDesc(stmt.class_name), ast.LValue(stmt.var),
+                      stmt.span)
+        self._New(new, names)
+        self.stmt(stmt.body, names)
+        self._Delete(new, names)
         self.pushed -= 1
 
     def _New(self, stmt, names):
-        """new or delete; the check of an array's target word precedes the
-        checks inside its length."""
-        desc, slot = stmt.desc, self.lvalue(stmt.target, names)
-        new, args = isinstance(stmt, ast.New), [slot]
+        """The target word is nil, then an array's length is positive."""
+        desc, span = stmt.desc, stmt.span
+        slot = self.lvalue(stmt.target, names)
+        self.check("w[%s]" % slot, E.NEW_TARGET_NOT_NIL,
+                   "target of new %s is not nil" % (
+                       "array" if desc.is_array else desc.name), span)
         if desc.is_array:
-            self.check(("w[%s]" if new else "not w[%s]") % slot,
-                       E.NEW_TARGET_NOT_NIL if new else E.NIL_DEREFERENCE,
-                       "target of new array is not nil" if new
-                       else "delete of a nil array", stmt.span)
-            args.append(self.value(desc.length, names))
-        info = None if desc.is_array else self.interp.class_map[desc.name]
-        self.emit(self.call("N" if new else "D",
-                            self.site(stmt.span, desc, info), *args))
+            header = self.length(desc, names, span)
+            size = header + " + 2"
+        else:  # the class id and block size are bound, not in the text
+            info, size, header = self.interp.class_map[desc.name], \
+                self.temp("z"), self.temp("z")
+            self.bound.update({size: info.alloc_words, header: info.class_id})
+        addr = self.temp("a")
+        self.emit("try: %s = H.malloc(%s)" % (addr, size))
+        self.emit("except MemoryFault as x: M(%s, x)" % self.site(span))
+        self.write(addr, header)
+        self.write(addr + " + 1", "1")
+        self.write(slot, addr)
 
-    _Delete = _New
+    def _Delete(self, stmt, names):
+        """An object's class is the one its header names in `K`, which maps
+        a class id to (words used, block words, field names)."""
+        desc, span, array = stmt.desc, stmt.span, stmt.desc.is_array
+        slot, addr = self.lvalue(stmt.target, names), self.temp("a")
+        self.check("not (%s := w[%s])" % (addr, slot), E.NIL_DEREFERENCE,
+                   "delete of a nil array" if array else
+                   "delete %s on a nil reference" % desc.name, span)
+        if array:
+            length = self.length(desc, names, span)
+            self.check("w[%s] != %s" % (addr, length), E.ARRAY_LENGTH_MISMATCH,
+                       lambda k, n: "delete names length %d, array was "
+                       "allocated with %d" % (k, n), span, length,
+                       "w[%s]" % addr)
+            end, size = "%s + 2 + %s" % (addr, length), length + " + 2"
+        else:
+            info = self.temp("c")
+            self.check("not (%s := K.get(w[%s]))" % (info, addr),
+                       E.CORRUPT_FREE, lambda a: "word at %d is not an object"
+                       " header" % a, span, addr)
+            end, size = "%s + %s[0]" % (addr, info), info + "[1]"
+        self.check("w[%s + 1] != 1" % addr, E.DANGLING_REFERENCE_ON_DELETE,
+                   lambda n: "%s still has %d references" % (
+                       "array" if array else "object", n), span,
+                   "w[%s + 1]" % addr)
+        words = self.interp.words  # the message names the first non-zero
+        self.check("any(w[%s + 2:%s])" % (addr, end),
+                   E.NON_ZERO_CELLS_ON_DELETE if array else
+                   E.NON_ZERO_FIELDS_ON_DELETE, lambda a, labels: "%s %s is "
+                   "not zero-cleared" % ("cell" if array else "field", next(
+                       x for i, x in enumerate(labels) if words[a + 2 + i])),
+                   span, addr, "range(%s)" % length if array else info + "[2]")
+        self.write(addr, "0")
+        self.write(addr + " + 1", "0")
+        self.emit("try: H.free(%s, %s)" % (addr, size))
+        self.emit("except MemoryFault as x: M(%s, x)" % self.site(span))
+        self.write(slot, "0")
+
+    def length(self, desc, names, span):
+        """Text of the positive length of an array descriptor."""
+        length = self.value(desc.length, names)
+        if length.isdigit() and 0 < int(length) < self.sign:
+            return length
+        k, signed = self.temp("k"), self.interp.mem.signed
+        self.check("(%s := %s) >= %d or not %s" % (k, length, self.sign, k),
+                   E.INVALID_ARRAY_LENGTH, lambda k: "array length %d is not "
+                   "positive" % signed(k), span, k)
+        return k
 
     def _Copy(self, stmt, names):
-        if stmt.desc.is_array:
+        """copy or uncopy; the checks of an array's length come first."""
+        array, uncopy = stmt.desc.is_array, isinstance(stmt, ast.Uncopy)
+        if array:
             self.value(stmt.desc.length, names)  # only for its checks
         source = self.lvalue(stmt.source, names)
         target = self.lvalue(stmt.target, names)
-        site = self.site(stmt.span, stmt.desc, isinstance(stmt, ast.Uncopy))
-        self.emit(self.call("U", site, source, target))
+        self.check("not (v := w[%s])" % source, E.UNINITIALIZED_ARRAY if array
+                   else E.UNINITIALIZED_OBJECT, "%s from a nil reference" % (
+                       "uncopy" if uncopy else "copy"), stmt.span)
+        if uncopy:
+            self.check("w[%s] != v" % target, E.UNCOPY_MISMATCH,
+                       "uncopy operands reference different values", stmt.span)
+            self.check("w[v + 1] < 2", E.UNCOPY_MISMATCH,
+                       "reference count would drop below one", stmt.span)
+        else:
+            self.check("w[%s]" % target, E.COPY_TARGET_NOT_NIL,
+                       "copy target is not nil", stmt.span)
+        self.write(target, "0" if uncopy else "v")
+        self.write("v + 1", "w[v + 1] - 1" if uncopy else
+                   "(w[v + 1] + 1) & %d" % self.mask)
 
     _Uncopy = _Copy
 
@@ -394,9 +457,8 @@ class Emitter:
         self.bound["C" + site] = self.bound[site][2]
         args = ", ".join([slot, "r", *(names[arg] for arg in stmt.args), "n",
                           "b - %d" % (self.pushed + 1)])
-        self.emit("f, lb = C%s.get((r := w[%s]) and b > %d and w[r]) or %s" % (
-            site, slot, self.heap_max + self.pushed,
-            self.call("X", site, "r", "b")))
+        self.emit("f, lb = C%s.get((r := w[%s]) and b > %d and w[r]) or X(%s, "
+                  "r, b)" % (site, slot, self.heap_max + self.pushed, site))
         self.emit("n = f(%s)" % args)
 
     _LocalUncall = _ObjectCall = _ObjectUncall = _LocalCall

@@ -1,4 +1,5 @@
-"""Executor: each method body runs as one generated Python function.
+"""Executor: each method body runs as one generated Python function,
+which writes memory and calls the allocator itself.
 
 Values are machine words; object values are the addresses of their
 headers and 0 encodes nil.  An object at address a stores its class id at
@@ -41,11 +42,11 @@ class RunResult(Record):
 class Interpreter:
     """Runs method bodies, each emitted once per (class id, method,
     direction), over one machine state for one run of `step_limit` steps
-    at most; with a `tracer`, in their traced variant.  Emitted code calls
-    the helpers below through the globals `F` and `A` (failed checks), `X`
-    (dispatch miss), `N`, `D` and `U` (new, delete, copy) and `T` (trace
-    record), each with the tuple of its site: the span, the local blocks
-    pushed and what else the emitter knew."""
+    at most; with a `tracer`, in their traced variant.  Emitted code writes
+    every word and calls the allocator on the image `H` itself; it calls
+    the helpers below only through `F`, `A` and `M` (failed check, cell or
+    allocator call), `X` (dispatch miss) and `T` (trace record), with its
+    site's tuple: span, local blocks pushed, what else the emitter knew."""
 
     def __init__(self, class_map, state, step_limit, tracer):
         self.class_map, self.state = class_map, state
@@ -58,10 +59,13 @@ class Interpreter:
         def poke(addr, value):
             words[addr] = value
             self._touched.append(addr)
-        self.put = words.__setitem__ if tracer is None else poke
         self.globals = {"w": words, "F": self.fail, "A": self.cell_fault,
-                        "X": self.dispatch, "N": self.new, "D": self.delete,
-                        "U": self.copy, **division(mem.word_bits)}
+                        "X": self.dispatch, "M": self.heap_fault, "H": mem,
+                        "MemoryFault": MemoryFault, "K": {
+                            c.class_id: (2 + len(c.fields), c.alloc_words,
+                                         [x for _, x in c.fields])
+                            for c in class_map.entries.values()},
+                        **division(mem.word_bits)}
         if tracer is not None:
             self.globals.update(P=poke, T=self.record, S=self)
 
@@ -115,6 +119,9 @@ class Interpreter:
         self.error(site, E.INDEX_OUT_OF_BOUNDS, "index %d outside [0, %d) of"
                    " %s" % (self.mem.signed(index), self.words[array], name))
 
+    def heap_fault(self, site, fault):
+        self.error(site, E(fault.kind), fault.message)
+
     def dispatch(self, site, obj, base):
         """(function, label) of the call at `site` on the object `obj`."""
         span, pushed, cache, method, backward = site
@@ -146,82 +153,6 @@ class Interpreter:
         except KeyError:
             self.error(site, E.CORRUPT_FREE,
                        "word at %d is not an object header" % addr)
-
-    def _length(self, site, value):
-        length = self.mem.signed(value)
-        if length < 1:
-            self.error(site, E.INVALID_ARRAY_LENGTH,
-                       "array length %d is not positive" % length)
-        return length
-
-    def _heap(self, site, operation, *args):
-        try:
-            return operation(*args)  # looked up per call: tools wrap them
-        except MemoryFault as fault:
-            self.error(site, E(fault.kind), fault.message)
-
-    def new(self, site, slot, length=None):
-        """Allocate the object or array of `site` into the word at `slot`."""
-        _, _, desc, info = site
-        if self.words[slot]:
-            self.error(site, E.NEW_TARGET_NOT_NIL, "target of new "
-                       + (desc.name if info else "array") + " is not nil")
-        header = info.class_id if info else self._length(site, length)
-        addr = self._heap(site, self.mem.malloc,
-                          info.alloc_words if info else header + 2)
-        self.put(addr, header)
-        self.put(addr + 1, 1)
-        self.put(slot, addr)
-
-    def delete(self, site, slot, length=None):
-        """Free the zero-cleared, unshared object or array at `slot`."""
-        desc = site[2]
-        words, array = self.words, desc.is_array
-        addr = words[slot]
-        if addr == 0:
-            self.error(site, E.NIL_DEREFERENCE, "delete of a nil array" if
-                       array else "delete %s on a nil reference" % desc.name)
-        info = None if array else self._class_at(site, addr)
-        size = self._length(site, length) if array else info.payload_words
-        if array and words[addr] != size:
-            self.error(site, E.ARRAY_LENGTH_MISMATCH, "delete names length %d,"
-                       " array was allocated with %d" % (size, words[addr]))
-        if words[addr + 1] != 1:
-            self.error(site, E.DANGLING_REFERENCE_ON_DELETE,
-                       "%s still has %d references" % (
-                           "array" if array else "object", words[addr + 1]))
-        cells = words[addr + 2:addr + 2 + size]
-        if any(cells):
-            i = next(k for k, word in enumerate(cells) if word)
-            kind = E.NON_ZERO_CELLS_ON_DELETE if array else \
-                E.NON_ZERO_FIELDS_ON_DELETE
-            self.error(site, kind, ("cell %d" % i if array else "field " +
-                       info.fields[i][1]) + " is not zero-cleared")
-        self.put(addr, 0)
-        self.put(addr + 1, 0)
-        self._heap(site, self.mem.free, addr,
-                   size + 2 if array else info.alloc_words)
-        self.put(slot, 0)
-
-    def copy(self, site, src, dst):
-        """copy or uncopy the reference in the word at `src` to `dst`."""
-        _, _, desc, uncopy = site
-        words, value = self.words, self.words[src]
-        for failed, kind, message in (
-                (value == 0, E.UNINITIALIZED_ARRAY if desc.is_array else
-                 E.UNINITIALIZED_OBJECT,
-                 ("uncopy" if uncopy else "copy") + " from a nil reference"),
-                (not uncopy and words[dst], E.COPY_TARGET_NOT_NIL,
-                 "copy target is not nil"),
-                (uncopy and words[dst] != value, E.UNCOPY_MISMATCH,
-                 "uncopy operands reference different values"),
-                (uncopy and words[value + 1] < 2, E.UNCOPY_MISMATCH,
-                 "reference count would drop below one")):
-            if failed:
-                self.error(site, kind, message)
-        self.put(dst, 0 if uncopy else value)
-        self.put(value + 1, words[value + 1] - 1 if uncopy
-                 else (words[value + 1] + 1) & self.mem.mask)
 
 
 def run_program(program, class_map,

@@ -895,6 +895,28 @@ def test_division_of_non_negative_words_calls_no_helper(monkeypatch):
     assert calls["Q"] and calls["R"]
 
 
+def test_successful_run_calls_no_interpreter_helper(monkeypatch):
+    """Emitted code runs every statement, allocation included, itself:
+    a run that fails no check calls only `_method`, and `dispatch` with
+    `_class_at` at a call-site miss."""
+    calls = Counter()
+
+    def counted(name, method):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return call
+    for name, method in vars(Interpreter).items():
+        if callable(method) and not name.startswith("__") and name not in (
+                "_method", "dispatch", "_class_at"):
+            monkeypatch.setattr(Interpreter, name, counted(name, method))
+    for path in CORPUS:
+        program, class_map = load_pipeline(path)
+        state = run_program(program, class_map).state
+        run_program(program, class_map, direction=BACKWARD, state=state)
+    assert calls == {}
+
+
 # ------------------------------------------------ code compiled once a process
 
 _COMPILING: list[list] = []  # the innermost `_compiles` block's list
