@@ -6,6 +6,7 @@ parse errors 3, IO/config errors 4.  The run path's own types live with
 it: `heap.MemoryFault` and `emit.RuntimeErrorKind`.
 """
 
+from itertools import groupby
 from operator import attrgetter
 
 
@@ -165,7 +166,12 @@ class ExecutionError(Exception):
         self.span, self.trace = span, tuple(trace)
 
     def __str__(self):
+        # calls outermost first; a run of over three equal calls is folded
+        # into three and a count, as in a CPython traceback
         s = "%s: %s: %s" % (self.span, self.kind.value, self.message)
-        if self.trace:
-            s += "\n  in " + "\n  in ".join(str(t) for t in self.trace)
+        for label, run in groupby(self.trace):
+            n = len(list(run))
+            s += ("\n  in %s" % label) * min(n, 3)
+            if n > 3:
+                s += "\n  [Previous line repeated %d more times]" % (n - 3)
         return s
