@@ -50,7 +50,8 @@ class ClassMap:
                              % (name,)) from None
 
     def by_id(self, class_id):
-        return self._by_id[class_id]
+        """The class with id `class_id`, or None."""
+        return self._by_id.get(class_id)
 
     def subtype_of(self, c1, c2):
         """True iff c1 reaches c2 by zero or more inherits steps."""

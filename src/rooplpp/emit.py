@@ -42,7 +42,6 @@ class RuntimeErrorKind(enum.Enum):
     UNCOPY_MISMATCH = "UncopyMismatch"
     OUT_OF_MEMORY = "OutOfMemory"
     CORRUPT_FREE = "CorruptFree"
-    ADDRESS_FAULT = "AddressFault"
 
 
 E = RuntimeErrorKind
@@ -210,8 +209,10 @@ class Emitter:
         """Address text of the cell `node` names: the array is allocated,
         then the index, evaluated after that check, lies inside it."""
         name, base, k = node.name, self.temp("a"), self.temp("i")
-        mark = len(self.lines)
-        i = self.value(node.index, names)
+        self.check("not (%s := w[%s])" % (base, names[name]),
+                   E.UNINITIALIZED_ARRAY, "array %s has not been allocated"
+                   % name, node.span)
+        i, signed = self.value(node.index, names), self.interp.mem.signed
         if i.isdigit() and int(i) < self.sign:
             k, bounds = i, "%s >= w[%s]" % (i, base)
             address = "%s + %d" % (base, 2 + int(i))
@@ -219,15 +220,9 @@ class Emitter:
             bounds = "(%s := %s) >= w[%s] or %s >= %d" % (k, i, base, k,
                                                           self.sign)
             address = "%s + 2 + %s" % (base, k)
-        fault = "A(%s, %s, %s and %s)" % (self.site(node.span, name), base,
-                                          base, k)
-        unset = "not (%s := w[%s])" % (base, names[name])
-        if len(self.lines) == mark:  # the index cannot fail
-            self.emit("if %s or %s: %s" % (unset, bounds, fault))
-        else:
-            self.lines.insert(mark, " " * self.indent + "if %s: %s" % (
-                unset, fault))
-            self.emit("if %s: %s" % (bounds, fault))
+        self.check(bounds, E.INDEX_OUT_OF_BOUNDS, lambda k, n: "index %d "
+                   "outside [0, %d) of %s" % (signed(k), n, name), node.span,
+                   k, "w[%s]" % base)
         return address
 
     def lvalue(self, lv, names):
@@ -373,8 +368,8 @@ class Emitter:
         self.write(slot, addr)
 
     def _Delete(self, stmt, names):
-        """An object's class is the one its header names in `K`, which maps
-        a class id to (words used, block words, field names)."""
+        """An object's class is the one its header names in `K`, the table
+        `machine.layout` builds: (words used, block words, field names)."""
         desc, span, array = stmt.desc, stmt.span, stmt.desc.is_array
         slot, addr = self.lvalue(stmt.target, names), self.temp("a")
         self.check("not (%s := w[%s])" % (addr, slot), E.NIL_DEREFERENCE,

@@ -44,9 +44,9 @@ class Interpreter:
     direction), over one machine state for one run of `step_limit` steps
     at most; with a `tracer`, in their traced variant.  Emitted code writes
     every word and calls the allocator on the image `H` itself; it calls
-    the helpers below only through `F`, `A` and `M` (failed check, cell or
-    allocator call), `X` (dispatch miss) and `T` (trace record), with its
-    site's tuple: span, local blocks pushed, what else the emitter knew."""
+    the helpers below only through `F` and `M` (failed check or allocator
+    call), `X` (dispatch miss) and `T` (trace record), with its site's
+    tuple: span, local blocks pushed, what else the emitter knew."""
 
     def __init__(self, class_map, state, step_limit, tracer):
         self.class_map, self.state = class_map, state
@@ -59,13 +59,9 @@ class Interpreter:
         def poke(addr, value):
             words[addr] = value
             self._touched.append(addr)
-        self.globals = {"w": words, "F": self.fail, "A": self.cell_fault,
-                        "X": self.dispatch, "M": self.heap_fault, "H": mem,
-                        "MemoryFault": MemoryFault, "K": {
-                            c.class_id: (2 + len(c.fields), c.alloc_words,
-                                         [x for _, x in c.fields])
-                            for c in class_map.entries.values()},
-                        **division(mem.word_bits)}
+        self.globals = {"w": words, "F": self.fail, "X": self.dispatch,
+                        "M": self.heap_fault, "H": mem, "K": layout(class_map),
+                        "MemoryFault": MemoryFault, **division(mem.word_bits)}
         if tracer is not None:
             self.globals.update(P=poke, T=self.record, S=self)
 
@@ -87,12 +83,14 @@ class Interpreter:
             self.methods[key] = run, info.name + "::" + name
         return self.methods[key]
 
-    def error(self, site, kind, message):
+    def error(self, site, kind, message, frame=None):
         """Raise `kind` at `site`, with the count, frame base and call stack
-        read off the Python stack: the innermost emitted function failed,
-        and each that is making a call holds its label in `lb`.  The frame
-        top keeps the local blocks' words pushed and the calls' popped."""
-        frames, frame = [], sys._getframe()
+        read off the Python stack from `frame` out (by default from here):
+        the innermost emitted function failed, and each that is making a
+        call holds its label in `lb`.  The frame top keeps the local blocks'
+        words pushed and the calls' popped.  With no emitted function on
+        the stack, the state is left as it is."""
+        frames, frame = [], frame or sys._getframe()
         while frame is not None:
             if frame.f_code.co_filename == "<rooplpp>":
                 frames.append(frame)
@@ -100,9 +98,10 @@ class Interpreter:
         trace = tuple(caller.f_locals["lb"] for callee, caller in
                       zip(frames, frames[1:]) if callee.f_code.co_name == "m")
         span, pushed = site[:2]
-        here = frames[0].f_locals
-        self.state.steps = here["n"]
-        self.state.frame_top = here["b"] - pushed + len(trace)
+        if frames:
+            here = frames[0].f_locals
+            self.state.steps = here["n"]
+            self.state.frame_top = here["b"] - pushed + len(trace)
         raise ExecutionError(kind, message, span, trace=trace[::-1])
 
     def fail(self, site, *values):
@@ -110,14 +109,6 @@ class Interpreter:
         values is a function of them."""
         _, _, kind, message = site
         self.error(site, kind, message(*values) if values else message)
-
-    def cell_fault(self, site, array, index):
-        name = site[2]
-        if not array:
-            self.error(site, E.UNINITIALIZED_ARRAY,
-                       "array %s has not been allocated" % name)
-        self.error(site, E.INDEX_OUT_OF_BOUNDS, "index %d outside [0, %d) of"
-                   " %s" % (self.mem.signed(index), self.words[array], name))
 
     def heap_fault(self, site, fault):
         self.error(site, E(fault.kind), fault.message)
@@ -128,7 +119,10 @@ class Interpreter:
         if obj == 0:
             self.error(site, E.UNINITIALIZED_OBJECT,
                        "call of %s on a nil reference" % method)
-        info = self._class_at(site, obj)
+        info = self.class_map.by_id(self.words[obj])
+        if info is None:  # unreachable: a non-nil object word holds one
+            self.error(site, E.CORRUPT_FREE,
+                       "word at %d is not an object header" % obj)
         if method not in info.methods:
             self.error(site, E.UNINITIALIZED_OBJECT,
                        "class %s has no method %s" % (info.name, method))
@@ -146,13 +140,6 @@ class Interpreter:
         self.tracer({"span": [*where], "rule": rule, "direction": direction,
                      "touched": sorted(set(touched)) if len(touched) > 1
                      else touched[:]})
-
-    def _class_at(self, site, addr):
-        try:
-            return self.class_map.by_id(self.words[addr])
-        except KeyError:
-            self.error(site, E.CORRUPT_FREE,
-                       "word at %d is not an object header" % addr)
 
 
 def run_program(program, class_map,
@@ -197,15 +184,11 @@ def run_program(program, class_map,
     try:
         run, _ = interp._method(info, "main", direction == BACKWARD)
         state.steps = run(this_slot, obj_addr, state.steps, state.frame_top)
-    except RecursionError as exc:
-        tb = exc.__traceback__
-        while tb is not None:  # the count of the innermost call made
-            if tb.tb_frame.f_code.co_filename == "<rooplpp>":
-                state.steps = tb.tb_frame.f_locals["n"]
-            tb = tb.tb_next
-        raise ExecutionError(E.STACK_OVERFLOW,
-                             "call nesting exceeded the host limit",
-                             info.methods["main"].span)
+    except RecursionError as exc:  # read off from the innermost frame
+        from traceback import walk_tb
+        *_, (frame, _) = walk_tb(exc.__traceback__)
+        interp.error((info.methods["main"].span, 0), E.STACK_OVERFLOW,
+                     "call nesting exceeded the host limit", frame)
     finally:
         sys.setrecursionlimit(old_limit)
     signed, read = state.memory.signed, state.memory.read_word
@@ -216,6 +199,15 @@ def run_program(program, class_map,
 
 def _checksum(program):
     return zlib.crc32(repr(program).encode())  # reprs ignore spans
+
+
+def layout(class_map):
+    """Each class id: (words used, block words, field names, reference
+    slots), a slot as (offset, the type class of the reference it holds)."""
+    return {c.class_id: (
+        2 + len(c.fields), c.alloc_words, [x for _, x in c.fields],
+        [(i, type(ty)) for i, (ty, _) in enumerate(c.fields, 2)
+         if type(ty) is not ast.IntType]) for c in class_map.entries.values()}
 
 
 def _main_address(memory, info):
@@ -237,11 +229,7 @@ def census(state, class_map, main_class):
         free = mem.check_free_blocks()
     except MemoryFault as exc:
         raise ConfigError("%s: %s" % (exc.kind, exc.message)) from None
-    # each class id: its block's words, the words it uses, the fields
-    # holding references
-    refs = {c.class_id: (c.alloc_words, 2 + len(c.fields), [
-        (i, type(ty)) for i, (ty, _) in enumerate(c.fields, 2)
-        if type(ty) is not ast.IntType]) for c in class_map.entries.values()}
+    layouts = layout(class_map)
     held = {main: [ast.ClassRef, 1]}  # address: its kind, words holding it
     live, queue, dirty = [], [main], []  # dirty: (block, words it uses)
     try:
@@ -256,8 +244,8 @@ def census(state, class_map, main_class):
                 size = block_words(used)
                 slots = () if kind is ast.IntArrayType else (
                     (i, ast.ClassRef) for i in range(2, used))
-            elif header in refs:
-                size, used, slots = refs[header]
+            elif header in layouts:
+                used, size, _, slots = layouts[header]
             else:
                 raise ValueError("word at %s is not an object header" % addr)
             if addr != main:

@@ -255,7 +255,7 @@ class Checker:
                        stmt.span)
 
     def _check_copy_uncopy(self, env, stmt):
-        rule = RULES[type(stmt).__name__]
+        rule, errors = RULES[type(stmt).__name__], len(self.errors)
         want = self._desc_type(env, stmt.desc, rule)
         st = self.place_type(env, stmt.source, rule)
         tt = self.place_type(env, stmt.target, rule)
@@ -267,6 +267,10 @@ class Checker:
                        "operands have types %s and %s, descriptor says %s"
                        % (st, tt, want),
                        stmt.span)
+        elif stmt.source == stmt.target and len(self.errors) == errors:
+            self.warnings.append("%s: %s onto its own source %s" % (
+                stmt.span, type(stmt).__name__.lower(), "can never succeed"
+                if type(stmt) is ast.Copy else "fails or cannot be undone"))
 
     def _check_call(self, env, stmt):
         """A local call names a method of the current class; an object

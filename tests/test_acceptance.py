@@ -261,6 +261,7 @@ EXPECTED_KINDS = {
     "uncopy_mismatch": "UncopyMismatch",
     "out_of_memory": "OutOfMemory",
     "corrupt_free": "CorruptFree",
+    "dispatch_subtype": "UninitializedObject",
 }
 
 

@@ -13,7 +13,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rooplpp import BACKWARD, run_program
+from rooplpp import (BACKWARD, ExecutionError, MachineState, MemoryConfig,
+                     build_class_map, machine, main_class_of, parse,
+                     run_program)
 from rooplpp.statefile import load_state, save_state
 
 from conftest import (CORPUS, CORPUS_DIR, FIXTURES_DIR, corpus_path,
@@ -261,6 +263,30 @@ def test_40000_deep_recursion_then_uncall(tmp_path):
     result = cli("run", "--stack-words", "200000", str(path))
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["n = 0", "hits = 0"]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+    "before Python 3.11 every Python call also nests a C frame"))
+def test_host_limit_overflow_names_the_call_stack(monkeypatch):
+    states = []  # the state `run_program` builds
+
+    class Recorded(MachineState):
+        def __init__(self, memory):
+            super().__init__(memory)
+            states.append(self)
+    monkeypatch.setattr(machine, "MachineState", Recorded)
+    program = parse(_deep_recursion(150000))
+    class_map = build_class_map(program)
+    with pytest.raises(ExecutionError) as info:
+        run_program(program, class_map, MemoryConfig(stack_words=400_000))
+    exc, main = info.value, class_map[main_class_of(program)].methods["main"]
+    lines = str(exc).splitlines()
+    assert lines[0] == (
+        "%s: StackOverflow: call nesting exceeded the host limit" % main.span)
+    assert exc.span == main.span and states[0].steps > 0
+    # main's call of down, then the recursive calls, folded when printed
+    assert len(exc.trace) > 90_000 and len(set(exc.trace[1:])) == 1
+    assert len(lines) <= 6
 
 
 def test_frame_overflow_names_the_call_stack():

@@ -269,6 +269,9 @@ ALLOCATION_BRANCHES = [
 #   zeroes that word;
 # - `construct`'s "target of new C is not nil": its word was just pushed
 #   below the frame top, and every word there is zero;
+# - dispatch's "word at A is not an object header", for the same reason
+#   as `delete`'s: a call on a non-nil word reads a live object's header
+#   (`errors/dispatch_subtype` reaches "class C has no method m");
 # - the allocator's CorruptFree faults other than "merge partner is not
 #   the only block": a program writes only the fields and cells of live
 #   blocks and frees only blocks it allocated, so no freed block is dirty,

@@ -872,6 +872,36 @@ def test_untraced_code_holds_no_trace_code():
     assert not trace_names & names[None]
 
 
+def test_emitted_code_fails_only_through_f_m_and_x(monkeypatch):
+    """A failed check calls `F`, an allocator fault `M` and a call-site
+    miss `X`: no function emitted for the corpus, in either direction,
+    traced or not, reads another interpreter helper but the record `T`."""
+    emitted, method = [], Interpreter._method
+
+    def recorded(self, *args):
+        run, label = method(self, *args)
+        emitted.append(run)
+        return run, label
+    monkeypatch.setattr(Interpreter, "_method", recorded)
+    for path in CORPUS:
+        program, class_map = load_pipeline(path)
+        for tracer in (None, lambda record: None):
+            state = run_program(program, class_map, tracer=tracer).state
+            run_program(program, class_map, direction=BACKWARD,
+                        tracer=tracer, state=state)
+    read = set()
+    for run in emitted:  # with the functions a deep statement spills into
+        namespace = run.__globals__
+        helpers = {name for name, value in namespace.items()
+                   if isinstance(getattr(value, "__self__", None),
+                                 Interpreter)}
+        for value in namespace.values():
+            code = getattr(value, "__code__", None)
+            if code is not None and code.co_filename == "<rooplpp>":
+                read |= _code_names(code) & helpers
+    assert read == {"F", "M", "X", "T"}
+
+
 def test_division_of_non_negative_words_calls_no_helper(monkeypatch):
     calls = Counter()
 
@@ -897,8 +927,8 @@ def test_division_of_non_negative_words_calls_no_helper(monkeypatch):
 
 def test_successful_run_calls_no_interpreter_helper(monkeypatch):
     """Emitted code runs every statement, allocation included, itself:
-    a run that fails no check calls only `_method`, and `dispatch` with
-    `_class_at` at a call-site miss."""
+    a run that fails no check calls only `_method`, and `dispatch` at a
+    call-site miss."""
     calls = Counter()
 
     def counted(name, method):
@@ -908,7 +938,7 @@ def test_successful_run_calls_no_interpreter_helper(monkeypatch):
         return call
     for name, method in vars(Interpreter).items():
         if callable(method) and not name.startswith("__") and name not in (
-                "_method", "dispatch", "_class_at"):
+                "_method", "dispatch"):
             monkeypatch.setattr(Interpreter, name, counted(name, method))
     for path in CORPUS:
         program, class_map = load_pipeline(path)

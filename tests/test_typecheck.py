@@ -338,6 +338,38 @@ class Main
     assert warnings and "shadows" in warnings[0]
 
 
+_ONTO_ITSELF = "copy onto its own source can never succeed"
+_UNCOPY_ONTO_ITSELF = "uncopy onto its own source fails or cannot be undone"
+
+
+@pytest.mark.parametrize("body, warned", [
+    ("copy Cell head head", _ONTO_ITSELF),
+    ("uncopy Cell head head", _UNCOPY_ONTO_ITSELF),
+    ("copy int[2] nums nums", _ONTO_ITSELF),
+    ("uncopy Cell cells[x + 1] cells[x + 1]", _UNCOPY_ONTO_ITSELF),
+    ("copy Cell head spare", None),
+    ("uncopy Cell cells[x] cells[y]", None),
+])
+def test_copy_onto_its_own_source_warns_not_errors(body, warned):
+    program = parse(WORLD.replace("BODY", body))
+    warnings = []
+    assert check_program(program, build_class_map(program),
+                         warnings=warnings) == []
+    # each warning is "line:col: message"
+    assert [w.split(": ", 1)[1] for w in warnings] == (
+        [warned] if warned else [])
+
+
+@pytest.mark.parametrize("body", ["copy Nope head head",
+                                  "copy Cell cells[head] cells[head]"])
+def test_copy_onto_itself_failing_its_rule_only_errors(body):
+    program = parse(WORLD.replace("BODY", body))
+    warnings = []
+    assert check_program(program, build_class_map(program),
+                         warnings=warnings)
+    assert warnings == []
+
+
 def test_error_list_deterministic():
     source = (FIXTURES_DIR / "static" / "self_assign.rplpp").read_text()
     assert check_source(source) == check_source(source)
