@@ -17,27 +17,22 @@ def block_words(n):
 
 class ClassInfo(Record):
     """`fields` is ((type, name), ...), own then inherited; `methods` maps
-    name to MethodDecl, where an override drops the base method."""
+    name to MethodDecl, where an override drops the base method.  The
+    layout: an object uses `used` words (class id, reference count, the
+    fields) of a block of `alloc_words`; `refs` holds (offset, type class)
+    of each reference field."""
 
-    __slots__ = ("name", "class_id", "parent", "fields", "methods",
-                 "own_methods")
-
-    @property
-    def payload_words(self):
-        return len(self.fields)
-
-    @property
-    def alloc_words(self):
-        # header word + reference count + fields
-        return block_words(self.payload_words + 2)
+    __slots__ = ("name", "class_id", "parent", "fields", "methods", "used",
+                 "alloc_words", "refs")
 
 
 class ClassMap:
-    """Finite map class name -> resolved fields/methods, plus subtyping."""
+    """Finite map class name -> resolved fields/methods, plus subtyping;
+    `by_id` maps each class id to the same entries."""
 
     def __init__(self, entries):
         self.entries = entries
-        self._by_id = {info.class_id: info for info in entries.values()}
+        self.by_id = {info.class_id: info for info in entries.values()}
 
     def __contains__(self, name):
         return name in self.entries
@@ -48,10 +43,6 @@ class ClassMap:
         except KeyError:
             raise ClassError("UnknownClass", "no class named %r"
                              % (name,)) from None
-
-    def by_id(self, class_id):
-        """The class with id `class_id`, or None."""
-        return self._by_id.get(class_id)
 
     def subtype_of(self, c1, c2):
         """True iff c1 reaches c2 by zero or more inherits steps."""
@@ -146,8 +137,11 @@ def build_class_map(program):
             for mname, mdecl in parent.methods.items():
                 if mname not in methods:
                     methods[mname] = mdecl
+        used = len(fields) + 2
+        refs = tuple((i, type(ty)) for i, (ty, _) in enumerate(fields, 2)
+                     if type(ty) is not ast.IntType)
         info = ClassInfo(name, list(decls).index(name) + 1, cls.parent,
-                         tuple(fields), methods, cls.methods)
+                         tuple(fields), methods, used, block_words(used), refs)
         resolved[name] = info
         return info
 

@@ -368,8 +368,8 @@ class Emitter:
         self.write(slot, addr)
 
     def _Delete(self, stmt, names):
-        """An object's class is the one its header names in `K`, the table
-        `machine.layout` builds: (words used, block words, field names)."""
+        """An object's class is the entry its header names in `K`, the
+        class table `ClassMap.by_id`."""
         desc, span, array = stmt.desc, stmt.span, stmt.desc.is_array
         slot, addr = self.lvalue(stmt.target, names), self.temp("a")
         self.check("not (%s := w[%s])" % (addr, slot), E.NIL_DEREFERENCE,
@@ -387,7 +387,7 @@ class Emitter:
             self.check("not (%s := K.get(w[%s]))" % (info, addr),
                        E.CORRUPT_FREE, lambda a: "word at %d is not an object"
                        " header" % a, span, addr)
-            end, size = "%s + %s[0]" % (addr, info), info + "[1]"
+            end, size = addr + " + %s.used" % info, info + ".alloc_words"
         self.check("w[%s + 1] != 1" % addr, E.DANGLING_REFERENCE_ON_DELETE,
                    lambda n: "%s still has %d references" % (
                        "array" if array else "object", n), span,
@@ -395,10 +395,11 @@ class Emitter:
         words = self.interp.words  # the message names the first non-zero
         self.check("any(w[%s + 2:%s])" % (addr, end),
                    E.NON_ZERO_CELLS_ON_DELETE if array else
-                   E.NON_ZERO_FIELDS_ON_DELETE, lambda a, labels: "%s %s is "
-                   "not zero-cleared" % ("cell" if array else "field", next(
-                       x for i, x in enumerate(labels) if words[a + 2 + i])),
-                   span, addr, "range(%s)" % length if array else info + "[2]")
+                   E.NON_ZERO_FIELDS_ON_DELETE, lambda a, n: "%s %s is not "
+                   "zero-cleared" % ("cell" if array else "field", next(
+                       x for i, x in enumerate(range(n) if array else (
+                           f for _, f in n.fields)) if words[a + 2 + i])),
+                   span, addr, length if array else info)
         self.write(addr, "0")
         self.write(addr + " + 1", "0")
         self.emit("try: H.free(%s, %s)" % (addr, size))

@@ -60,7 +60,7 @@ class Interpreter:
             words[addr] = value
             self._touched.append(addr)
         self.globals = {"w": words, "F": self.fail, "X": self.dispatch,
-                        "M": self.heap_fault, "H": mem, "K": layout(class_map),
+                        "M": self.heap_fault, "H": mem, "K": class_map.by_id,
                         "MemoryFault": MemoryFault, **division(mem.word_bits)}
         if tracer is not None:
             self.globals.update(P=poke, T=self.record, S=self)
@@ -119,7 +119,7 @@ class Interpreter:
         if obj == 0:
             self.error(site, E.UNINITIALIZED_OBJECT,
                        "call of %s on a nil reference" % method)
-        info = self.class_map.by_id(self.words[obj])
+        info = self.class_map.by_id.get(self.words[obj])
         if info is None:  # unreachable: a non-nil object word holds one
             self.error(site, E.CORRUPT_FREE,
                        "word at %d is not an object header" % obj)
@@ -201,18 +201,9 @@ def _checksum(program):
     return zlib.crc32(repr(program).encode())  # reprs ignore spans
 
 
-def layout(class_map):
-    """Each class id: (words used, block words, field names, reference
-    slots), a slot as (offset, the type class of the reference it holds)."""
-    return {c.class_id: (
-        2 + len(c.fields), c.alloc_words, [x for _, x in c.fields],
-        [(i, type(ty)) for i, (ty, _) in enumerate(c.fields, 2)
-         if type(ty) is not ast.IntType]) for c in class_map.entries.values()}
-
-
 def _main_address(memory, info):
     """The main object's address: it ends just below `stack_base`."""
-    return memory.stack_base - 2 - len(info.fields)
+    return memory.stack_base - info.used
 
 
 def census(state, class_map, main_class):
@@ -229,7 +220,6 @@ def census(state, class_map, main_class):
         free = mem.check_free_blocks()
     except MemoryFault as exc:
         raise ConfigError("%s: %s" % (exc.kind, exc.message)) from None
-    layouts = layout(class_map)
     held = {main: [ast.ClassRef, 1]}  # address: its kind, words holding it
     live, queue, dirty = [], [main], []  # dirty: (block, words it uses)
     try:
@@ -244,8 +234,9 @@ def census(state, class_map, main_class):
                 size = block_words(used)
                 slots = () if kind is ast.IntArrayType else (
                     (i, ast.ClassRef) for i in range(2, used))
-            elif header in layouts:
-                used, size, _, slots = layouts[header]
+            elif header in class_map.by_id:
+                cls = class_map.by_id[header]
+                used, size, slots = cls.used, cls.alloc_words, cls.refs
             else:
                 raise ValueError("word at %s is not an object header" % addr)
             if addr != main:

@@ -70,7 +70,7 @@ def read_field(result, name):
 
 
 def obj_field(mem, class_map, addr, field):
-    info = class_map.by_id(mem.read_word(addr))
+    info = class_map.by_id[mem.read_word(addr)]
     offset = 2 + [name for _, name in info.fields].index(field)
     return mem.read_word(addr + offset)
 

@@ -54,7 +54,7 @@ def test_alloc_words_always_power_of_two(shapes):
     for info in shapes.entries.values():
         w = info.alloc_words
         assert w >= 2 and (w & (w - 1)) == 0
-        assert w >= info.payload_words + 2
+        assert w >= info.used == len(info.fields) + 2
 
 
 def test_class_ids_dense_in_declaration_order(shapes):
@@ -116,17 +116,18 @@ class B inherits A
 
 
 def test_override_replaces_base_method():
-    cmap = build_class_map(parse("""
+    program = parse("""
 class A
     int v
     method poke() v += 1
 class B inherits A
     method poke() v += 2
-"""))
+""")
+    cmap = build_class_map(program)
     base = cmap["A"].methods["poke"]
     derived = cmap["B"].methods["poke"]
     assert derived is not base
-    assert derived in cmap["B"].own_methods
+    assert derived is program.classes[1].methods[0]
 
 
 def test_override_signature_must_match():

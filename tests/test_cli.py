@@ -89,6 +89,22 @@ def test_run_dump_heap():
     assert "00000000:" in result.stdout
 
 
+def test_dump_heap_prints_eight_words_a_line(tmp_path):
+    path = tmp_path / "cells.rplpp"
+    path.write_text("class Program\n    int[] a\n\n    method main()\n"
+                    "        new int[2] a\n        a[1] += 5\n")
+    result = cli("run", "--freelists", "3", "--dump-heap", str(path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == """a = 8
+2^1: 0
+2^2: 4 -> 0
+2^3: 0
+00000000: 00000000 00000000 00000004 00000000 00000000 00000000 00000000 \
+00000000
+00000008: 00000002 00000001 00000000 00000005
+"""
+
+
 # fields named with a Latin-1 letter, two CJK ideographs and a letter
 # above U+FFFF, which `json.dumps` writes as a surrogate pair
 _UNICODE_FIELDS = """

@@ -654,6 +654,33 @@ class Main
         "\n  in Main::go at 22:9\n  in Leaf::boom at 18:9")
 
 
+_TWO_CALLS = """
+class Main
+FIELD
+    method nop()
+        skip
+
+    method main()
+        call nop()
+        call nop()
+"""
+
+
+def test_a_call_needs_one_word_of_frame_room():
+    """Four stack words hold the field-less main object, its slot and one
+    call's word: the first call dispatches through `X`, the second through
+    the site cache.  One field more leaves no room for the first call."""
+    config = MemoryConfig(stack_words=4)
+    program = parse(_TWO_CALLS.replace("FIELD", ""))
+    assert run_program(program, build_class_map(program), config).steps == 4
+    program = parse(_TWO_CALLS.replace("FIELD", "    int x"))
+    with pytest.raises(ExecutionError) as exc:
+        run_program(program, build_class_map(program), config)
+    assert exc.value.kind == E.STACK_OVERFLOW
+    main = program.classes[0].methods[1]
+    assert exc.value.span == main.body.stmts[0].span  # the first call
+
+
 # ------------------------------------------ reversibility property checks
 
 def _baseline_words(program, config):

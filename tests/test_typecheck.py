@@ -349,6 +349,7 @@ _UNCOPY_ONTO_ITSELF = "uncopy onto its own source fails or cannot be undone"
     ("uncopy Cell cells[x + 1] cells[x + 1]", _UNCOPY_ONTO_ITSELF),
     ("copy Cell head spare", None),
     ("uncopy Cell cells[x] cells[y]", None),
+    ("construct Cell fresh skip destruct fresh", None),
 ])
 def test_copy_onto_its_own_source_warns_not_errors(body, warned):
     program = parse(WORLD.replace("BODY", body))
