@@ -171,9 +171,10 @@ class Emitter:
         self.emit("if %s: F(%s)" % (test, ", ".join([site, *values])))
 
     def write(self, addr, value, test=""):
-        """Emit the write of `value` to the word at `addr`, if `test`."""
-        self.emit(("if %s: " % test if test else "") + (
-            "P(%s, %s)" if self.traced else "w[%s] = %s") % (addr, value))
+        """Emit the write of `value` to the word at `addr`, if `test`; the
+        traced variant appends `addr` to the touched list `J` on the line."""
+        self.emit(("if %s: " % test if test else "") + "w[%s] = %s" % (
+            addr, value) + ("; J.append(%s)" % addr if self.traced else ""))
 
     def value(self, expr, names, truth=False):
         """Text of the word `expr` gives, or with `truth` of its truth."""
@@ -244,7 +245,7 @@ class Emitter:
         self.check("(n := n + 1) > L", E.STEP_LIMIT_EXCEEDED,
                    "exceeded %d steps" % self.limit, span)
         if self.traced:
-            self.emit("S._touched = []")
+            self.emit("J.clear()")
         getattr(self, "_" + kind)(stmt, names)
         if self.traced:
             rule = kind

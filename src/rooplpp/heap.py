@@ -8,6 +8,10 @@ Arena layout (word addresses):
     ...                optional growth room (whole top-size blocks)
     stack region       `stack_words` words at the top; frames grow downward
 
+`MemoryImage.words` is the memory, with no accessor: generated code
+writes it as `w[a] = v`, `machine.fresh_state` places the main object in
+it, and the allocator below keeps the free lists in it.
+
 Free blocks chain through their first word (0 terminates).  A request
 takes a block of `classes.block_words` words.  `malloc` pops the first
 non-empty list at or above that size, then splits downward: each lower
@@ -15,7 +19,9 @@ half heads the list below and the upper half goes on.  `free` undoes it:
 while the head of the block's list is its partner directly below, it
 merges with that partner, which must be the only block on the list (its
 link word zero), else CorruptFree; then it pushes the block.  So a free
-right after a malloc restores every word.
+right after a malloc restores every word, unless the malloc grew the
+heap: a grown heap never shrinks, and its new block stays on the
+top-size list.
 
 Free-block invariant: every word of a free block other than its link word
 is zero.  `free` refuses a block that is not zero-cleared, a merge joins
@@ -35,7 +41,9 @@ MAX_ARENA_WORDS = 1 << 24
 
 
 class MemoryFault(Exception):
-    """Low-level memory access failure; the interpreter wraps these."""
+    """An allocator or free-list failure, of kind OutOfMemory or
+    CorruptFree; the interpreter wraps these as runtime errors and the
+    census as a ConfigError."""
 
     def __init__(self, kind, message):
         super().__init__(message)
@@ -110,24 +118,6 @@ class MemoryImage:
         self.words = [0] * self.stack_base
         # the whole heap starts as one free block on the largest list
         self.words[self.flp + self.num_freelists - 1] = self.hp
-
-    # ------------------------------------------------------- raw access
-
-    def read_word(self, addr):
-        if addr == 0:
-            raise MemoryFault("NilFault", "read through nil")
-        if not 0 < addr < self.stack_base:
-            raise MemoryFault("AddressFault",
-                              "read at %s out of bounds" % addr)
-        return self.words[addr]
-
-    def write_word(self, addr, value):
-        if addr == 0:
-            raise MemoryFault("NilFault", "write through nil")
-        if not 0 < addr < self.stack_base:
-            raise MemoryFault("AddressFault",
-                              "write at %s out of bounds" % addr)
-        self.words[addr] = value & self.mask
 
     def signed(self, word):
         """The two's-complement value of the word `word`."""
@@ -278,12 +268,13 @@ class MemoryImage:
                 [str(addr) for addr in self._free_chain(i)] + ["0"])
             for i in range(self.num_freelists))
 
-    def hex_dump(self, start, end):
-        """Eight words a line, each line headed by its first address."""
-        digits = self.word_bits // 4
+    def hex_dump(self):
+        """Words 0 to the heap end, eight a line, each line headed by its
+        first address."""
+        digits, end = self.word_bits // 4, self.heap_end
         return "\n".join("%08x: " % base + " ".join(
             "%0*x" % (digits, w) for w in self.words[base:min(base + 8, end)])
-            for base in range(start, end, 8))
+            for base in range(0, end, 8))
 
 
 def init_memory(config=MemoryConfig()):

@@ -54,16 +54,12 @@ class Interpreter:
         self.mem = mem = state.memory
         self.words = words = mem.words
         self.methods = {}
-        self._touched = []  # words written by the traced statement
-
-        def poke(addr, value):
-            words[addr] = value
-            self._touched.append(addr)
+        self.touched = []  # words written by the traced statement
         self.globals = {"w": words, "F": self.fail, "X": self.dispatch,
                         "M": self.heap_fault, "H": mem, "K": class_map.by_id,
                         "MemoryFault": MemoryFault, **division(mem.word_bits)}
         if tracer is not None:
-            self.globals.update(P=poke, T=self.record, S=self)
+            self.globals.update(J=self.touched, T=self.record)
 
     def _method(self, info, name, backward):
         """(function, label) of `name` on `info`, emitted once; a backward
@@ -136,7 +132,7 @@ class Interpreter:
 
     def record(self, site):
         _, _, where, rule, direction = site
-        touched = self._touched  # an enclosing statement may append
+        touched = self.touched  # an enclosing statement may append
         self.tracer({"span": [*where], "rule": rule, "direction": direction,
                      "touched": sorted(set(touched)) if len(touched) > 1
                      else touched[:]})
@@ -162,21 +158,16 @@ def run_program(program, class_map,
     info = class_map[main_cls]
     checksum = _checksum(program)
     if state is None:
-        state = MachineState(init_memory(config))
-        obj_addr = _main_address(state.memory, info)
-        state.frame_top = this_slot = obj_addr - 1
-        state.memory.write_word(obj_addr, info.class_id)
-        state.memory.write_word(obj_addr + 1, 1)
-        state.memory.write_word(this_slot, obj_addr)
+        state = fresh_state(program, class_map, config)
     else:
         if state.program_crc not in (None, checksum):
             from .inverter import invert_program
             if state.program_crc != _checksum(invert_program(program)):
                 raise ConfigError("the state was saved by a different "
                                   "program")
-        obj_addr = _main_address(state.memory, info)
-        this_slot = obj_addr - 1
         census(state, class_map, main_cls)
+    obj_addr = _main_address(state.memory, info)
+    this_slot = obj_addr - 1
     state.program_crc = checksum
     interp = Interpreter(class_map, state, step_limit, tracer)
     old_limit = sys.getrecursionlimit()
@@ -191,10 +182,22 @@ def run_program(program, class_map,
                      "call nesting exceeded the host limit", frame)
     finally:
         sys.setrecursionlimit(old_limit)
-    signed, read = state.memory.signed, state.memory.read_word
-    fields = {fname: signed(read(obj_addr + 2 + i))
+    signed, words = state.memory.signed, state.memory.words
+    fields = {fname: signed(words[obj_addr + 2 + i])
               for i, (fty, fname) in enumerate(info.fields)}
     return RunResult(fields, state.steps, state, obj_addr)
+
+
+def fresh_state(program, class_map, config):
+    """A fresh image in `config` with the main object placed in the frame
+    region, held by its slot just below it, the frame top."""
+    state = MachineState(init_memory(config))
+    info, words = class_map[main_class_of(program)], state.memory.words
+    obj_addr = _main_address(state.memory, info)
+    state.frame_top = obj_addr - 1
+    words[obj_addr - 1], words[obj_addr], words[obj_addr + 1] = \
+        obj_addr, info.class_id, 1
+    return state
 
 
 def _checksum(program):
@@ -228,7 +231,9 @@ def census(state, class_map, main_class):
                              % (main - 1, info.name, main))
         while queue:
             addr = queue.pop()
-            kind, header = held[addr][0], mem.read_word(addr)
+            if addr >= mem.stack_base:
+                raise ValueError("read at %s out of bounds" % addr)
+            kind, header = held[addr][0], words[addr]
             if kind is not ast.ClassRef:  # an array; its cells read lazily
                 used = header + 2
                 size = block_words(used)
@@ -260,7 +265,7 @@ def census(state, class_map, main_class):
             if words[a + 1] != n:
                 raise ValueError("object at %s has refcount %s, but %s live "
                                  "bindings hold it" % (a, words[a + 1], n))
-    except (MemoryFault, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError("bad reference in the state: %s" % exc) from None
     at = last = mem.hp
     for addr, size in sorted(free + live) + [(heap_end, 0)]:

@@ -94,4 +94,4 @@ def run(args, program, class_map):
             print("%s = %s" % (name, value))
     if args.dump_heap:
         print(mem.dump_free_lists())
-        print(mem.hex_dump(0, mem.heap_end))
+        print(mem.hex_dump())

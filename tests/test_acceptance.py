@@ -70,9 +70,9 @@ def read_field(result, name):
 
 
 def obj_field(mem, class_map, addr, field):
-    info = class_map.by_id[mem.read_word(addr)]
+    info = class_map.by_id[mem.words[addr]]
     offset = 2 + [name for _, name in info.fields].index(field)
-    return mem.read_word(addr + offset)
+    return mem.words[addr + offset]
 
 
 # ---------------------------------------------------------------- 1
@@ -98,8 +98,8 @@ def test_criterion_2_rtm_tape():
     mem = result.state.memory
     tape = read_field(result, "tape")
     assert tape != 0
-    length = mem.read_word(tape)
-    cells = [mem.read_word(tape + 2 + i) for i in range(length)]
+    length = mem.words[tape]
+    cells = [mem.words[tape + 2 + i] for i in range(length)]
     # head started one blank left of the input; the number occupies 1..4
     assert cells[1:5] == [0, 0, 1, 1]
     assert cells[1:5] == increment_tape([1, 1, 0, 1])[:4]

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rooplpp import (BACKWARD, ExecutionError, MachineState, MemoryConfig,
-                     build_class_map, machine, main_class_of, parse,
-                     run_program)
+                     MemoryImage, build_class_map, machine, main_class_of,
+                     parse, run_program)
 from rooplpp.statefile import load_state, save_state
 
 from conftest import (CORPUS, CORPUS_DIR, FIXTURES_DIR, corpus_path,
@@ -129,8 +129,7 @@ def _expected_json_and_heap(result):
     line = json.dumps({"fields": result.fields, "steps": result.steps,
                        "freelists": {str(size): list(addrs) for size, addrs
                                      in mem.snapshot_free_lists().lists}})
-    return "%s\n%s\n%s\n" % (line, mem.dump_free_lists(),
-                               mem.hex_dump(0, mem.heap_end))
+    return "%s\n%s\n%s\n" % (line, mem.dump_free_lists(), mem.hex_dump())
 
 
 @pytest.mark.parametrize("name", [p.stem for p in CORPUS] + ["unicode"])
@@ -799,6 +798,86 @@ def test_reverse_from_fresh_state(tmp_path):
     assert back.stdout.splitlines() == ["x = -7"]
     forward = cli("run", "--resume", str(state), str(path))
     assert forward.stdout.splitlines() == ["x = 0"]
+
+
+# ------------------------------------------- known holes in reversibility
+
+RECEIVER_DELETED = """\
+class X
+    int v
+
+    method bump(C owner)
+        call owner::drop()
+        v += 1
+
+class C
+    X x
+
+    method init()
+        new X x
+
+    method drop()
+        delete X x
+
+    method go(C me)
+        call x::bump(me)
+
+class Program
+    C c
+    C d
+
+    method main()
+        new C c
+        copy C c d
+        call c::init()
+        call c::go(d)
+"""
+
+
+def test_receiver_deleted_while_its_method_runs(tmp_path):
+    """Unsound, pinned until it is fixed: `bump` runs on an X that its own
+    call deletes (the running call is no reference), then writes a field
+    of the freed block.  `check` accepts it and the run finishes, but the
+    dirty free block fails the rewind's census, and a later `new` that
+    pops it fails the run itself."""
+    path = tmp_path / "receiver.rplpp"
+    path.write_text(RECEIVER_DELETED)
+    assert cli("check", str(path)).stdout == "ok\n"
+    state = tmp_path / "done.state"
+    assert cli("run", "--save-state", str(state), str(path)).returncode == 0
+    back = cli("run", "--resume", str(state), "--reverse", str(path))
+    assert _one_error_line(back) == (
+        "error: CorruptFree: free block at 1027 not zero-cleared "
+        "(word 1029 = 1)\n")
+    path.write_text(RECEIVER_DELETED + "        call c::init()\n")
+    again = cli("run", str(path))
+    assert again.returncode == 1
+    assert again.stderr.splitlines()[0].endswith(
+        ": CorruptFree: allocated block at 1027 not zero-cleared")
+
+
+def test_heap_growth_is_not_undone_by_the_rewind(tmp_path):
+    """Unsound, pinned until it is fixed: with growth `malloc` is not
+    injective, since popping a free block of the grown region and
+    appending a fresh one at the old heap end leave one state, so no
+    `free` undoes a growth.  Freeing both arrays leaves the heap grown,
+    and the rewind starts and ends there, not at the fresh image."""
+    path = tmp_path / "grow.rplpp"
+    path.write_text("class Main\n    int[] a\n    int[] b\n    int r\n\n"
+                    "    method main()\n        new int[6] a\n"
+                    "        new int[6] b\n        r += 1\n"
+                    "        delete int[6] b\n        delete int[6] a\n")
+    done, back = tmp_path / "done.state", tmp_path / "back.state"
+    assert cli("run", "--freelists", "3", "--heap-grow", "--save-state",
+               str(done), str(path)).returncode == 0
+    assert cli("run", "--resume", str(done), "--reverse", "--save-state",
+               str(back), str(path)).returncode == 0
+    mem = load_state(str(back)).memory
+    fresh = MemoryImage(mem.config)
+    assert (fresh.heap_end, fresh.snapshot_free_lists().lists[2]) == (
+        12, (8, (4,)))
+    assert (mem.heap_end, mem.snapshot_free_lists().lists[2]) == (
+        20, (8, (4, 12)))
 
 
 # ----------------------------------------------------------------- invert

@@ -32,8 +32,8 @@ from pathlib import Path
 import pytest
 
 from rooplpp import (BACKWARD, FORWARD, ExecutionError, MachineState,
-                     MemoryConfig, build_class_map, init_memory,
-                     main_class_of, parse, run_program)
+                     MemoryConfig, build_class_map, parse, run_program)
+from rooplpp.machine import fresh_state
 from rooplpp.statefile import load_state, save_state
 
 TESTS_DIR = Path(__file__).parent
@@ -52,20 +52,6 @@ ERROR_STEP_LIMIT = 5000
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:20]
-
-
-def _fresh_state(program, class_map, config):
-    """The state `run_program` builds for a fresh run, kept by the caller
-    so that it stays inspectable after a runtime error."""
-    state = MachineState(init_memory(config))
-    info = class_map[main_class_of(program)]
-    mem = state.memory
-    obj = mem.stack_base - 2 - len(info.fields)
-    state.frame_top = obj - 1
-    mem.write_word(obj, info.class_id)
-    mem.write_word(obj + 1, 1)
-    mem.write_word(obj - 1, obj)
-    return state
 
 
 def _error(program, class_map, config, **run):
@@ -111,7 +97,7 @@ def _corpus_cases():
         program = parse(path.read_text())
         class_map = build_class_map(program)
         config = MemoryConfig()
-        state = _fresh_state(program, class_map, config)
+        state = fresh_state(program, class_map, config)
         yield f"corpus/{path.stem}/forward", _record(
             program, class_map, config, FORWARD, state, 10_000_000)
         with tempfile.TemporaryDirectory() as tmp:
@@ -127,7 +113,7 @@ def _error_cases():
         program = parse(path.read_text())
         class_map = build_class_map(program)
         config = MemoryConfig()
-        state = _fresh_state(program, class_map, config)
+        state = fresh_state(program, class_map, config)
         yield f"errors/{path.stem}", _record(program, class_map, config,
                                              FORWARD, state, ERROR_STEP_LIMIT)
 
@@ -137,7 +123,7 @@ def _alloc_cases():
         program = parse(path.read_text())
         class_map = build_class_map(program)
         config = ALLOC_GROWTH if path.stem == "oom_growth" else ALLOC_CONFIG
-        state = _fresh_state(program, class_map, config)
+        state = fresh_state(program, class_map, config)
         yield f"alloc/{path.stem}", _record(program, class_map, config,
                                             FORWARD, state, ERROR_STEP_LIMIT)
 
@@ -147,12 +133,12 @@ def _astgen_cases(seeds=range(200)):
         program, _ = make_program(seed, length=8)
         class_map = build_class_map(program)
         config = ASTGEN_CONFIG
-        state = _fresh_state(program, class_map, config)
+        state = fresh_state(program, class_map, config)
         yield f"astgen/{seed}/forward", _record(program, class_map, config,
                                                 FORWARD, state, 100_000)
         yield f"astgen/{seed}/rewind", _record(program, class_map, config,
                                                BACKWARD, state, 100_000)
-        state = _fresh_state(program, class_map, config)
+        state = fresh_state(program, class_map, config)
         yield f"astgen/{seed}/backward", _record(program, class_map, config,
                                                  BACKWARD, state, 100_000)
 

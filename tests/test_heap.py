@@ -140,12 +140,12 @@ def test_zero_on_alloc_after_recycling():
     mem = fresh()
     a = mem.malloc(4)
     for i in range(4):
-        mem.write_word(a + i, 0xBEEF + i)
+        mem.words[a + i] = 0xBEEF + i
     for i in range(4):
-        mem.write_word(a + i, 0)
+        mem.words[a + i] = 0
     mem.free(a, 4)
     b = mem.malloc(4)
-    assert all(mem.read_word(b + i) == 0 for i in range(4))
+    assert all(mem.words[b + i] == 0 for i in range(4))
 
 
 # ------------------------------------------------------------------ free
@@ -200,7 +200,7 @@ def test_lifo_free_restores_init_random():
 def test_freeing_nonzero_block_is_corrupt():
     mem = fresh()
     addr = mem.malloc(2)
-    mem.write_word(addr + 1, 9)
+    mem.words[addr + 1] = 9
     with pytest.raises(MemoryFault) as exc:
         mem.free(addr, 2)
     assert exc.value.kind == "CorruptFree"
@@ -389,38 +389,6 @@ def test_sweep_detects_malformed_list():
     with pytest.raises(MemoryFault) as exc:
         mem.check_free_blocks()
     assert exc.value.kind == "CorruptFree"
-
-
-# ------------------------------------------------------------ raw access
-
-def test_read_write_word():
-    mem = fresh()
-    mem.write_word(mem.hp + 1, 42)
-    assert mem.read_word(mem.hp + 1) == 42
-    assert mem.read_word(mem.hp + 2) == 0
-
-
-def test_nil_guard():
-    mem = fresh()
-    with pytest.raises(MemoryFault) as exc:
-        mem.read_word(0)
-    assert exc.value.kind == "NilFault"
-    with pytest.raises(MemoryFault):
-        mem.write_word(0, 1)
-
-
-def test_address_bounds():
-    mem = fresh()
-    with pytest.raises(MemoryFault) as exc:
-        mem.read_word(mem.stack_base + 10)
-    assert exc.value.kind == "AddressFault"
-
-
-def test_word_wraparound_on_write():
-    mem = init_memory(MemoryConfig(word_bits=16, num_freelists=4,
-                                   stack_words=8))
-    mem.write_word(mem.hp, 0x1FFFF)
-    assert mem.read_word(mem.hp) == 0xFFFF
 
 
 # ------------------------------------------------------------- snapshots

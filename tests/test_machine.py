@@ -310,8 +310,8 @@ def test_new_writes_header_and_refcount():
     mem = result.state.memory
     addr = result.fields["h"]
     assert addr != 0
-    assert mem.read_word(addr) == 1          # class id of Helper
-    assert mem.read_word(addr + 1) == 1      # fresh reference count
+    assert mem.words[addr] == 1          # class id of Helper
+    assert mem.words[addr + 1] == 1      # fresh reference count
 
 
 def test_delete_enforces_zero_fields():
@@ -363,8 +363,8 @@ class Main
     result = run_program(program, class_map, SMALL)
     mem = result.state.memory
     base = result.fields["items"]
-    assert mem.read_word(base) == 2
-    assert mem.read_word(base + 2 + 1) == 0  # cell cleared by delete
+    assert mem.words[base] == 2
+    assert mem.words[base + 2 + 1] == 0  # cell cleared by delete
 
 
 # --------------------------------------------------------- copy and uncopy
@@ -377,7 +377,7 @@ copy Helper h g
     mem = result.state.memory
     addr = result.fields["h"]
     assert result.fields["g"] == addr
-    assert mem.read_word(addr + 1) == 2
+    assert mem.words[addr + 1] == 2
 
 
 def test_uncopy_restores():
@@ -894,7 +894,8 @@ def test_untraced_code_holds_no_trace_code():
         run, _ = Interpreter(class_map, state, 10_000_000,
                              tracer)._method(info, "main", False)
         names[tracer] = _code_names(run.__code__)
-    trace_names = {"P", "T", "_touched"}  # the logging put and the record
+    # the touched list, its clear and append, and the record
+    trace_names = {"J", "clear", "append", "T"}
     assert trace_names <= names[print]
     assert not trace_names & names[None]
 

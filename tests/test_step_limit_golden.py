@@ -25,14 +25,14 @@ import pytest
 
 from rooplpp import (BACKWARD, FORWARD, ExecutionError, MachineState,
                      MemoryConfig, build_class_map, parse, run_program)
+from rooplpp.machine import fresh_state
 
 TESTS_DIR = Path(__file__).parent
 sys.path.insert(0, str(TESTS_DIR))
 
 from astgen import make_program  # noqa: E402
 from conftest import clone_memory  # noqa: E402
-from test_executor_golden import (ASTGEN_CONFIG, _digest,  # noqa: E402
-                                  _fresh_state)
+from test_executor_golden import ASTGEN_CONFIG, _digest  # noqa: E402
 
 GOLDEN = TESTS_DIR / "fixtures" / "step_limit_golden.json"
 CORPUS = ("LinkedList", "RTM")
@@ -84,7 +84,7 @@ def _cases(names=CORPUS, seeds=range(20)):
         program = parse((TESTS_DIR / "corpus" / f"{name}.rplpp").read_text())
         class_map = build_class_map(program)
         config = MemoryConfig()
-        fresh = _fresh_state(program, class_map, config)
+        fresh = fresh_state(program, class_map, config)
         yield f"{name}/forward", _sweep(program, class_map, config, FORWARD,
                                         fresh)
         done = _copy(fresh)
@@ -94,7 +94,7 @@ def _cases(names=CORPUS, seeds=range(20)):
     for seed in seeds:
         program, _ = make_program(seed, length=8)
         class_map = build_class_map(program)
-        fresh = _fresh_state(program, class_map, ASTGEN_CONFIG)
+        fresh = fresh_state(program, class_map, ASTGEN_CONFIG)
         yield f"astgen/{seed}/forward", _sweep(program, class_map,
                                                ASTGEN_CONFIG, FORWARD, fresh)
 
