@@ -182,10 +182,8 @@ class Emitter:
             return str(expr.value & self.mask)
         if isinstance(expr, ast.Nil):
             return "0"
-        if isinstance(expr, ast.Variable):
-            return "w[%s]" % names[expr.name]
-        if isinstance(expr, ast.ArrayElement):
-            return "w[%s]" % self.cell(expr, names)
+        if isinstance(expr, ast.LValue):
+            return "w[%s]" % self.lvalue(expr, names)
         if not isinstance(expr, ast.BinOp):
             raise TypeError("not an expression: %r" % (expr,))
         op, logic = expr.op, expr.op in ("&&", "||")
@@ -206,9 +204,12 @@ class Emitter:
         self.emit("%s = %s" % (spilled, text))
         return spilled
 
-    def cell(self, node, names):
-        """Address text of the cell `node` names: the array is allocated,
-        then the index, evaluated after that check, lies inside it."""
+    def lvalue(self, node, names):
+        """Address text of the word the place `node` names; a cell's once
+        its array is allocated and then its index, evaluated after that
+        check, lies inside it."""
+        if not node.is_cell:
+            return names[node.name]
         name, base, k = node.name, self.temp("a"), self.temp("i")
         self.check("not (%s := w[%s])" % (base, names[name]),
                    E.UNINITIALIZED_ARRAY, "array %s has not been allocated"
@@ -225,10 +226,6 @@ class Emitter:
                    "outside [0, %d) of %s" % (signed(k), n, name), node.span,
                    k, "w[%s]" % base)
         return address
-
-    def lvalue(self, lv, names):
-        """Address text of the word `lv` names."""
-        return self.cell(lv, names) if lv.is_cell else names[lv.name]
 
     def stmt(self, stmt, names):
         if isinstance(stmt, ast.Seq):

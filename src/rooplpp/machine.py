@@ -116,7 +116,7 @@ class Interpreter:
             self.error(site, E.UNINITIALIZED_OBJECT,
                        "call of %s on a nil reference" % method)
         info = self.class_map.by_id.get(self.words[obj])
-        if info is None:  # unreachable: a non-nil object word holds one
+        if info is None:  # a stale reference, to a block freed and reused
             self.error(site, E.CORRUPT_FREE,
                        "word at %d is not an object header" % obj)
         if method not in info.methods:
@@ -175,11 +175,19 @@ def run_program(program, class_map,
     try:
         run, _ = interp._method(info, "main", direction == BACKWARD)
         state.steps = run(this_slot, obj_addr, state.steps, state.frame_top)
-    except RecursionError as exc:  # read off from the innermost frame
+    except (RecursionError, IndexError) as exc:
+        # the host limit, or in emitted code a stale reference (to a block
+        # freed and reused) read as an address: read off the innermost frame
         from traceback import walk_tb
         *_, (frame, _) = walk_tb(exc.__traceback__)
-        interp.error((info.methods["main"].span, 0), E.STACK_OVERFLOW,
-                     "call nesting exceeded the host limit", frame)
+        site = info.methods["main"].span, 0
+        if isinstance(exc, RecursionError):
+            interp.error(site, E.STACK_OVERFLOW,
+                         "call nesting exceeded the host limit", frame)
+        if frame.f_code.co_filename != "<rooplpp>":
+            raise
+        interp.error(site, E.CORRUPT_FREE, "word outside memory reached "
+                     "through a stale reference", frame)
     finally:
         sys.setrecursionlimit(old_limit)
     signed, words = state.memory.signed, state.memory.words

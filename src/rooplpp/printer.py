@@ -8,8 +8,9 @@ _INDENT = "    "
 def print_expr(expr, ambient=0):
     if isinstance(expr, ast.Constant):
         return str(expr.value)
-    if isinstance(expr, (ast.Variable, ast.ArrayElement)):
-        return _place(expr)
+    if isinstance(expr, ast.LValue):
+        return expr.name if expr.index is None else "%s[%s]" % (
+            expr.name, print_expr(expr.index))
     if isinstance(expr, ast.Nil):
         return "nil"
     if isinstance(expr, ast.BinOp):
@@ -22,13 +23,6 @@ def print_expr(expr, ambient=0):
             return "(%s)" % text
         return text
     raise TypeError("not an expression: %r" % (expr,))
-
-
-def _place(place):
-    """A variable, array element or lvalue."""
-    index = getattr(place, "index", None)
-    return place.name if index is None else "%s[%s]" % (place.name,
-                                                        print_expr(index))
 
 
 def _desc(d):
@@ -46,10 +40,11 @@ def print_stmt(stmt, depth=0):
             lines.extend(print_stmt(s, depth))
         return lines
     if isinstance(stmt, ast.Assign):
-        return ["%s%s %s %s" % (pad, _place(stmt.target), stmt.op,
+        return ["%s%s %s %s" % (pad, print_expr(stmt.target), stmt.op,
                                 print_expr(stmt.expr))]
     if isinstance(stmt, ast.Swap):
-        return ["%s%s <=> %s" % (pad, _place(stmt.left), _place(stmt.right))]
+        return ["%s%s <=> %s" % (pad, print_expr(stmt.left),
+                                 print_expr(stmt.right))]
     if isinstance(stmt, (ast.If, ast.Loop)):
         opening, first, second, closing = ast.TWO_BODY_WORDS[type(stmt)]
         head, body, other, tail = (getattr(stmt, f) for f in stmt._fields[:4])
@@ -78,13 +73,15 @@ def print_stmt(stmt, depth=0):
     word = type(stmt).__name__.lower().replace("local", "").replace("object", "")
     if isinstance(stmt, (ast.New, ast.Delete)):
         return ["%s%s %s %s" % (pad, word, _desc(stmt.desc),
-                                _place(stmt.target))]
+                                print_expr(stmt.target))]
     if isinstance(stmt, (ast.Copy, ast.Uncopy)):
         return ["%s%s %s %s %s" % (pad, word, _desc(stmt.desc),
-                                   _place(stmt.source), _place(stmt.target))]
+                                   print_expr(stmt.source),
+                                   print_expr(stmt.target))]
     if isinstance(stmt, (ast.LocalCall, ast.LocalUncall, ast.ObjectCall,
                          ast.ObjectUncall)):
-        callee = "%s::" % _place(stmt.callee) if hasattr(stmt, "callee") else ""
+        callee = "%s::" % print_expr(stmt.callee) if hasattr(
+            stmt, "callee") else ""
         return ["%s%s %s%s(%s)" % (pad, word, callee, stmt.method,
                                    ", ".join(stmt.args))]
     raise TypeError("not a statement: %r" % (stmt,))

@@ -74,12 +74,28 @@ class Constant(Expression):
     __slots__ = ("value", "span")
 
 
-class Variable(Expression):
-    __slots__ = ("name", "span")
+class LValue(Expression):
+    """A place: a variable or one array cell, written by a statement or
+    read by an expression."""
 
-
-class ArrayElement(Expression):
     __slots__ = ("name", "index", "span")
+    _defaults = {**Node._defaults, "index": None}
+
+    @property
+    def is_cell(self):
+        return self.index is not None
+
+
+# the parser reads a place in an expression as one of these two; a
+# Variable's repr leaves out its index, as saved states carry the CRC of
+# a program's repr
+class Variable(LValue):
+    __slots__ = ()
+    _uncompared = ("index", "span")
+
+
+class ArrayElement(LValue):
+    __slots__ = ()
 
 
 class Nil(Expression):
@@ -94,26 +110,12 @@ def vars_of(expr):
     """Free variables of an expression."""
     if isinstance(expr, (Constant, Nil)):
         return frozenset()
-    if isinstance(expr, Variable):
-        return frozenset((expr.name,))
-    if isinstance(expr, ArrayElement):
-        return frozenset((expr.name,)) | vars_of(expr.index)
+    if isinstance(expr, LValue):
+        names = frozenset((expr.name,))
+        return names if expr.index is None else names | vars_of(expr.index)
     if isinstance(expr, BinOp):
         return vars_of(expr.left) | vars_of(expr.right)
     raise TypeError("not an expression: %r" % (expr,))
-
-
-# -------------------------------------------------------------- lvalues
-
-class LValue(Node):
-    """Assignable place: a variable or one array cell."""
-
-    __slots__ = ("name", "index", "span")
-    _defaults = {**Node._defaults, "index": None}
-
-    @property
-    def is_cell(self):
-        return self.index is not None
 
 
 # ---------------------------------------------------- alloc descriptors

@@ -61,29 +61,26 @@ class Checker:
                            "is expected", expr.span)
                 return None
             return expected
-        if isinstance(expr, ast.Variable):
-            return self.place_type(env, expr, "T-Var")
-        if isinstance(expr, ast.ArrayElement):
-            return self.place_type(env, expr, "T-ArrElemVar")
+        if isinstance(expr, ast.LValue):
+            return self.place_type(env, expr, "T-ArrElemVar" if expr.is_cell
+                                   else "T-Var")
         if isinstance(expr, ast.BinOp):
             return self.check_binop(env, expr)
         raise TypeError("not an expression: %r" % (expr,))
 
     def place_type(self, env, place, rule):
-        """Type of a variable, array element or lvalue, or None after
-        reporting an error under `rule`."""
+        """Type of a place, or None after reporting an error under `rule`."""
         ty = env.get(place.name)
         if ty is None:
             self.error(rule, "unbound variable %s" % place.name, place.span)
             return None
-        index = getattr(place, "index", None)
-        if index is None:
+        if not place.is_cell:
             return ty
         if not isinstance(ty, (ast.IntArrayType, ast.ClassArrayType)):
             self.error(rule, "%s has type %s, not an array" % (place.name, ty),
                        place.span)
             return None
-        self.expect_int(env, index, rule, "array index")
+        self.expect_int(env, place.index, rule, "array index")
         return array_type_of(ty)
 
     def check_binop(self, env, expr):
@@ -157,8 +154,7 @@ class Checker:
                            "need int[]" % (target.name, ty), stmt.span)
                 return
             self.expect_int(env, target.index, "T-ArrElemAss", "array index")
-            banned = frozenset((target.name,)) | vars_of(target.index)
-            overlap = banned & vars_of(stmt.expr)
+            overlap = vars_of(target) & vars_of(stmt.expr)
             if overlap:
                 self.error("T-ArrElemAss",
                            "right-hand side references %s"

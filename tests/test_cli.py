@@ -856,6 +856,76 @@ def test_receiver_deleted_while_its_method_runs(tmp_path):
         ": CorruptFree: allocated block at 1027 not zero-cleared")
 
 
+# `swapout` deletes the X whose `bump` is running and allocates a Z in its
+# block, so `bump` reads the field `big` as its Y reference `f`
+STALE_REFERENCE = """\
+class Y
+    int k
+
+    method m()
+        k += 1
+
+class X
+    Y f
+
+    method bump(C owner)
+        call owner::swapout()
+        call f::m()
+
+class Z
+    int big
+
+    method setbig()
+        big += %d
+
+class C
+    X x
+    Z z
+
+    method init()
+        new X x
+
+    method swapout()
+        delete X x
+        new Z z
+        call z::setbig()
+
+    method go(C me)
+        call x::bump(me)
+
+class Program
+    C c
+    C d
+
+    method main()
+        new C c
+        copy C c d
+        call c::init()
+        call c::go(d)
+"""
+
+
+@pytest.mark.parametrize("big, first", [
+    (100000, "39:5: CorruptFree: word outside memory reached through a "
+             "stale reference"),
+    (2000, "12:9: CorruptFree: word at 2000 is not an object header"),
+])
+def test_stale_reference_is_a_runtime_error(tmp_path, big, first):
+    """The hole above, read through: a reference to the freed X's block
+    now holds a Z's field.  Word 100000 lies outside memory (the main
+    method's span, as for the host limit); word 2000 lies inside, but
+    holds no class id."""
+    path = tmp_path / "stale.rplpp"
+    path.write_text(STALE_REFERENCE % big)
+    assert cli("check", str(path)).stdout == "ok\n"
+    result = cli("run", str(path))
+    assert (result.returncode, result.stdout) == (1, "")
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines() == [
+        "%s:%s" % (path, first), "  in C::go at 43:9",
+        "  in X::bump at 33:9"]
+
+
 def test_heap_growth_is_not_undone_by_the_rewind(tmp_path):
     """Unsound, pinned until it is fixed: with growth `malloc` is not
     injective, since popping a free block of the grown region and

@@ -67,6 +67,27 @@ def test_arithmetic_wraps():
     assert apply_binop("*", 1 << 20, 1 << 20, 32) == 0
 
 
+# the most negative word, -2^(bits - 1): `/` and `%` by a literal below
+# the sign bit run inline only for a dividend below it, so this one takes
+# the helpers; by -1 the quotient wraps to the sign word again
+@pytest.mark.parametrize("bits, op, divisor, expected", [
+    (16, "/", 3, 0xD556),
+    (16, "%", 3, 0xFFFE),
+    (16, "/", 0xFFFF, 0x8000),
+    (16, "%", 0xFFFF, 0),
+    (32, "/", 3, 0xD5555556),
+    (32, "%", 3, 0xFFFFFFFE),
+    (32, "/", 0xFFFFFFFF, 0x80000000),
+    (32, "%", 0xFFFFFFFF, 0),
+    (64, "/", 3, 0xD555555555555556),
+    (64, "%", 3, 0xFFFFFFFFFFFFFFFE),
+    (64, "/", 0xFFFFFFFFFFFFFFFF, 0x8000000000000000),
+    (64, "%", 0xFFFFFFFFFFFFFFFF, 0),
+])
+def test_division_of_the_sign_word(bits, op, divisor, expected):
+    assert apply_binop(op, 1 << (bits - 1), divisor, bits) == expected
+
+
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         apply_binop("/", 1, 0)

@@ -3,7 +3,7 @@
 The operator properties hold at every word width, and `apply_binop`
 evaluates the same Python text the executor emits for each operator."""
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rooplpp import (BACKWARD, MemoryConfig, apply_binop, build_class_map,
                      init_memory, parse, run_program)
@@ -93,6 +93,10 @@ signed_words = st.one_of(
 @settings(max_examples=100, deadline=None)
 @given(widths, signed_words, signed_words,
        st.sampled_from(("1", "2", "8", "7", "SIGN-1", "-3")))
+# the sign word as dividend, which the inline path must leave to Q and R
+@example(16, 2**15, -1, "2")
+@example(32, 2**31, 3, "7")
+@example(64, 2**63, -1, "SIGN-1")
 def test_emitted_division_matches_apply_binop(bits, x, z, c):
     # a divisor below the sign bit may take the inline path; the literal
     # of the word -3 lies above it and always calls the helpers
