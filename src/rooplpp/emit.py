@@ -1,11 +1,16 @@
 """Code generation: a method body as the source of one Python function,
 every name resolved to its word's address as the paper's compiler
-resolves it to an offset; only failing checks and `/` or `%` of a negative
-word call helpers (`machine.Interpreter`), and allocation statements call
-the allocator on the memory image.  Sites, call-site caches and the
-step limit are globals of the namespace the code runs in, so a text depends
-only on the body, direction, tracing and `MemoryConfig`, and each is compiled
-once per process.  Text is built with %, not f-strings (faster to compile)."""
+resolves it to an offset: field i of the receiver o is the word at
+`o + 2 + i`.  As PISA keeps an address in a register, a function whose
+text names a field's address twice or more computes it once, in a
+prologue after its `def`, and a function that loops binds the memory `w`
+and the step limit `L` as locals.  Only failing checks and `/` or `%` of
+a negative word call helpers (`machine.Interpreter`), and allocation
+statements call the allocator on the memory image.  Sites, call-site
+caches and the step limit are globals of the namespace the code runs in,
+so a text depends only on the body, direction, tracing and
+`MemoryConfig`, and each is compiled once per process.  Text is built
+with %, not f-strings (faster to compile)."""
 
 import enum
 import functools
@@ -51,6 +56,8 @@ E = RuntimeErrorKind
 _MAX_BRACKETS, _MAX_INDENT, _MAX_LOOPS = 50, 50, 15
 # `compile`, keyed by its arguments: each text is compiled once per process
 _compiled = functools.lru_cache(maxsize=4096)(compile)
+# Python's spelling of an operator, where it differs
+_PYTHON_OP = {"/": "//", "=": "==", "&&": "and", "||": "or"}
 
 
 def _binop_text(op, left, right, word_bits,
@@ -75,15 +82,11 @@ def _binop_text(op, left, right, word_bits,
         if not right.isdigit():
             test = "(%s | %s)" % (test, right)
         return "(q %s %s if %s < %d else %s)" % (
-            "//" if op == "/" else "%", right, test, sign, call % "q")
-    if op in ("&&", "||"):
-        text = "%s %s %s" % (left, "and" if op == "&&" else "or", right)
-    elif op in ("=", "!="):
-        text = "%s %s %s" % (left, "==" if op == "=" else "!=", right)
-    else:
+            _PYTHON_OP.get(op, op), right, test, sign, call % "q")
+    if op in ("<", ">", "<=", ">="):
         left, right = (str(int(x) ^ sign) if x.isdigit()
                        else "(%s ^ %d)" % (x, sign) for x in (left, right))
-        text = "%s %s %s" % (left, op, right)
+    text = "%s %s %s" % (left, _PYTHON_OP.get(op, op), right)
     return ("(%s)" if truth else "(1 if %s else 0)") % text
 
 
@@ -122,8 +125,17 @@ class Emitter:
     the frame base, the frame top on entry: the k-th local block pushed
     holds its slot at `b - k`, and a call pushes its word below the
     innermost one.  `names` maps each variable in scope to the text of its
-    word's address.  The checks of an expression are emitted, in
-    evaluation order, before the text that reads it, which cannot fail."""
+    word's address; a field's is the mark `{k}` for `o + k`, which
+    `function` resolves once the function's text is known.  The checks of
+    an expression are emitted, in evaluation order, before the text that
+    reads it, which cannot fail.
+
+    An array cell needs one bound test, `k >= w[a]` on the unsigned
+    index: `new` refuses a length at or above the sign, and a block is a
+    power of two words inside a heap below 2^bits words, so a state whose
+    length word is at or above the sign fails the census.  Every length
+    word is thus below the sign, and a negative index fails the test as
+    the large unsigned word it is."""
 
     def __init__(self, interp, backward):
         self.interp, self.backward = interp, backward
@@ -144,12 +156,26 @@ class Emitter:
         return namespace["m"]
 
     def function(self, name, params, body, names):
+        """Emit `def name(params)` running `body`.  A field's address named
+        twice or more is computed once, at entry, into a local; one named
+        once stays `o + k`.  A function that loops takes `w` and `L` as
+        keyword-only defaults, so its loop reads locals."""
         outer = self.lines, self.indent, self.loops
-        self.lines = ["def %s(%s):" % (name, ", ".join(params))]
-        self.indent, self.loops = 1, 0
+        self.lines, self.indent, self.loops = [], 1, 0
         self.stmt(body, names)
         self.emit("return n")
-        self.functions.append("\n".join(self.lines))
+        text = "\n".join(self.lines)
+        if "while True:" in text:
+            params = [*params, "*, w=w, L=L"]
+        head = "def %s(%s):" % (name, ", ".join(params))
+        for mark in names.values():
+            if mark[0] == "{":  # field word `o + k`, marked `{k}`
+                k = mark[1:-1]
+                if text.count(mark) > 1:
+                    head += "\n o%s = o + %s" % (k, k)
+                    text = text.replace(mark, "o" + k)
+                text = text.replace(mark, "o + " + k)
+        self.functions.append(head + "\n" + text)
         self.lines, self.indent, self.loops = outer
 
     def emit(self, line):
@@ -215,16 +241,13 @@ class Emitter:
                    E.UNINITIALIZED_ARRAY, "array %s has not been allocated"
                    % name, node.span)
         i, signed = self.value(node.index, names), self.interp.mem.signed
-        if i.isdigit() and int(i) < self.sign:
-            k, bounds = i, "%s >= w[%s]" % (i, base)
-            address = "%s + %d" % (base, 2 + int(i))
+        if i.isdigit():
+            k, address = i, "%s + %d" % (base, 2 + int(i))
         else:
-            bounds = "(%s := %s) >= w[%s] or %s >= %d" % (k, i, base, k,
-                                                          self.sign)
-            address = "%s + 2 + %s" % (base, k)
-        self.check(bounds, E.INDEX_OUT_OF_BOUNDS, lambda k, n: "index %d "
-                   "outside [0, %d) of %s" % (signed(k), n, name), node.span,
-                   k, "w[%s]" % base)
+            i, address = "(%s := %s)" % (k, i), "%s + 2 + %s" % (base, k)
+        self.check("%s >= w[%s]" % (i, base), E.INDEX_OUT_OF_BOUNDS,
+                   lambda k, n: "index %d outside [0, %d) of %s" % (
+                       signed(k), n, name), node.span, k, "w[%s]" % base)
         return address
 
     def stmt(self, stmt, names):

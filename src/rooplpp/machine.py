@@ -67,7 +67,8 @@ class Interpreter:
         key = (info.class_id, name, backward)
         if key not in self.methods:
             mdecl, fields = info.methods[name], info.fields
-            names = {x: "o + %d" % i for i, (_, x) in enumerate(fields, 2)}
+            # a field's word, o + k, named by the emitter's mark {k}
+            names = {x: "{%d}" % i for i, (_, x) in enumerate(fields, 2)}
             params = ["p%d" % i for i in range(len(mdecl.params))]
             names.update(zip((x for _, x in mdecl.params), params))
             body = mdecl.body

@@ -67,7 +67,10 @@ def load_state(path):
         raise ConfigError("%s: frame top %s is outside the frame region "
                           "[%s, %s]" % (path, frame_top, mem.heap_max,
                                         mem.stack_base))
-    mem.words = list(word_format.unpack_from(blob, _HEADER.size))
+    # emptied first, so the fresh image's words are freed before the saved
+    # ones are copied in; `words[:] =` would hold both until it is done
+    mem.words.clear()
+    mem.words += word_format.unpack_from(blob, _HEADER.size)
     mem.heap_end = heap_end
     state = MachineState(mem)
     state.frame_top = frame_top

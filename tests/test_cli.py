@@ -436,6 +436,27 @@ def test_resume_bad_pointer_exit_4(tmp_path):
         "bounds\n")
 
 
+@pytest.mark.parametrize("length", [0x80000000, 0xFFFFFFFF])
+def test_resume_refuses_an_array_length_at_the_sign_or_above(tmp_path,
+                                                             length):
+    """Generated code tests an index only against its array's length
+    word, so no state whose length word is at or above the sign runs."""
+    saved = tmp_path / "good.state"
+    cli("run", "--save-state", str(saved), str(corpus_path("RTM")))
+    state = load_state(str(saved))
+    program = parse(corpus_path("RTM").read_text())
+    info = build_class_map(program)[main_class_of(program)]
+    tape = state.memory.words[state.memory.stack_base - info.used + 2]
+    state.memory.words[tape] = length             # the tape's length word
+    bad = tmp_path / "bad.state"
+    save_state(str(bad), state)
+    result = cli("run", "--resume", str(bad), "--reverse",
+                 str(corpus_path("RTM")))
+    assert _one_error_line(result) == (
+        "error: bad reference in the state: block at %d overruns the heap\n"
+        % tape)
+
+
 CELL_ARRAY = """\
 class Cell
     int data

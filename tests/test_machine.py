@@ -204,6 +204,23 @@ def test_index_that_can_fail_is_checked_after_its_array(body, kind, message):
     assert (exc.value.kind, exc.value.message) == (kind, message)
 
 
+@pytest.mark.parametrize("bits", [16, 32, 64])
+@pytest.mark.parametrize("index", ["x - 1", "0 - 1"])
+@pytest.mark.parametrize("direction, body", [
+    (FORWARD, "new int[3] nums nums[INDEX] += 1"),
+    # backward, the inverse of `delete`, a `new`, runs first
+    (BACKWARD, "nums[INDEX] += 1 delete int[3] nums"),
+])
+def test_a_negative_index_is_out_of_bounds(bits, index, direction, body):
+    """An index is tested only against the length word, as an unsigned
+    word: -1 is the largest word, above every length."""
+    config = MemoryConfig(word_bits=bits, num_freelists=5, stack_words=64)
+    with pytest.raises(ExecutionError) as exc:
+        run_body(body.replace("INDEX", index), direction, config)
+    assert (exc.value.kind, exc.value.message) == (
+        E.INDEX_OUT_OF_BOUNDS, "index -1 outside [0, 3) of nums")
+
+
 @pytest.mark.parametrize("body,message", [
     ("x += y / 0", "division by zero in /"),
     ("x += y % 0", "division by zero in %"),
@@ -949,6 +966,50 @@ def test_emitted_code_fails_only_through_f_m_and_x(monkeypatch):
             if code is not None and code.co_filename == "<rooplpp>":
                 read |= _code_names(code) & helpers
     assert read == {"F", "M", "X", "T"}
+
+
+SHAPES = """
+class Main
+    int x
+    int y
+    int i
+
+    method bump(int v)
+        v += x
+
+    method main()
+        from i = 0 do
+            i += 1
+        loop
+            call bump(y)
+        until i = 3
+"""
+
+
+def test_only_repeated_field_addresses_and_loops_get_a_prologue(monkeypatch):
+    """`main` loops and names i, the word `o + 4`, five times: it computes
+    that address once, at entry, and takes `w` and `L` as locals; y, named
+    once, stays `o + 3`.  `bump` names x once and does not loop, so it
+    has no prologue."""
+    texts, compiled = [], emit._compiled
+
+    def recorded(text, filename, mode):
+        if filename == "<rooplpp>":
+            texts.append(text.splitlines())
+        return compiled(text, filename, mode)
+    monkeypatch.setattr(emit, "_compiled", recorded)
+    program = parse(SHAPES)
+    assert run_program(program, build_class_map(program)).fields == {
+        "x": 0, "y": 0, "i": 3}
+    (main, *main_body), (bump, *bump_body) = texts
+    assert main == "def m(t, o, n, b, *, w=w, L=L):"
+    assert main_body[0] == " o4 = o + 4"
+    main_body = "\n".join(main_body[1:])
+    assert (main_body.count("o4"), main_body.count("o + 4"),
+            main_body.count("o + 3")) == (5, 0, 1)
+    assert bump == "def m(t, o, p0, n, b):"
+    assert bump_body[0].startswith(" if (n := n + 1) > L:")
+    assert "\n".join(bump_body).count("o + 2") == 1
 
 
 def test_division_of_non_negative_words_calls_no_helper(monkeypatch):
