@@ -272,8 +272,7 @@ class Emitter:
             if self.backward:  # a record names the source statement's kind
                 from .inverter import INVERSE_KIND
                 rule = INVERSE_KIND.get(type(stmt), type(stmt)).__name__
-            record = self.site(span, (span.line, span.col, span.end_line,
-                                      span.end_col), rule,
+            record = self.site(span, rule,
                                BACKWARD if self.backward else FORWARD)
             self.emit("T(%s)" % record)
 

@@ -76,6 +76,9 @@ class MemoryConfig(Record):
                 "the arena limit of %s words" % (
                     self.num_freelists, self.grow_blocks, self.stack_words,
                     MAX_ARENA_WORDS))
+        if self.arena_words() > 1 << self.word_bits:
+            raise ConfigError("%s words do not fit a %s-bit address"
+                              % (self.arena_words(), self.word_bits))
 
     def arena_words(self):
         """List heads, heap with its growth room, and stack: `stack_base`."""
@@ -111,10 +114,6 @@ class MemoryImage:
         self.heap_end = self.hp + self.top_size
         self.heap_max = self.hp + self.top_size * (1 + config.grow_blocks)
         self.stack_base = config.arena_words()
-        if self.stack_base > self.mask:
-            raise ConfigError(
-                "%s words do not fit a %s-bit "
-                "address" % (self.stack_base, self.word_bits))
         self.words = [0] * self.stack_base
         # the whole heap starts as one free block on the largest list
         self.words[self.flp + self.num_freelists - 1] = self.hp

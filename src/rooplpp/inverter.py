@@ -40,14 +40,10 @@ def invert_stmt(stmt, keep_calls=False):
     if isinstance(stmt, ast.Assign):
         return ast.Assign(stmt.target, _MOD_INVERSE[stmt.op], stmt.expr,
                           stmt.span)
-    if isinstance(stmt, ast.If):
-        return ast.If(stmt.assertion, invert_stmt(stmt.then_body, keep_calls),
-                      invert_stmt(stmt.else_body, keep_calls), stmt.cond,
-                      stmt.span)
-    if isinstance(stmt, ast.Loop):
-        return ast.Loop(stmt.cond, invert_stmt(stmt.do_body, keep_calls),
-                        invert_stmt(stmt.loop_body, keep_calls),
-                        stmt.assertion, stmt.span)
+    if isinstance(stmt, (ast.If, ast.Loop)):
+        head, body, other, tail = (getattr(stmt, f) for f in stmt._fields[:4])
+        return type(stmt)(tail, invert_stmt(body, keep_calls),
+                          invert_stmt(other, keep_calls), head, stmt.span)
     if isinstance(stmt, ast.ObjectBlock):
         return ast.ObjectBlock(stmt.class_name, stmt.var,
                                invert_stmt(stmt.body, keep_calls),

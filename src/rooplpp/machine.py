@@ -132,9 +132,10 @@ class Interpreter:
         return cache[info.class_id]
 
     def record(self, site):
-        _, _, where, rule, direction = site
+        s, _, rule, direction = site
         touched = self.touched  # an enclosing statement may append
-        self.tracer({"span": [*where], "rule": rule, "direction": direction,
+        self.tracer({"span": [s.line, s.col, s.end_line, s.end_col],
+                     "rule": rule, "direction": direction,
                      "touched": sorted(set(touched)) if len(touched) > 1
                      else touched[:]})
 
@@ -203,6 +204,10 @@ def fresh_state(program, class_map, config):
     state = MachineState(init_memory(config))
     info, words = class_map[main_class_of(program)], state.memory.words
     obj_addr = _main_address(state.memory, info)
+    if obj_addr - 1 < state.memory.heap_max:
+        raise ConfigError("%s stack words do not hold the %s object and its "
+                          "slot (%s words)" % (config.stack_words, info.name,
+                                               info.used + 1))
     state.frame_top = obj_addr - 1
     words[obj_addr - 1], words[obj_addr], words[obj_addr + 1] = \
         obj_addr, info.class_id, 1

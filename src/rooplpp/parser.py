@@ -13,7 +13,7 @@ Binary operators bind as `syntax.PRECEDENCE` says and associate left;
 parentheses group.
 """
 
-from .errors import ParseError, Record, Span
+from .errors import ParseError, Span
 from . import syntax as ast
 
 KEYWORDS = {
@@ -35,16 +35,11 @@ _STMT_FOLLOWERS = {
 }
 
 
-class Token(Record):
+class Token:
     __slots__ = ("kind", "text", "span")  # kind: ident, int, kw, sym or eof
 
     def __init__(self, kind, text, span):
-        _set_kind(self, kind)
-        _set_text(self, text)
-        _set_span(self, span)
-
-
-_set_kind, _set_text, _set_span = Token._setters
+        self.kind, self.text, self.span = kind, text, span
 
 
 def tokenize(source):

@@ -45,6 +45,16 @@ def json_line(fields, steps, free_lists):
 
 def run(args, program, class_map):
     """Run `program` as the options of `cli.parse_args` in `args` say."""
+    # before anything is written: no output may replace an input or the
+    # other output, but --save-state may replace the --resume state
+    real = os.path.realpath
+    for flag, out, name, other in (
+            ("--trace", args.trace, "the program", args.path),
+            ("--trace", args.trace, "the --resume state", args.resume),
+            ("--trace", args.trace, "the --save-state file", args.save_state),
+            ("--save-state", args.save_state, "the program", args.path)):
+        if None not in (out, other) and real(out) == real(other):
+            raise ConfigError("%s %s would overwrite %s" % (flag, out, name))
     given = [(flag, field, value) for flag, field, value in (
         ("--word-bits", "word_bits", args.word_bits),
         ("--freelists", "num_freelists", args.freelists),

@@ -757,6 +757,59 @@ def test_arena_over_the_machine_limit_exit_4(flags):
     assert "exceed the arena limit of 16777216 words" in _one_error_line(result)
 
 
+EIGHT_FIELDS = ("class Main\n" + "".join("    int %s\n" % f for f in "abcdefgh")
+                + "\n    method main()\n        a += 1\n        h += 2\n")
+
+
+def test_main_object_outside_the_frame_region_exit_4(tmp_path):
+    """The main object (8 fields, 2 header words) and its slot take 11
+    stack words.  With 10 the slot would lie in the heap's top free block,
+    so the run is refused before it starts and leaves no state file."""
+    path, state = tmp_path / "eight.rplpp", tmp_path / "eight.state"
+    path.write_text(EIGHT_FIELDS)
+    small = cli("run", "--freelists", "3", "--stack-words", "10",
+                "--save-state", str(state), str(path))
+    assert _one_error_line(small) == (
+        "error: 10 stack words do not hold the Main object and its slot "
+        "(11 words)\n")
+    assert not state.exists()
+    with_new = tmp_path / "new.rplpp"
+    with_new.write_text(EIGHT_FIELDS.replace("int h", "int[] h").replace(
+        "h += 2", "new int[2] h"))
+    assert _one_error_line(cli("run", "--freelists", "3", "--stack-words",
+                               "4", str(with_new))).startswith("error: 4 ")
+    done = cli("run", "--freelists", "3", "--stack-words", "11",
+               "--save-state", str(state), str(path))
+    assert done.stdout.splitlines()[::7] == ["a = 1", "h = 2"]
+    back = cli("run", "--resume", str(state), "--reverse", "--save-state",
+               str(state), str(path))
+    assert back.stdout == "".join("%s = 0\n" % f for f in "abcdefgh")
+    words = load_state(str(state)).memory.words
+    assert words[:12] == MemoryImage(MemoryConfig(
+        num_freelists=3, stack_words=11)).words[:12]
+
+
+def test_16_bit_machine_uses_every_address(tmp_path):
+    """A 16-bit machine addresses words 0 to 65,535, so its arena holds
+    2^16 words (1 + 10 list heads + 1,024 heap words + 64,501 stack words)
+    and no more; no word ever holds `stack_base` itself."""
+    state = tmp_path / "full.state"
+    fib = str(corpus_path("Fibonacci"))
+    done = cli("run", "--word-bits", "16", "--stack-words", "64501",
+               "--save-state", str(state), fib)
+    assert done.returncode == 0
+    assert len(load_state(str(state)).memory.words) == 1 << 16
+    back = cli("run", "--resume", str(state), "--reverse", fib)
+    assert back.returncode == 0
+    assert set(back.stdout.split()[2::3]) == {"0"}
+    over = tmp_path / "over.state"
+    result = cli("run", "--word-bits", "16", "--stack-words", "64502",
+                 "--save-state", str(over), fib)
+    assert _one_error_line(result) == (
+        "error: 65537 words do not fit a 16-bit address\n")
+    assert not over.exists()
+
+
 @pytest.mark.parametrize("flag", ["--save-state", "--trace"])
 def test_unwritable_output_path_exit_4(tmp_path, flag):
     target = tmp_path / "missing" / "out"
@@ -805,6 +858,32 @@ def test_resume_and_save_state_name_one_file(tmp_path):
     assert back.stdout.splitlines() == ["head = 0", "listLength = 0",
                                         "total = 0", "count = 0"]
     assert state.read_bytes() == apart.read_bytes()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trace", "{program}"],
+    ["--resume", "{state}", "--reverse", "--trace", "{state}"],
+    ["--trace", "{out}", "--save-state", "{out}"],
+    ["--trace", "{sub}/../out", "--save-state", "{out}"],
+    ["--save-state", "{program}"],
+], ids=["trace-program", "trace-resume", "trace-save", "trace-save-realpath",
+        "save-program"])
+def test_outputs_that_collide_exit_4(tmp_path, flags):
+    """--trace may name neither the program nor either state file, and
+    --save-state not the program (paths compared after `realpath`): the
+    run is refused before anything is written, and every file is
+    byte-unchanged."""
+    program = tmp_path / "Fibonacci.rplpp"
+    program.write_bytes(corpus_path("Fibonacci").read_bytes())
+    (tmp_path / "sub").mkdir()
+    files = {"program": program, "state": _saved_state(tmp_path),
+             "out": tmp_path / "out"}
+    files["out"].write_text("keep\n")
+    before = {name: path.read_bytes() for name, path in files.items()}
+    result = cli("run", *[arg.format(sub=tmp_path / "sub", **files)
+                          for arg in flags], str(program))
+    assert "would overwrite" in _one_error_line(result)
+    assert {name: path.read_bytes() for name, path in files.items()} == before
 
 
 def test_reverse_from_fresh_state(tmp_path):
@@ -875,6 +954,76 @@ def test_receiver_deleted_while_its_method_runs(tmp_path):
     assert again.returncode == 1
     assert again.stderr.splitlines()[0].endswith(
         ": CorruptFree: allocated block at 1027 not zero-cleared")
+
+
+# `swapout` swaps the two X of `c` while `bump` runs on the first
+LOCAL_CALL_RECEIVER = """\
+class X
+    int v
+
+    method inc()
+        v += 1
+
+    method get(int r)
+        r += v
+
+    method bump(C owner)
+        call owner::swapout()
+        call inc()
+
+class C
+    X x
+    X y
+
+    method init()
+        new X x
+        new X y
+
+    method swapout()
+        x <=> y
+
+    method go(C me)
+        call x::bump(me)
+
+    method read(int a, int b)
+        call x::get(a)
+        call y::get(b)
+
+class Program
+    C c
+    C d
+    int inX
+    int inY
+
+    method main()
+        new C c
+        copy C c d
+        call c::init()
+        call c::go(d)
+        call c::read(inX, inY)
+"""
+
+
+def test_local_call_dispatches_on_the_callers_slot(tmp_path):
+    """Pinned: a local call reads its receiver from the word of the
+    caller's frame that its object call was made through (the slot `t`,
+    here `c.x`), not from the running method's receiver `o`.  `swapout`
+    swaps `c.x` and `c.y` while `bump` runs on the first X, so `inc`
+    runs on the second: `inX = 1, inY = 0`, not the `inX = 0, inY = 1`
+    that the paper's `this` gives (whose rewind would then fail with
+    NonZeroFieldsOnDelete).  Today the rewind restores zeros."""
+    path = tmp_path / "local.rplpp"
+    path.write_text(LOCAL_CALL_RECEIVER)
+    assert cli("check", str(path)).stdout == "ok\n"
+    state = tmp_path / "done.state"
+    done = cli("run", "--save-state", str(state), str(path))
+    assert done.stdout.splitlines()[2:] == ["inX = 1", "inY = 0"]
+    back = cli("run", "--resume", str(state), "--reverse", "--save-state",
+               str(state), str(path))
+    assert back.stdout.split()[2::3] == ["0"] * 4
+    mem = load_state(str(state)).memory
+    assert mem.words[:mem.heap_end] == MemoryImage(
+        mem.config).words[:mem.heap_end]
 
 
 # `swapout` deletes the X whose `bump` is running and allocates a Z in its

@@ -72,6 +72,16 @@ def test_arena_just_under_the_machine_limit_validates():
     config.validate()
 
 
+def test_address_width_limit_is_checked_by_validate():
+    # a 16-bit address names words 0 to 65,535: at most 2^16 arena words
+    full = MemoryConfig(word_bits=16, stack_words=64501)
+    assert full.arena_words() == 1 << 16
+    full.validate()
+    with pytest.raises(ConfigError, match="^65537 words do not fit a "
+                                          "16-bit address$"):
+        MemoryConfig(word_bits=16, stack_words=64502).validate()
+
+
 # ---------------------------------------------------------------- malloc
 
 def test_first_small_allocation_splits_down():

@@ -8,7 +8,6 @@ import pytest
 from rooplpp import MemoryConfig, Span, TypeError_, parse_statement
 from rooplpp import syntax as ast
 from rooplpp.classes import build_class_map
-from rooplpp.parser import Token
 
 A = Span(1, 2, 1, 5)
 B = Span(7, 1, 9, 3)
@@ -38,7 +37,6 @@ def test_span_and_type_error_compare_every_field():
     assert TypeError_("T-Var", "m", A) != TypeError_("T-Var", "m", B)
     assert TypeError_("T-Var", "m").span == Span()
     assert repr(A) == "Span(line=1, col=2, end_line=1, end_col=5)"
-    assert Token("int", "1", A) != Token("int", "1", B)
 
 
 def test_fields_are_frozen():

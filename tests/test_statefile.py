@@ -186,3 +186,25 @@ def test_header_checked_before_the_image_is_built(tmp_path, monkeypatch,
     monkeypatch.setattr(statefile, "MemoryImage", no_image)
     with pytest.raises(ConfigError, match="word count|arena limit"):
         load_state(str(path))
+
+
+def test_address_width_checked_before_the_image_is_built(tmp_path,
+                                                         monkeypatch):
+    # a well-formed 16-bit state of 2^16 + 1 words: its header, word
+    # count and length agree, but its addresses do not fit 16 bits
+    path = tmp_path / "m.state"
+    config = MemoryConfig(word_bits=16, num_freelists=6, stack_words=128)
+    save_state(str(path), _run("Fibonacci", config).state)
+    blob = bytearray(path.read_bytes())
+    total = (1 << 16) + 1
+    more = total - config.arena_words()           # stack words to add
+    struct.pack_into("<I", blob, 8, config.stack_words + more)  # u32 stack
+    struct.pack_into("<Q", blob, 16, total)       # u64 total words
+    path.write_bytes(bytes(blob) + bytes(2 * more))
+
+    def no_image(config):
+        raise AssertionError("built an image for a bad header")
+    monkeypatch.setattr(statefile, "MemoryImage", no_image)
+    with pytest.raises(ConfigError, match="^65537 words do not fit a "
+                                          "16-bit address$"):
+        load_state(str(path))
