@@ -1,16 +1,15 @@
-"""Code generation: a method body as the source of one Python function,
-every name resolved to its word's address as the paper's compiler
-resolves it to an offset: field i of the receiver o is the word at
-`o + 2 + i`.  As PISA keeps an address in a register, a function whose
-text names a field's address twice or more computes it once, in a
-prologue after its `def`, and a function that loops binds the memory `w`
-and the step limit `L` as locals.  Only failing checks and `/` or `%` of
-a negative word call helpers (`machine.Interpreter`), and allocation
-statements call the allocator on the memory image.  Sites, call-site
-caches and the step limit are globals of the namespace the code runs in,
-so a text depends only on the body, direction, tracing and
-`MemoryConfig`, and each is compiled once per process.  Text is built
-with %, not f-strings (faster to compile)."""
+"""Code generation, and the one statement of the calling convention of
+generated code: a method body becomes the source of one Python
+function, every name resolved to its word's address as the paper's
+compiler resolves it to an offset (field i of the receiver o is the word
+at `o + 2 + i`).  `Emitter.compile` builds each method's entry, and
+`frames` reads what the functions on a failing stack hold.  Only failing
+checks and `/` or `%` of a negative word call helpers
+(`machine.Interpreter`), and allocation statements call the allocator on
+the memory image.  Sites, call-site caches and the step limit are globals
+of the namespace the code runs in, so a text depends only on the body,
+direction, tracing and `MemoryConfig`, and each is compiled once per
+process.  Text is built with %, not f-strings (faster to compile)."""
 
 import enum
 import functools
@@ -76,7 +75,7 @@ def _binop_text(op, left, right, word_bits,
         # right is a literal or a name; one local q serves every division,
         # as each reads it back before other code can bind it
         call = "%s(%%s, %s)" % ("Q" if op == "/" else "R", right)
-        if right.isdigit() and not 0 < int(right) < sign:
+        if right.isdigit() and int(right) >= sign:
             return call % left
         test = "(q := %s)" % left
         if not right.isdigit():
@@ -112,8 +111,27 @@ def apply_binop(op, v1, v2, word_bits=32):
     executor emits; `/` and `%` by zero raise ZeroDivisionError."""
     if op not in ast.PRECEDENCE:
         raise ValueError("unknown operator %r" % (op,))
-    return eval(_binop_text(op, str(v1), str(v2), word_bits),
-                division(word_bits))
+    return eval(_compiled(_binop_text(op, str(v1), str(v2), word_bits),
+                          "<fold>", "eval"), division(word_bits))
+
+
+def emitted(frame):
+    return frame.f_code.co_filename == "<rooplpp>"
+
+
+def frames(frame):
+    """(n, b, labels) that the emitted functions on the Python stack from
+    `frame` out hold, or None if there are none: the innermost one's count
+    and frame base, and, outermost first, each caller's `lb` label."""
+    found = []
+    while frame is not None:
+        if emitted(frame):
+            found.append(frame)
+        frame = frame.f_back
+    if found:
+        return found[0].f_locals["n"], found[0].f_locals["b"], tuple(
+            caller.f_locals["lb"] for callee, caller in zip(found, found[1:])
+            if callee.f_code.co_name == "m")[::-1]
 
 
 class Emitter:
@@ -124,9 +142,10 @@ class Emitter:
     passing is by reference), n the step count, which `m` returns, and b
     the frame base, the frame top on entry: the k-th local block pushed
     holds its slot at `b - k`, and a call pushes its word below the
-    innermost one.  `names` maps each variable in scope to the text of its
-    word's address; a field's is the mark `{k}` for `o + k`, which
-    `function` resolves once the function's text is known.  The checks of
+    innermost one; a function making a call holds the callee's label in
+    `lb`.  `names` maps each variable in scope to the text of its word's
+    address: a parameter's is its name, a field's the mark `{k}` for `o +
+    k`, which `function` resolves once its text is known.  The checks of
     an expression are emitted, in evaluation order, before the text that
     reads it, which cannot fail.
 
@@ -143,31 +162,39 @@ class Emitter:
         self.bits, self.mask, self.heap_max = mem.word_bits, mem.mask, \
             mem.heap_max
         self.sign, self.limit = 1 << (self.bits - 1), interp.step_limit
-        self.bound = {"L": self.limit}  # step limit, sites and caches by name
+        # the namespace the code runs in: helpers, step limit, sites, caches
+        self.bound = {**interp.globals, "L": self.limit}
         self.functions, self.lines = [], []  # emitted, being emitted
         self.indent = self.loops = self.temps = self.pushed = 0
 
-    def compile(self, params, body, names):
-        """The function `m(params)` that runs `body` and returns the count."""
-        self.function("m", params, body, names)
-        namespace = {**self.interp.globals, **self.bound}
+    def compile(self, info, name):
+        """The function `m` running method `name` of `info`, or its inverse."""
+        method = info.methods[name]
+        names = {x: "p%d" % i for i, (_, x) in enumerate(method.params)}
+        for k, (_, x) in enumerate(info.fields, 2):
+            names.setdefault(x, "{%d}" % k)  # unless a parameter hides it
+        if self.backward:
+            from .inverter import invert_stmt
+        self.function("m", invert_stmt(method.body) if self.backward
+                      else method.body, names)
         exec(_compiled("\n".join(self.functions), "<rooplpp>", "exec"),
-             namespace)
-        return namespace["m"]
+             self.bound)
+        return self.bound["m"]
 
-    def function(self, name, params, body, names):
-        """Emit `def name(params)` running `body`.  A field's address named
-        twice or more is computed once, at entry, into a local; one named
-        once stays `o + k`.  A function that loops takes `w` and `L` as
-        keyword-only defaults, so its loop reads locals."""
+    def function(self, name, body, names):
+        """Emit `def name(t, o, ..., n, b)`, its `...` the locals among the
+        addresses in `names`, running `body`; the text calling it.  A field
+        address named twice or more is computed once, at entry, into a
+        local, and a loop reads `w` and `L` as keyword-only defaults."""
+        params = ", ".join(["t", "o", *(
+            a for a in names.values() if a.isidentifier()), "n", "b"])
         outer = self.lines, self.indent, self.loops
         self.lines, self.indent, self.loops = [], 1, 0
         self.stmt(body, names)
         self.emit("return n")
         text = "\n".join(self.lines)
-        if "while True:" in text:
-            params = [*params, "*, w=w, L=L"]
-        head = "def %s(%s):" % (name, ", ".join(params))
+        head = "def %s(%s%s):" % (name, params, ", *, w=w, L=L" if
+                                 "while True:" in text else "")
         for mark in names.values():
             if mark[0] == "{":  # field word `o + k`, marked `{k}`
                 k = mark[1:-1]
@@ -177,6 +204,7 @@ class Emitter:
                 text = text.replace(mark, "o + " + k)
         self.functions.append(head + "\n" + text)
         self.lines, self.indent, self.loops = outer
+        return "%s(%s)" % (name, params)
 
     def emit(self, line):
         self.lines.append(" " * self.indent + line)
@@ -220,9 +248,8 @@ class Emitter:
             self.check("not (%s := %s)" % (divisor, right), E.DIVISION_BY_ZERO,
                        "division by zero in " + op, expr.span)
             right = divisor
-        elif left.isdigit() and right.isdigit():  # fold, compiled once
-            return str(eval(_compiled(_binop_text(op, left, right, self.bits),
-                                      "<fold>", "eval"), division(self.bits)))
+        elif left.isdigit() and right.isdigit():
+            return str(apply_binop(op, int(left), int(right), self.bits))
         text = _binop_text(op, left, right, self.bits, truth)
         if text.count("(") + text.count("[") <= _MAX_BRACKETS:
             return text
@@ -256,11 +283,8 @@ class Emitter:
                 self.stmt(s, names)
             return
         if self.indent >= _MAX_INDENT or self.loops >= _MAX_LOOPS:
-            frame = ["t", "o", *(a for a in names.values()
-                                 if a.isidentifier()), "n", "b"]
-            name = self.temp("g")
-            self.emit("n = %s(%s)" % (name, ", ".join(frame)))
-            return self.function(name, frame, stmt, names)
+            call = self.function(self.temp("g"), stmt, names)
+            return self.emit("n = " + call)
         kind, span = type(stmt).__name__, stmt.span
         self.check("(n := n + 1) > L", E.STEP_LIMIT_EXCEEDED,
                    "exceeded %d steps" % self.limit, span)

@@ -6,14 +6,13 @@ headers and 0 encodes nil.  An object at address a stores its class id at
 a and a reference count at a+1, fields follow.  An array stores its
 length at a and a reference count at a+1, cells follow.
 
-A body is emitted (`emit.Emitter`) on its first invocation in a run, once
-per (concrete class, method, direction), a backward body from its inverse;
-each distinct text is compiled once per process, and each run executes it
-in a namespace of its own.  `main` runs the same way, over the main
-object, but pushes no frame word and no call-stack label.  The inverter is
+`emit` owns the generated code and the convention it keeps: it builds
+each method's entry and reads what the frames on a failing stack hold.  A
+body is emitted on its first invocation in a run, once per (concrete
+class, method, direction); `main` runs the same way, over the main object,
+but pushes no frame word and no call-stack label.  The inverter is
 imported only to emit a backward body, or to compare a resumed state's
-checksum with the inverse program's.
-"""
+checksum with the inverse program's."""
 
 import sys
 import zlib
@@ -21,7 +20,7 @@ import zlib
 from .classes import block_words
 from .errors import ConfigError, ExecutionError, Record
 from .heap import MemoryConfig, MemoryFault, init_memory
-from .emit import BACKWARD, FORWARD, E, Emitter, division
+from .emit import BACKWARD, FORWARD, E, Emitter, division, emitted, frames
 from .typecheck import main_class_of
 from . import syntax as ast
 
@@ -62,44 +61,22 @@ class Interpreter:
             self.globals.update(J=self.touched, T=self.record)
 
     def _method(self, info, name, backward):
-        """(function, label) of `name` on `info`, emitted once; a backward
-        body is emitted from the inverse of the method's body."""
+        """(function, label) of `name` on `info`, emitted once."""
         key = (info.class_id, name, backward)
         if key not in self.methods:
-            mdecl, fields = info.methods[name], info.fields
-            # a field's word, o + k, named by the emitter's mark {k}
-            names = {x: "{%d}" % i for i, (_, x) in enumerate(fields, 2)}
-            params = ["p%d" % i for i in range(len(mdecl.params))]
-            names.update(zip((x for _, x in mdecl.params), params))
-            body = mdecl.body
-            if backward:
-                from .inverter import invert_stmt
-                body = invert_stmt(body)
-            run = Emitter(self, backward).compile(
-                ["t", "o", *params, "n", "b"], body, names)
-            self.methods[key] = run, info.name + "::" + name
+            self.methods[key] = (Emitter(self, backward).compile(info, name),
+                                 info.name + "::" + name)
         return self.methods[key]
 
     def error(self, site, kind, message, frame=None):
         """Raise `kind` at `site`, with the count, frame base and call stack
-        read off the Python stack from `frame` out (by default from here):
-        the innermost emitted function failed, and each that is making a
-        call holds its label in `lb`.  The frame top keeps the local blocks'
-        words pushed and the calls' popped.  With no emitted function on
-        the stack, the state is left as it is."""
-        frames, frame = [], frame or sys._getframe()
-        while frame is not None:
-            if frame.f_code.co_filename == "<rooplpp>":
-                frames.append(frame)
-            frame = frame.f_back
-        trace = tuple(caller.f_locals["lb"] for callee, caller in
-                      zip(frames, frames[1:]) if callee.f_code.co_name == "m")
-        span, pushed = site[:2]
-        if frames:
-            here = frames[0].f_locals
-            self.state.steps = here["n"]
-            self.state.frame_top = here["b"] - pushed + len(trace)
-        raise ExecutionError(kind, message, span, trace=trace[::-1])
+        that `frames` reads from `frame` (by default here) out, if any; the
+        frame top keeps local blocks' words pushed and calls' popped."""
+        held, trace = frames(frame or sys._getframe()), ()
+        if held:
+            self.state.steps, base, trace = held
+            self.state.frame_top = base - site[1] + len(trace)
+        raise ExecutionError(kind, message, site[0], trace=trace)
 
     def fail(self, site, *values):
         """Raise the error of check `site`; a message that names run-time
@@ -169,14 +146,13 @@ def run_program(program, class_map,
                                   "program")
         census(state, class_map, main_cls)
     obj_addr = _main_address(state.memory, info)
-    this_slot = obj_addr - 1
     state.program_crc = checksum
     interp = Interpreter(class_map, state, step_limit, tracer)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 100_000))
     try:
         run, _ = interp._method(info, "main", direction == BACKWARD)
-        state.steps = run(this_slot, obj_addr, state.steps, state.frame_top)
+        state.steps = run(obj_addr - 1, obj_addr, state.steps, state.frame_top)
     except (RecursionError, IndexError) as exc:
         # the host limit, or in emitted code a stale reference (to a block
         # freed and reused) read as an address: read off the innermost frame
@@ -186,7 +162,7 @@ def run_program(program, class_map,
         if isinstance(exc, RecursionError):
             interp.error(site, E.STACK_OVERFLOW,
                          "call nesting exceeded the host limit", frame)
-        if frame.f_code.co_filename != "<rooplpp>":
+        if not emitted(frame):
             raise
         interp.error(site, E.CORRUPT_FREE, "word outside memory reached "
                      "through a stale reference", frame)

@@ -46,14 +46,18 @@ def json_line(fields, steps, free_lists):
 def run(args, program, class_map):
     """Run `program` as the options of `cli.parse_args` in `args` say."""
     # before anything is written: no output may replace an input or the
-    # other output, but --save-state may replace the --resume state
-    real = os.path.realpath
+    # other output, but --save-state may replace the --resume state; two
+    # paths that exist are one file if `samefile` says so (a hard link
+    # too), others if their real paths are equal
+    real, exists = os.path.realpath, os.path.exists
     for flag, out, name, other in (
             ("--trace", args.trace, "the program", args.path),
             ("--trace", args.trace, "the --resume state", args.resume),
             ("--trace", args.trace, "the --save-state file", args.save_state),
             ("--save-state", args.save_state, "the program", args.path)):
-        if None not in (out, other) and real(out) == real(other):
+        if None not in (out, other) and (
+                os.path.samefile(out, other) if exists(out) and exists(other)
+                else real(out) == real(other)):
             raise ConfigError("%s %s would overwrite %s" % (flag, out, name))
     given = [(flag, field, value) for flag, field, value in (
         ("--word-bits", "word_bits", args.word_bits),

@@ -341,14 +341,13 @@ def check_program(program, class_map, warnings=None):
     another type) are appended to `warnings` when a list is given.
     """
     checker = Checker(class_map)
-    nullary = [m for cls in program.classes for m in cls.methods
-               if m.name == "main" and not m.params]
+    nullary = _nullary_mains(program)
     if not nullary:
         checker.error("T-Prog", "program has no nullary main method",
                       program.span)
     elif len(nullary) > 1:
         checker.error("T-Prog", "program has more than one main method",
-                      nullary[1].span)
+                      nullary[1][1].span)
     for cls in program.classes:
         for mdecl in cls.methods:
             checker.check_method(cls.name, mdecl)
@@ -357,10 +356,14 @@ def check_program(program, class_map, warnings=None):
     return checker.errors
 
 
+def _nullary_mains(program):
+    """(class name, method) of each `main` without parameters, in order."""
+    return [(cls.name, m) for cls in program.classes for m in cls.methods
+            if m.name == "main" and not m.params]
+
+
 def main_class_of(program):
     """Name of the class declaring the nullary main method."""
-    for cls in program.classes:
-        for m in cls.methods:
-            if m.name == "main" and not m.params:
-                return cls.name
+    for name, _ in _nullary_mains(program):
+        return name
     raise ValueError("program has no nullary main method")

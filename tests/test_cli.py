@@ -886,6 +886,30 @@ def test_outputs_that_collide_exit_4(tmp_path, flags):
     assert {name: path.read_bytes() for name, path in files.items()} == before
 
 
+@pytest.mark.parametrize("flags", [
+    ["--trace", "{program_link}"],
+    ["--resume", "{state}", "--reverse", "--trace", "{state_link}"],
+    ["--trace", "{out_link}", "--save-state", "{out}"],
+    ["--save-state", "{program_link}"],
+], ids=["trace-program", "trace-resume", "trace-save", "save-program"])
+def test_outputs_that_collide_through_a_hard_link_exit_4(tmp_path, flags):
+    """A hard link is another path to the same file, not another file: each
+    collision through one is refused like the path itself, and every file
+    is byte-unchanged."""
+    program = tmp_path / "Fibonacci.rplpp"
+    program.write_bytes(corpus_path("Fibonacci").read_bytes())
+    files = {"program": program, "state": _saved_state(tmp_path),
+             "out": tmp_path / "out"}
+    files["out"].write_text("keep\n")
+    for name, path in list(files.items()):
+        files[name + "_link"] = tmp_path / (name + ".link")
+        os.link(path, files[name + "_link"])
+    before = {name: path.read_bytes() for name, path in files.items()}
+    result = cli("run", *[arg.format(**files) for arg in flags], str(program))
+    assert "would overwrite" in _one_error_line(result)
+    assert {name: path.read_bytes() for name, path in files.items()} == before
+
+
 def test_reverse_from_fresh_state(tmp_path):
     # running backward from zeros computes the pre-image of the all-zero
     # output; running forward from that state yields zeros again
@@ -1177,6 +1201,19 @@ def _nested_loops(depth):
     return f"class Main\n    int x\n\n    method main()\n        {body}\n"
 
 
+def _hidden_fields(depth):
+    # f's parameters hide the fields a and b, in the other order, and its
+    # body spills into functions that take the parameters along
+    body = "x += a y += b"
+    for _ in range(depth):
+        body = f"if a = a then {body} else skip fi a = a"
+    return ("class Main\n    int x\n    int y\n    int a\n    int b\n\n"
+            f"    method f(int b, int a)\n        {body}\n\n"
+            "    method main()\n        local int u = 3\n"
+            "        local int v = 5\n        call f(u, v)\n"
+            "        delocal int v = 5\n        delocal int u = 3\n")
+
+
 def _deep_expression(kind, first="x += 2"):
     if kind == "chain":
         expr = " + ".join(["x"] * 240)
@@ -1198,7 +1235,8 @@ def _deep_expression(kind, first="x += 2"):
     (_nested_ifs(150), ["x = 1"]),
     (_nested_loops(150), ["x = 1"]),
     (_deep_expression("divs", "x -= 1000"), ["x = -1000", "y = 0"]),
-], ids=["chain", "parens", "ifs", "loops", "divs"])
+    (_hidden_fields(60), ["x = 5", "y = 3", "a = 0", "b = 0"]),
+], ids=["chain", "parens", "ifs", "loops", "divs", "hidden-fields"])
 def test_run_nesting_deeper_than_a_python_function(tmp_path, source, fields):
     # past the brackets, indentation levels and nested loops that Python
     # compiles in one expression or function, forward and back

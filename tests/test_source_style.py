@@ -51,3 +51,24 @@ def test_one_place_node():
              if path.name not in ("syntax.py", "parser.py")
              for line, what in _place_kinds(ast.parse(path.read_text()))]
     assert found == []
+
+
+def _contract_reads(tree):
+    """(line, what) of each frame's locals or file name read in `tree`, and
+    each literal naming the emitted file, a field mark or a parameter."""
+    for node in ast.walk(tree):
+        if getattr(node, "attr", None) in ("f_locals", "co_filename"):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Constant) and node.value in (
+                "<rooplpp>", "{%d}", "p%d"):
+            yield node.lineno, node.value
+
+
+def test_emit_owns_the_generated_code_contract():
+    """`emit` builds each method's entry (field marks, parameter names) and
+    reads what the frames of its code hold; the executor does neither."""
+    machine = Path(rooplpp.__file__).parent / "machine.py"
+    assert list(_contract_reads(ast.parse(machine.read_text()))) == []
+    emit = Path(rooplpp.__file__).parent / "emit.py"
+    assert {what for _, what in _contract_reads(ast.parse(emit.read_text()))
+            } == {"f_locals", "co_filename", "<rooplpp>", "{%d}", "p%d"}
