@@ -19,14 +19,14 @@ _EXPORTS = {
     "MemoryFault": "heap", "MemoryImage": "heap", "init_memory": "heap",
     "invert_program": "inverter", "invert_stmt": "inverter",
     "BACKWARD": "machine", "FORWARD": "machine",
-    "Interpreter": "machine", "MachineState": "machine",
+    "Interpreter": "machine", "MachineState": "heap",
     "RuntimeErrorKind": "emit", "apply_binop": "emit",
-    "census": "machine",
+    "census": "statefile",
     "run_program": "machine",
     "parse": "parser", "parse_expression": "parser",
     "parse_statement": "parser",
     "pretty_print": "printer",
-    "check_program": "typecheck", "main_class_of": "typecheck",
+    "check_program": "typecheck", "main_class_of": "classes",
 }
 
 __all__ = sorted(_EXPORTS)

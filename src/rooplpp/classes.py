@@ -179,3 +179,16 @@ def build_class_map(program):
                            % (pname, cls.name, m.name), m.span)
 
     return cmap
+
+
+def nullary_mains(program):
+    """(class name, method) of each `main` without parameters, in order."""
+    return [(cls.name, m) for cls in program.classes for m in cls.methods
+            if m.name == "main" and not m.params]
+
+
+def main_class_of(program):
+    """Name of the class declaring the nullary main method."""
+    for name, _ in nullary_mains(program):
+        return name
+    raise ValueError("program has no nullary main method")

@@ -28,7 +28,7 @@ is zero.  `free` refuses a block that is not zero-cleared, a merge joins
 two such blocks, and `malloc` zeroes the link word it pops, so each merge
 level reads only the partner's link word: `free` costs O(number of free
 lists) word reads, not O(heap).  `check_free_blocks`, the free half of
-`machine.census`, sweeps every free block for words written outside the
+`statefile.census`, sweeps every free block for words written outside the
 allocator.  It, the snapshot and the dump all walk the lists
 with `_free_chain`, which refuses a cycle or a stray address.
 """
@@ -279,3 +279,18 @@ class MemoryImage:
 def init_memory(config=MemoryConfig()):
     """Fresh image: zeroed arena, one top-size block on the last free list."""
     return MemoryImage(config)
+
+
+class MachineState:
+    """What a state file holds, and no more."""
+
+    def __init__(self, memory):
+        self.memory = memory
+        self.frame_top = memory.stack_base
+        self.steps = 0
+        self.program_crc = None  # crc32 of repr(program) of the last run
+
+
+def main_address(memory, info):
+    """The main object's address: it ends just below `stack_base`."""
+    return memory.stack_base - info.used

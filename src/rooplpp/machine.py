@@ -11,27 +11,17 @@ each method's entry and reads what the frames on a failing stack hold.  A
 body is emitted on its first invocation in a run, once per (concrete
 class, method, direction); `main` runs the same way, over the main object,
 but pushes no frame word and no call-stack label.  The inverter is
-imported only to emit a backward body, or to compare a resumed state's
-checksum with the inverse program's."""
+imported only to emit a backward body or to match a resumed state's
+checksum, and `statefile.census` only to check a state passed in."""
 
 import sys
 import zlib
 
-from .classes import block_words
+from .classes import main_class_of
 from .errors import ConfigError, ExecutionError, Record
-from .heap import MemoryConfig, MemoryFault, init_memory
+from .heap import (MachineState, MemoryConfig, MemoryFault, init_memory,
+                   main_address)
 from .emit import BACKWARD, FORWARD, E, Emitter, division, emitted, frames
-from .typecheck import main_class_of
-from . import syntax as ast
-
-class MachineState:
-    """What a state file holds, and no more."""
-
-    def __init__(self, memory):
-        self.memory = memory
-        self.frame_top = memory.stack_base
-        self.steps = 0
-        self.program_crc = None  # crc32 of repr(program) of the last run
 
 
 class RunResult(Record):
@@ -144,8 +134,9 @@ def run_program(program, class_map,
             if state.program_crc != _checksum(invert_program(program)):
                 raise ConfigError("the state was saved by a different "
                                   "program")
+        from .statefile import census
         census(state, class_map, main_cls)
-    obj_addr = _main_address(state.memory, info)
+    obj_addr = main_address(state.memory, info)
     state.program_crc = checksum
     interp = Interpreter(class_map, state, step_limit, tracer)
     old_limit = sys.getrecursionlimit()
@@ -179,7 +170,7 @@ def fresh_state(program, class_map, config):
     region, held by its slot just below it, the frame top."""
     state = MachineState(init_memory(config))
     info, words = class_map[main_class_of(program)], state.memory.words
-    obj_addr = _main_address(state.memory, info)
+    obj_addr = main_address(state.memory, info)
     if obj_addr - 1 < state.memory.heap_max:
         raise ConfigError("%s stack words do not hold the %s object and its "
                           "slot (%s words)" % (config.stack_words, info.name,
@@ -192,85 +183,3 @@ def fresh_state(program, class_map, config):
 
 def _checksum(program):
     return zlib.crc32(repr(program).encode())  # reprs ignore spans
-
-
-def _main_address(memory, info):
-    """The main object's address: it ends just below `stack_base`."""
-    return memory.stack_base - info.used
-
-
-def census(state, class_map, main_class):
-    """The one check of a state before it runs: the main object's slot
-    holds it under its class's header, each object or array reachable from
-    it is held by words of one kind (object, int[] or object array) and
-    has a reference count equal to their number, and is zero past its
-    fields or cells, their blocks and the free ones tile [hp, heap_end),
-    and the words from there to the frame top are 0.  Returns (live words,
-    free words, largest free block); raises ConfigError otherwise."""
-    mem, info = state.memory, class_map[main_class]
-    words, heap_end, main = mem.words, mem.heap_end, _main_address(mem, info)
-    try:
-        free = mem.check_free_blocks()
-    except MemoryFault as exc:
-        raise ConfigError("%s: %s" % (exc.kind, exc.message)) from None
-    held = {main: [ast.ClassRef, 1]}  # address: its kind, words holding it
-    live, queue, dirty = [], [main], []  # dirty: (block, words it uses)
-    try:
-        if (words[main - 1], words[main]) != (main, info.class_id):
-            raise ValueError("slot %s does not hold the %s object at %s"
-                             % (main - 1, info.name, main))
-        while queue:
-            addr = queue.pop()
-            if addr >= mem.stack_base:
-                raise ValueError("read at %s out of bounds" % addr)
-            kind, header = held[addr][0], words[addr]
-            if kind is not ast.ClassRef:  # an array; its cells read lazily
-                used = header + 2
-                size = block_words(used)
-                slots = () if kind is ast.IntArrayType else (
-                    (i, ast.ClassRef) for i in range(2, used))
-            elif header in class_map.by_id:
-                cls = class_map.by_id[header]
-                used, size, slots = cls.used, cls.alloc_words, cls.refs
-            else:
-                raise ValueError("word at %s is not an object header" % addr)
-            if addr != main:
-                if not mem.hp <= addr <= heap_end - size:
-                    raise ValueError("block at %s overruns the heap" % addr)
-                if any(words[addr + used:addr + size]):
-                    dirty.append((addr, used))
-                live.append((addr, size))
-            for i, reached in slots:
-                ref = words[addr + i]
-                if ref in held:
-                    if held[ref][0] is not reached:
-                        raise ValueError(
-                            "block at %s is held both as %s and %s" % (
-                                ref, held[ref][0].__name__, reached.__name__))
-                    held[ref][1] += 1
-                elif ref:
-                    held[ref] = [reached, 1]
-                    queue.append(ref)
-        for a, (_, n) in held.items():
-            if words[a + 1] != n:
-                raise ValueError("object at %s has refcount %s, but %s live "
-                                 "bindings hold it" % (a, words[a + 1], n))
-    except ValueError as exc:
-        raise ConfigError("bad reference in the state: %s" % exc) from None
-    at = last = mem.hp
-    for addr, size in sorted(free + live) + [(heap_end, 0)]:
-        if addr != at:
-            raise ConfigError("bad heap in the state: " + (
-                "blocks at %s and %s overlap" % (last, addr) if addr < at
-                else "words %s to %s are in no block" % (at, addr - 1)))
-        last, at = addr, addr + size
-    if dirty:
-        raise ConfigError("bad heap in the state: block at %s is not zero "
-                          "past its %s words" % dirty[0])
-    unused = words[heap_end:state.frame_top]
-    if any(unused):
-        at = heap_end + next(i for i, word in enumerate(unused) if word)
-        raise ConfigError("word %s between the heap end and the frame top %s"
-                          " is %s, not 0" % (at, state.frame_top, words[at]))
-    sizes = [size for _, size in free]
-    return sum(size for _, size in live), sum(sizes), max(sizes, default=0)

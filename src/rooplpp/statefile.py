@@ -1,4 +1,4 @@
-"""Versioned binary machine-state dumps for resume/save.
+"""Versioned machine-state dumps and every check a state must pass to run.
 
 Layout (version 2): magic ``RPPM``, u16 version, u8 word bits, u8
 free-list count, u32 stack words, u32 grow blocks, then u64 total words,
@@ -8,9 +8,11 @@ no program ran; `run_program` checks it), then the words little-endian.
 
 import struct
 
+from .classes import block_words
 from .errors import ConfigError
-from .heap import MemoryConfig, MemoryImage
-from .machine import MachineState
+from .heap import (MachineState, MemoryConfig, MemoryFault, MemoryImage,
+                   main_address)
+from . import syntax as ast
 
 MAGIC = b"RPPM"
 VERSION = 2
@@ -37,27 +39,33 @@ def load_state(path):
     """The state saved at `path`, checked only for what the format promises:
     its length, word count and heap end match its header, and its frame top
     lies in the frame region.  What the words hold, heap, free lists and
-    frames, `machine.census` checks when the state runs."""
+    frames, `census` checks when the state runs.  The file is read no
+    further than its header says, so a bad header reads no words."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size or blob[:4] != MAGIC:
-        raise ConfigError("%s is not a machine-state file" % path)
-    (_, version, word_bits, num_freelists, stack_words, grow_blocks,
-     total, heap_end, frame_top, steps, crc) = _HEADER.unpack_from(blob)
-    if version != VERSION:
-        raise ConfigError("unsupported state-file version %s" % version)
-    config = MemoryConfig(word_bits=word_bits, num_freelists=num_freelists,
-                          stack_words=stack_words, grow_blocks=grow_blocks)
-    config.validate()
-    # checked before the image is built, so a bad header allocates nothing
-    if total != config.arena_words():
-        raise ConfigError("%s: word count %s does not match the "
-                          "configuration (%s)"
-                          % (path, total, config.arena_words()))
-    word_format = struct.Struct("<%s%s" % (total, _WORD_FORMATS[word_bits]))
-    if len(blob) != _HEADER.size + word_format.size:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size or header[:4] != MAGIC:
+            raise ConfigError("%s is not a machine-state file" % path)
+        (_, version, word_bits, num_freelists, stack_words, grow_blocks,
+         total, heap_end, frame_top, steps, crc) = _HEADER.unpack(header)
+        if version != VERSION:
+            raise ConfigError("unsupported state-file version %s" % version)
+        config = MemoryConfig(word_bits=word_bits, stack_words=stack_words,
+                              num_freelists=num_freelists,
+                              grow_blocks=grow_blocks)
+        config.validate()
+        # before the image is built: a bad header allocates nothing
+        if total != config.arena_words():
+            raise ConfigError("%s: word count %s does not match the "
+                              "configuration (%s)"
+                              % (path, total, config.arena_words()))
+        word_format = struct.Struct("<%s%s"
+                                    % (total, _WORD_FORMATS[word_bits]))
+        body = fh.read(word_format.size + 1)  # one more shows a longer file
+    expected = _HEADER.size + word_format.size
+    if len(body) != word_format.size:
         raise ConfigError("%s: %s bytes, expected %s for %s words" % (
-            path, len(blob), _HEADER.size + word_format.size, total))
+            path, _HEADER.size + len(body) if len(body) < word_format.size
+            else "more than %s" % expected, expected, total))
     mem = MemoryImage(config)
     if not (mem.heap_end <= heap_end <= mem.heap_max
             and (heap_end - mem.hp) % mem.top_size == 0):
@@ -70,10 +78,87 @@ def load_state(path):
     # emptied first, so the fresh image's words are freed before the saved
     # ones are copied in; `words[:] =` would hold both until it is done
     mem.words.clear()
-    mem.words += word_format.unpack_from(blob, _HEADER.size)
+    mem.words += word_format.unpack(body)
     mem.heap_end = heap_end
     state = MachineState(mem)
     state.frame_top = frame_top
     state.steps = steps
     state.program_crc = crc or None
     return state
+
+
+def census(state, class_map, main_class):
+    """The one check of a state before it runs: the main object's slot
+    holds it under its class's header, each object or array reachable from
+    it is held by words of one kind (object, int[] or object array) and
+    has a reference count equal to their number, and is zero past its
+    fields or cells, their blocks and the free ones tile [hp, heap_end),
+    and the words from there to the frame top are 0.  Returns (live words,
+    free words, largest free block); raises ConfigError otherwise."""
+    mem, info = state.memory, class_map[main_class]
+    words, heap_end, main = mem.words, mem.heap_end, main_address(mem, info)
+    try:
+        free = mem.check_free_blocks()
+    except MemoryFault as exc:
+        raise ConfigError("%s: %s" % (exc.kind, exc.message)) from None
+    held = {main: [ast.ClassRef, 1]}  # address: its kind, words holding it
+    live, queue, dirty = [], [main], []  # dirty: (block, words it uses)
+    try:
+        if (words[main - 1], words[main]) != (main, info.class_id):
+            raise ValueError("slot %s does not hold the %s object at %s"
+                             % (main - 1, info.name, main))
+        while queue:
+            addr = queue.pop()
+            if addr >= mem.stack_base:
+                raise ValueError("read at %s out of bounds" % addr)
+            kind, header = held[addr][0], words[addr]
+            if kind is not ast.ClassRef:  # an array; its cells read lazily
+                used = header + 2
+                size = block_words(used)
+                slots = () if kind is ast.IntArrayType else (
+                    (i, ast.ClassRef) for i in range(2, used))
+            elif header in class_map.by_id:
+                cls = class_map.by_id[header]
+                used, size, slots = cls.used, cls.alloc_words, cls.refs
+            else:
+                raise ValueError("word at %s is not an object header" % addr)
+            if addr != main:
+                if not mem.hp <= addr <= heap_end - size:
+                    raise ValueError("block at %s overruns the heap" % addr)
+                if any(words[addr + used:addr + size]):
+                    dirty.append((addr, used))
+                live.append((addr, size))
+            for i, reached in slots:
+                ref = words[addr + i]
+                if ref in held:
+                    if held[ref][0] is not reached:
+                        raise ValueError(
+                            "block at %s is held both as %s and %s" % (
+                                ref, held[ref][0].__name__, reached.__name__))
+                    held[ref][1] += 1
+                elif ref:
+                    held[ref] = [reached, 1]
+                    queue.append(ref)
+        for a, (_, n) in held.items():
+            if words[a + 1] != n:
+                raise ValueError("object at %s has refcount %s, but %s live "
+                                 "bindings hold it" % (a, words[a + 1], n))
+    except ValueError as exc:
+        raise ConfigError("bad reference in the state: %s" % exc) from None
+    at = last = mem.hp
+    for addr, size in sorted(free + live) + [(heap_end, 0)]:
+        if addr != at:
+            raise ConfigError("bad heap in the state: " + (
+                "blocks at %s and %s overlap" % (last, addr) if addr < at
+                else "words %s to %s are in no block" % (at, addr - 1)))
+        last, at = addr, addr + size
+    if dirty:
+        raise ConfigError("bad heap in the state: block at %s is not zero "
+                          "past its %s words" % dirty[0])
+    unused = words[heap_end:state.frame_top]
+    if any(unused):
+        at = heap_end + next(i for i, word in enumerate(unused) if word)
+        raise ConfigError("word %s between the heap end and the frame top %s"
+                          " is %s, not 0" % (at, state.frame_top, words[at]))
+    sizes = [size for _, size in free]
+    return sum(size for _, size in live), sum(sizes), max(sizes, default=0)

@@ -6,7 +6,7 @@ any non-int type the context supplies, and is an error where no context
 exists (e.g. `1 + nil`).
 """
 
-from .classes import array_type_of
+from .classes import array_type_of, nullary_mains
 from .errors import NO_SPAN, TypeError_
 from . import syntax as ast
 from .syntax import vars_of
@@ -341,7 +341,7 @@ def check_program(program, class_map, warnings=None):
     another type) are appended to `warnings` when a list is given.
     """
     checker = Checker(class_map)
-    nullary = _nullary_mains(program)
+    nullary = nullary_mains(program)
     if not nullary:
         checker.error("T-Prog", "program has no nullary main method",
                       program.span)
@@ -354,16 +354,3 @@ def check_program(program, class_map, warnings=None):
     if warnings is not None:
         warnings.extend(checker.warnings)
     return checker.errors
-
-
-def _nullary_mains(program):
-    """(class name, method) of each `main` without parameters, in order."""
-    return [(cls.name, m) for cls in program.classes for m in cls.methods
-            if m.name == "main" and not m.params]
-
-
-def main_class_of(program):
-    """Name of the class declaring the nullary main method."""
-    for name, _ in _nullary_mains(program):
-        return name
-    raise ValueError("program has no nullary main method")

@@ -54,6 +54,8 @@ LINES = [
     ["run", "--", "P"],
     ["run", "--json", "--", "-P"],
     ["check", "--", "P"],
+    ["run", "P", "--json", "--"],
+    ["run", "--json", "P", "--"],
     ["run", "--trace", "-", "P"],
     ["run", "--trace=", "P"],
     ["run", "--stack-words", "-3", "P"],

@@ -366,6 +366,26 @@ def test_resume_bad_file_exit_4(tmp_path):
     assert result.returncode == 4
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_resume_reads_no_further_than_the_header():
+    """An endless file is refused at its header; under a 1 GiB address-space
+    cap, a run that read it whole would fail fast instead of exhausting
+    the host's memory."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "rooplpp.cli", "run", "--resume", "/dev/zero",
+         str(corpus_path("Fibonacci"))],
+        capture_output=True, text=True, preexec_fn=cap, timeout=60)
+    assert result.returncode == 4, result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ")
+    assert result.stdout == ""
+
+
 def _saved_state(tmp_path):
     state = tmp_path / "good.state"
     cli("run", "--save-state", str(state), str(corpus_path("Fibonacci")))
@@ -1562,6 +1582,31 @@ def test_run_loads_the_state_file_code_only_for_state_flags(tmp_path):
                                                  path)
     assert "rooplpp.statefile" in _modules_after("run", "--resume", state,
                                                  "--reverse", path)
+
+
+def _modules_on_import(module):
+    probe = ("import sys, %s; print(*sorted(m for m in sys.modules "
+             "if m.startswith('rooplpp')))" % module)
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def test_state_checks_load_no_executor():
+    """`statefile` holds every check a state passes before it runs, the
+    census too, and loads no executor; the executor loads no type checker,
+    and the state-file code only when it is given a state."""
+    assert _modules_on_import("rooplpp.statefile") == {
+        "rooplpp", "rooplpp.errors", "rooplpp.syntax", "rooplpp.classes",
+        "rooplpp.heap", "rooplpp.statefile"}
+    loaded = _modules_on_import("rooplpp.machine")
+    assert "rooplpp.emit" in loaded                # the probe sees imports
+    assert not loaded & {"rooplpp.typecheck", "rooplpp.statefile"}
+    import rooplpp
+    assert rooplpp.census.__module__ == "rooplpp.statefile"
+    assert rooplpp.MachineState.__module__ == "rooplpp.heap"
+    assert machine.MachineState is rooplpp.MachineState
 
 
 def test_package_exports_resolve_lazily():

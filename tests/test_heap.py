@@ -47,6 +47,7 @@ def test_init_words_zero_except_last_free_list():
     MemoryConfig(word_bits=24),
     MemoryConfig(stack_words=1),
     MemoryConfig(word_bits=16, num_freelists=16, stack_words=8),
+    MemoryConfig(grow_blocks=-1),
 ])
 def test_bad_config_rejected(config):
     with pytest.raises(ConfigError):
