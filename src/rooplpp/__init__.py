@@ -20,7 +20,7 @@ _EXPORTS = {
     "invert_program": "inverter", "invert_stmt": "inverter",
     "BACKWARD": "machine", "FORWARD": "machine",
     "Interpreter": "machine", "MachineState": "heap",
-    "RuntimeErrorKind": "emit", "apply_binop": "emit",
+    "RuntimeErrorKind": "machine", "apply_binop": "machine",
     "census": "statefile",
     "run_program": "machine",
     "parse": "parser", "parse_expression": "parser",

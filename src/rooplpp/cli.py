@@ -28,6 +28,9 @@ import sys
 SimpleNamespace = type(sys.implementation)  # as `types` defines it
 
 OK, EXIT_RUNTIME, EXIT_TYPE, EXIT_PARSE, EXIT_IO = 0, 1, 2, 3, 4
+# the longest source read, in characters: about 100 times the largest
+# program the tests or the benchmark run
+_MAX_SOURCE = 1 << 20
 
 
 def _stderr(line):
@@ -41,10 +44,15 @@ def _stderr(line):
 
 def _parse(path):
     from .classes import build_class_map
+    from .errors import ConfigError
     from .parser import parse
 
     with open(path, encoding="utf-8") as fh:
-        program = parse(fh.read())
+        text = fh.read(_MAX_SOURCE + 1)
+    if len(text) > _MAX_SOURCE:
+        raise ConfigError("%s: source longer than %d characters"
+                          % (path, _MAX_SOURCE))
+    program = parse(text)
     return program, build_class_map(program)
 
 

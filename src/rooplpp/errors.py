@@ -3,7 +3,7 @@ value base of `Span`, the syntax nodes and the other value types.
 
 Exit-code mapping lives in the CLI: runtime errors are 1, type errors 2,
 parse errors 3, IO/config errors 4.  The run path's own types live with
-it: `heap.MemoryFault` and `emit.RuntimeErrorKind`.
+it: `heap.MemoryFault` and `machine.RuntimeErrorKind`.
 """
 
 from itertools import groupby

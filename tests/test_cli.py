@@ -52,6 +52,39 @@ def test_missing_file_exit_4():
     assert result.returncode == 4
 
 
+@pytest.mark.parametrize("command", ["check", "invert", "run"])
+def test_endless_source_is_refused_at_its_limit(command):
+    """A source is read no further than 2^20 characters; under a 1 GiB
+    address-space cap, a command that read it whole would fail fast
+    instead of exhausting the host's memory."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "rooplpp.cli", command, "/dev/zero"],
+        capture_output=True, text=True, preexec_fn=cap, timeout=60)
+    assert result.returncode == 4, result.stderr
+    assert result.stderr == ("error: /dev/zero: source longer than 1048576 "
+                             "characters\n")
+    assert result.stdout == ""
+
+
+def test_source_at_the_limit_checks(tmp_path):
+    """A program padded with a comment to exactly 2^20 characters checks;
+    one character more is refused."""
+    program = "class Main\n    int x\n    method main()\n        x += 1\n//"
+    path = tmp_path / "padded.rplpp"
+    for extra, code, stdout in ((0, 0, "ok\n"), (1, 4, "")):
+        padding = (1 << 20) - len(program) - 1 + extra
+        path.write_text(program + "x" * padding + "\n")
+        result = cli("check", str(path))
+        assert (result.returncode, result.stdout) == (code, stdout)
+    assert result.stderr == ("error: %s: source longer than 1048576 "
+                             "characters\n" % path)
+
+
 @pytest.mark.parametrize("name", ["self_assign", "cell_self_assign",
                                   "object_arith", "no_main", "unary_main"])
 def test_static_fixtures_exit_2(name):
@@ -1477,7 +1510,7 @@ def test_check_loads_no_back_end():
     assert "rooplpp.typecheck" in loaded           # the probe sees imports
     for name in ("dataclasses", "json", "rooplpp.machine", "rooplpp.heap",
                  "rooplpp.statefile", "rooplpp.inverter", "rooplpp.printer",
-                 "rooplpp.emit", "rooplpp.runner", *_ARGPARSE):
+                 "rooplpp.runner", *_ARGPARSE):
         assert name not in loaded, name
 
 
@@ -1485,8 +1518,8 @@ def test_invert_loads_neither_checker_nor_interpreter():
     loaded = _modules_after("invert", str(corpus_path("BinaryTree")))
     assert "rooplpp.inverter" in loaded
     for name in ("dataclasses", "rooplpp.typecheck", "rooplpp.machine",
-                 "rooplpp.heap", "rooplpp.statefile", "rooplpp.emit",
-                 "rooplpp.runner", *_ARGPARSE):
+                 "rooplpp.heap", "rooplpp.statefile", "rooplpp.runner",
+                 *_ARGPARSE):
         assert name not in loaded, name
 
 
@@ -1601,8 +1634,9 @@ def test_state_checks_load_no_executor():
         "rooplpp", "rooplpp.errors", "rooplpp.syntax", "rooplpp.classes",
         "rooplpp.heap", "rooplpp.statefile"}
     loaded = _modules_on_import("rooplpp.machine")
-    assert "rooplpp.emit" in loaded                # the probe sees imports
-    assert not loaded & {"rooplpp.typecheck", "rooplpp.statefile"}
+    assert "rooplpp.heap" in loaded                # the probe sees imports
+    assert not loaded & {"rooplpp.typecheck", "rooplpp.statefile",
+                         "rooplpp.inverter"}
     import rooplpp
     assert rooplpp.census.__module__ == "rooplpp.statefile"
     assert rooplpp.MachineState.__module__ == "rooplpp.heap"

@@ -13,8 +13,8 @@ from rooplpp import (BACKWARD, FORWARD, ConfigError, ExecutionError,
                      census, check_program, init_memory,
                      invert_program, main_class_of, parse, parse_statement,
                      run_program)
-from rooplpp import emit, machine, syntax as ast
-from rooplpp.emit import division
+from rooplpp import machine, syntax as ast
+from rooplpp.machine import division
 
 from astgen import make_program
 from conftest import CORPUS, corpus_path, load_pipeline
@@ -93,6 +93,8 @@ def test_division_by_zero_raises():
         apply_binop("/", 1, 0)
     with pytest.raises(ZeroDivisionError):
         apply_binop("%", 1, 0)
+    with pytest.raises(ValueError, match="unknown operator"):
+        apply_binop("**", 1, 2)
 
 
 # --------------------------------------------------- small-world harness
@@ -991,13 +993,13 @@ def test_only_repeated_field_addresses_and_loops_get_a_prologue(monkeypatch):
     that address once, at entry, and takes `w` and `L` as locals; y, named
     once, stays `o + 3`.  `bump` names x once and does not loop, so it
     has no prologue."""
-    texts, compiled = [], emit._compiled
+    texts, compiled = [], machine._compiled
 
     def recorded(text, filename, mode):
         if filename == "<rooplpp>":
             texts.append(text.splitlines())
         return compiled(text, filename, mode)
-    monkeypatch.setattr(emit, "_compiled", recorded)
+    monkeypatch.setattr(machine, "_compiled", recorded)
     program = parse(SHAPES)
     assert run_program(program, build_class_map(program)).fields == {
         "x": 0, "y": 0, "i": 3}
@@ -1145,12 +1147,12 @@ class Program
 
 
 def test_cached_code_shares_no_run_state(tmp_path, monkeypatch):
-    texts, compiled = [], emit._compiled
+    texts, compiled = [], machine._compiled
 
     def recorded(text, *args):
         texts.append(text)
         return compiled(text, *args)
-    monkeypatch.setattr(emit, "_compiled", recorded)
+    monkeypatch.setattr(machine, "_compiled", recorded)
     mains, fields = [], []
     for step, local in ((1, "inc"), (2, "dec")):
         path = tmp_path / (local + ".rplpp")

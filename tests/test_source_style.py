@@ -65,10 +65,11 @@ def _contract_reads(tree):
 
 
 def test_emit_owns_the_generated_code_contract():
-    """`emit` builds each method's entry (field marks, parameter names) and
-    reads what the frames of its code hold; the executor does neither."""
-    machine = Path(rooplpp.__file__).parent / "machine.py"
-    assert list(_contract_reads(ast.parse(machine.read_text()))) == []
-    emit = Path(rooplpp.__file__).parent / "emit.py"
-    assert {what for _, what in _contract_reads(ast.parse(emit.read_text()))
-            } == {"f_locals", "co_filename", "<rooplpp>", "{%d}", "p%d"}
+    """`machine` builds each method's entry (field marks, parameter names)
+    and reads what the frames of its code hold; no other module does
+    either."""
+    found = {path.name: {what for _, what in _contract_reads(
+        ast.parse(path.read_text()))} for path in SOURCES}
+    assert {name for name, reads in found.items() if reads} == {"machine.py"}
+    assert found["machine.py"] == {"f_locals", "co_filename", "<rooplpp>",
+                                   "{%d}", "p%d"}

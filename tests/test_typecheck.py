@@ -2,6 +2,7 @@ import pytest
 
 from rooplpp import build_class_map, check_program, parse, parse_expression
 from rooplpp import syntax as ast
+from rooplpp.classes import main_class_of
 from rooplpp.syntax import vars_of
 
 from conftest import CORPUS, FIXTURES_DIR
@@ -297,6 +298,9 @@ def test_missing_main():
 def test_main_must_be_nullary():
     errors = check_source((FIXTURES_DIR / "static" / "unary_main.rplpp").read_text())
     assert "T-Prog" in rules_of(errors)
+    program = parse((FIXTURES_DIR / "static" / "unary_main.rplpp").read_text())
+    with pytest.raises(ValueError, match="no nullary main"):
+        main_class_of(program)
 
 
 def test_multiple_mains_rejected():
