@@ -4,8 +4,8 @@ Arena layout (word addresses):
 
     0                  reserved, nil
     1 .. nf            free-list heads; list i heads blocks of 2**(i+1) words
-    hp = 1 + nf        heap; initially one free block of 2**nf words
-    ...                optional growth room (whole top-size blocks)
+    hp = 1 + nf        heap: 1 + grow_blocks free blocks of 2**nf words,
+                       chained on the top-size list in address order
     stack region       `stack_words` words at the top; frames grow downward
 
 `MemoryImage.words` is the memory, with no accessor: generated code
@@ -18,10 +18,10 @@ non-empty list at or above that size, then splits downward: each lower
 half heads the list below and the upper half goes on.  `free` undoes it:
 while the head of the block's list is its partner directly below, it
 merges with that partner, which must be the only block on the list (its
-link word zero), else CorruptFree; then it pushes the block.  So a free
-right after a malloc restores every word, unless the malloc grew the
-heap: a grown heap never shrinks, and its new block stays on the
-top-size list.
+link word zero), else CorruptFree; then it pushes the block.  Top-size
+blocks never merge, so several may lie side by side on their list.  So a
+free right after a malloc restores every word, and the heap end is fixed
+by the configuration.
 
 Free-block invariant: every word of a free block other than its link word
 is zero.  `free` refuses a block that is not zero-cleared, a merge joins
@@ -51,8 +51,8 @@ class MemoryFault(Exception):
 
 
 class MemoryConfig(Record):
-    """`grow_blocks` is the number of extra top-size blocks the heap may
-    append."""
+    """`grow_blocks` is the number of top-size blocks the heap holds
+    beyond the first."""
 
     __slots__ = ("word_bits", "num_freelists", "stack_words", "grow_blocks")
     _defaults = {"word_bits": 32, "num_freelists": 10, "stack_words": 1024,
@@ -111,12 +111,14 @@ class MemoryImage:
         self.flp = 1
         self.hp = self.flp + self.num_freelists
         self.top_size = 1 << self.num_freelists
-        self.heap_end = self.hp + self.top_size
-        self.heap_max = self.hp + self.top_size * (1 + config.grow_blocks)
+        hp, top = self.hp, self.top_size
+        self.heap_end = end = hp + top * (1 + config.grow_blocks)
         self.stack_base = config.arena_words()
         self.words = [0] * self.stack_base
-        # the whole heap starts as one free block on the largest list
-        self.words[self.flp + self.num_freelists - 1] = self.hp
+        # the heap starts as its top-size blocks on the largest list, in
+        # address order: each links to the next, the last to 0
+        self.words[self.flp + self.num_freelists - 1] = hp
+        self.words[hp:end - top:top] = range(hp + top, end, top)
 
     def signed(self, word):
         """The two's-complement value of the word `word`."""
@@ -134,20 +136,14 @@ class MemoryImage:
         while level < nf and not words[flp + level]:
             level += 1
         if level >= nf:
-            if self.config.grow_blocks == 0 or osize > self.top_size:
-                raise MemoryFault("OutOfMemory",
-                                  "no block of %s words available" % osize)
-            if self.heap_end + self.top_size > self.heap_max:
-                raise MemoryFault("OutOfMemory", "heap growth limit reached")
-            level = nf - 1  # the last list is empty: append a block to it
-            words[flp + level] = self.heap_end
-            words[self.heap_end] = 0
-            self.heap_end += self.top_size
+            raise MemoryFault("OutOfMemory",
+                              "no block of %s words available" % osize)
         slot, csize = flp + level, 2 << level
         p = words[slot]
         link = words[slot] = words[p]
         words[p] = 0
-        if link and link == p - csize:
+        # top-size blocks never merge, so only they may lie side by side
+        if link and link == p - csize and level < nf - 1:
             raise MemoryFault(
                 "CorruptFree",
                 "free list %s holds adjacent blocks %s and %s"
@@ -176,18 +172,17 @@ class MemoryImage:
         if (addr - self.hp) % 2 != 0:
             raise MemoryFault("CorruptFree",
                               "%s is not on a block boundary" % addr)
-        if addr + csize > self.heap_end:
+        # a block above the top size would merge past the last list
+        if addr + csize > self.heap_end or csize > self.top_size:
             raise MemoryFault("CorruptFree",
                               "block at %s overruns the heap" % addr)
         self._check_zero("freed", addr, addr, addr + csize)
         words, p = self.words, addr
         slot = first = self.flp + csize.bit_length() - 2
+        top = self.flp + self.num_freelists - 1
         while True:
-            if slot >= self.flp + self.num_freelists:
-                raise MemoryFault("CorruptFree",
-                                  "merge cascaded past the largest size class")
             head = words[slot]
-            if not head or head != p - csize:
+            if slot == top or not head or head != p - csize:
                 break
             # the partner must be the only block on its list; past its link
             # word it is zero by the free-block invariant
@@ -277,7 +272,7 @@ class MemoryImage:
 
 
 def init_memory(config=MemoryConfig()):
-    """Fresh image: zeroed arena, one top-size block on the last free list."""
+    """Fresh image: zeroed arena, its top-size blocks on the last list."""
     return MemoryImage(config)
 
 

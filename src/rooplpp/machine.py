@@ -157,8 +157,8 @@ class Emitter:
     def __init__(self, interp, backward):
         self.interp, self.backward = interp, backward
         self.traced, mem = interp.tracer is not None, interp.mem
-        self.bits, self.mask, self.heap_max = mem.word_bits, mem.mask, \
-            mem.heap_max
+        self.bits, self.mask, self.heap_end = mem.word_bits, mem.mask, \
+            mem.heap_end
         self.sign, self.limit = 1 << (self.bits - 1), interp.step_limit
         # the namespace the code runs in: helpers, step limit, sites, caches
         self.bound = {**interp.globals, "L": self.limit}
@@ -302,7 +302,7 @@ class Emitter:
         """Emit the push of a frame word; the local holding its address."""
         slot = "l%d" % self.pushed
         self.check("(%s := b - %d) < %d" % (slot, self.pushed + 1,
-                                            self.heap_max),
+                                            self.heap_end),
                    E.STACK_OVERFLOW, "frame region collided with the heap",
                    span)
         self.pushed += 1
@@ -494,7 +494,7 @@ class Emitter:
         args = ", ".join([slot, "r", *(names[arg] for arg in stmt.args), "n",
                           "b - %d" % (self.pushed + 1)])
         self.emit("f, lb = C%s.get((r := w[%s]) and b > %d and w[r]) or X(%s, "
-                  "r, b)" % (site, slot, self.heap_max + self.pushed, site))
+                  "r, b)" % (site, slot, self.heap_end + self.pushed, site))
         self.emit("n = f(%s)" % args)
 
     _LocalUncall = _ObjectCall = _ObjectUncall = _LocalCall
@@ -574,7 +574,7 @@ class Interpreter:
         if info.class_id not in cache:
             run, label = self._method(info, method, backward)
             cache[info.class_id] = run, "%s at %s" % (label, span)
-        if base - pushed - 1 < self.mem.heap_max:  # no room for the call
+        if base - pushed - 1 < self.mem.heap_end:  # no room for the call
             self.error(site, E.STACK_OVERFLOW,
                        "frame region collided with the heap")
         return cache[info.class_id]
@@ -652,7 +652,7 @@ def fresh_state(program, class_map, config):
     state = MachineState(init_memory(config))
     info, words = class_map[main_class_of(program)], state.memory.words
     obj_addr = main_address(state.memory, info)
-    if obj_addr - 1 < state.memory.heap_max:
+    if obj_addr - 1 < state.memory.heap_end:
         raise ConfigError("%s stack words do not hold the %s object and its "
                           "slot (%s words)" % (config.stack_words, info.name,
                                                info.used + 1))

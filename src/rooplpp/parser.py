@@ -351,6 +351,10 @@ class _Parser:
     def _atom(self):
         tok = self.cur
         if tok.kind == "int":
+            # the length first: past the host's limit `int` raises
+            if len(tok.text) > 20 or int(tok.text) >> 64:
+                raise ParseError("integer literal is 2^64 or more, or longer "
+                                 "than 20 digits", tok.span)
             self.advance()
             return ast.Constant(int(tok.text), tok.span)
         if tok.kind == "kw" and tok.text == "nil":

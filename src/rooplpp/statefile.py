@@ -37,9 +37,10 @@ def save_state(path, state):
 
 def load_state(path):
     """The state saved at `path`, checked only for what the format promises:
-    its length, word count and heap end match its header, and its frame top
-    lies in the frame region.  What the words hold, heap, free lists and
-    frames, `census` checks when the state runs.  The file is read no
+    its length and word count match its header, its heap end is the
+    configuration's (a heap never grows), and its frame top lies in the
+    frame region.  What the words hold, heap, free lists and frames,
+    `census` checks when the state runs.  The file is read no
     further than its header says, so a bad header reads no words."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -67,19 +68,17 @@ def load_state(path):
             path, _HEADER.size + len(body) if len(body) < word_format.size
             else "more than %s" % expected, expected, total))
     mem = MemoryImage(config)
-    if not (mem.heap_end <= heap_end <= mem.heap_max
-            and (heap_end - mem.hp) % mem.top_size == 0):
+    if heap_end != mem.heap_end:
         raise ConfigError("%s: heap end %s does not match the "
                           "configuration" % (path, heap_end))
-    if not mem.heap_max <= frame_top <= mem.stack_base:
+    if not mem.heap_end <= frame_top <= mem.stack_base:
         raise ConfigError("%s: frame top %s is outside the frame region "
-                          "[%s, %s]" % (path, frame_top, mem.heap_max,
+                          "[%s, %s]" % (path, frame_top, mem.heap_end,
                                         mem.stack_base))
     # emptied first, so the fresh image's words are freed before the saved
     # ones are copied in; `words[:] =` would hold both until it is done
     mem.words.clear()
     mem.words += word_format.unpack(body)
-    mem.heap_end = heap_end
     state = MachineState(mem)
     state.frame_top = frame_top
     state.steps = steps

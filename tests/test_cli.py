@@ -743,6 +743,28 @@ def test_digit_that_int_rejects_exit_3(tmp_path):
     assert cli("run", str(path)).stdout == "x = 3\n"
 
 
+@pytest.mark.parametrize("digits", [4301, 21])
+def test_literal_past_64_bits_exit_3(tmp_path, digits):
+    # 4,301 digits are past the host's limit for int(); 21 digits, even
+    # those of 1 with leading zeros, are past the language's
+    path = tmp_path / "long.rplpp"
+    path.write_text("class Main\n    int x\n\n    method main()\n"
+                    "        x += %s\n" % "1".rjust(digits, "0"))
+    for command in ("check", "invert", "run"):
+        assert _one_error_line(cli(command, str(path)), 3) == (
+            "%s:5:14: syntax error: integer literal is 2^64 or more, or "
+            "longer than 20 digits\n" % path)
+
+
+def test_largest_literal_wraps_to_the_word(tmp_path):
+    path = tmp_path / "max.rplpp"
+    path.write_text("class Main\n    int x\n\n    method main()\n"
+                    "        x += 18446744073709551615\n")
+    assert cli("check", str(path)).stdout == "ok\n"
+    assert "x -= 18446744073709551615" in cli("invert", str(path)).stdout
+    assert cli("run", str(path)).stdout == "x = -1\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs a device that refuses writes")
 def test_trace_write_failure_exit_4():
@@ -1173,28 +1195,33 @@ def test_stale_reference_is_a_runtime_error(tmp_path, big, first):
         "  in X::bump at 33:9"]
 
 
-def test_heap_growth_is_not_undone_by_the_rewind(tmp_path):
-    """Unsound, pinned until it is fixed: with growth `malloc` is not
-    injective, since popping a free block of the grown region and
-    appending a fresh one at the old heap end leave one state, so no
-    `free` undoes a growth.  Freeing both arrays leaves the heap grown,
-    and the rewind starts and ends there, not at the fresh image."""
+@pytest.mark.parametrize("first,second", [("b", "a"), ("a", "b")],
+                         ids=["lifo", "allocation_order"])
+def test_heap_growth_is_undone_by_the_rewind(tmp_path, first, second):
+    """A grown heap starts as nine chained top-size blocks, so `malloc`
+    never appends one and each `free` undoes its `malloc`: the rewind
+    leaves every word below `stack_base` as in a fresh state and every free
+    list as in a fresh image.  Freeing in allocation order puts two
+    adjacent top-size blocks on the top-size list, which must not merge."""
     path = tmp_path / "grow.rplpp"
     path.write_text("class Main\n    int[] a\n    int[] b\n    int r\n\n"
                     "    method main()\n        new int[6] a\n"
                     "        new int[6] b\n        r += 1\n"
-                    "        delete int[6] b\n        delete int[6] a\n")
+                    "        delete int[6] %s\n        delete int[6] %s\n"
+                    % (first, second))
     done, back = tmp_path / "done.state", tmp_path / "back.state"
-    assert cli("run", "--freelists", "3", "--heap-grow", "--save-state",
-               str(done), str(path)).returncode == 0
-    assert cli("run", "--resume", str(done), "--reverse", "--save-state",
-               str(back), str(path)).returncode == 0
+    for args in [("--freelists", "3", "--heap-grow", "--save-state", done),
+                 ("--resume", done, "--reverse", "--save-state", back)]:
+        result = cli("run", *map(str, args), str(path))
+        assert (result.returncode, result.stderr) == (0, "")
     mem = load_state(str(back)).memory
     fresh = MemoryImage(mem.config)
-    assert (fresh.heap_end, fresh.snapshot_free_lists().lists[2]) == (
-        12, (8, (4,)))
-    assert (mem.heap_end, mem.snapshot_free_lists().lists[2]) == (
-        20, (8, (4, 12)))
+    assert fresh.snapshot_free_lists().lists[2] == (
+        8, tuple(range(4, 76, 8)))
+    assert mem.snapshot_free_lists() == fresh.snapshot_free_lists()
+    program = parse(path.read_text())
+    assert mem.words == machine.fresh_state(
+        program, build_class_map(program), mem.config).memory.words
 
 
 # ----------------------------------------------------------------- invert

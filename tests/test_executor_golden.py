@@ -44,7 +44,7 @@ from conftest import clone_memory  # noqa: E402
 
 GOLDEN = TESTS_DIR / "fixtures" / "executor_golden.json"
 ASTGEN_CONFIG = MemoryConfig(num_freelists=6, stack_words=128)
-# a 64-word heap; `oom_growth` may append one more top-size block
+# a 64-word heap; `oom_growth` runs with one more top-size block
 ALLOC_CONFIG = ASTGEN_CONFIG
 ALLOC_GROWTH = MemoryConfig(num_freelists=6, stack_words=128, grow_blocks=1)
 ERROR_STEP_LIMIT = 5000
@@ -195,7 +195,7 @@ ALLOCATION_BRANCHES = [
     ("alloc/new_negative_length", "InvalidArrayLength",
      "array length -2 is not positive"),
     ("errors/out_of_memory", "OutOfMemory", "no block of 2002 words available"),
-    ("alloc/oom_growth", "OutOfMemory", "heap growth limit reached"),
+    ("alloc/oom_growth", "OutOfMemory", "no block of 62 words available"),
     # delete, object form, then array form
     ("errors/nil_delete", "NilDereference", "delete Thing on a nil reference"),
     ("errors/dangling_delete", "DanglingReferenceOnDelete",
@@ -262,10 +262,11 @@ ALLOCATION_BRANCHES = [
 #   the only block": a program writes only the fields and cells of live
 #   blocks and frees only blocks it allocated, so no freed block is dirty,
 #   off a block boundary or past the heap, and no malloc finds a dirty
-#   block; adjacent blocks on one list, a merge past the largest class and
-#   a merge that leaves a list behind were not reached by 20,000 random
-#   malloc/free sequences of live blocks.  `heap_golden.json` records each
-#   of them on the allocator alone.
+#   block; adjacent blocks on one list below the top size (top-size
+#   blocks never merge) and a merge that leaves a list behind were not
+#   reached by 20,000 random malloc/free sequences of live blocks.
+#   `heap_golden.json` records the second on the allocator alone, and
+#   `test_heap.py` the first.
 
 
 def test_golden_covers_every_allocation_branch(golden):

@@ -124,6 +124,17 @@ def test_pop_leaving_empty_list_at_address_csize_is_not_adjacent():
     assert same_words(mem, baseline)
 
 
+def test_adjacent_blocks_below_the_top_size_are_corrupt():
+    # two 4-word blocks side by side on one list would have merged
+    mem = init_memory(MemoryConfig(num_freelists=3, stack_words=8))
+    hp = mem.hp
+    mem.words[mem.flp] = hp + 4
+    mem.words[hp + 4] = hp + 2
+    with pytest.raises(MemoryFault, match="holds adjacent blocks") as exc:
+        mem.malloc(1)
+    assert exc.value.kind == "CorruptFree"
+
+
 def test_request_rounding_and_minimum():
     mem = fresh()
     a = mem.malloc(1)   # rounds up to 2
@@ -422,9 +433,30 @@ def test_dump_format():
 
 # ---------------------------------------------------------------- growth
 
-def test_growth_appends_top_size_block():
+def test_top_size_blocks_freed_in_allocation_order_do_not_merge():
     config = MemoryConfig(num_freelists=4, stack_words=8, grow_blocks=2)
     mem = init_memory(config)
+    first, second = mem.malloc(16), mem.malloc(16)
+    mem.free(first, 16)
+    mem.free(second, 16)
+    assert dict(mem.snapshot_free_lists().lists)[16] == (
+        second, first, first + 32)
+    assert (mem.malloc(16), mem.malloc(16)) == (second, first)
+
+
+def test_block_above_the_top_size_is_not_freed():
+    mem = init_memory(MemoryConfig(num_freelists=4, stack_words=8,
+                                   grow_blocks=2))
+    with pytest.raises(MemoryFault, match="overruns the heap"):
+        mem.free(mem.hp, 17)
+
+
+def test_growth_appends_top_size_block():
+    # the growth room is chained on the top-size list from the start
+    config = MemoryConfig(num_freelists=4, stack_words=8, grow_blocks=2)
+    mem = init_memory(config)
+    hp = mem.hp
+    assert dict(mem.snapshot_free_lists().lists)[16] == (hp, hp + 16, hp + 32)
     first = mem.malloc(16)
     second = mem.malloc(16)
     third = mem.malloc(16)

@@ -1,7 +1,9 @@
 """Differential check of the buddy allocator against recorded results.
 
 `fixtures/heap_golden.json` was written by the recursive allocator that
-preceded the two-loop `malloc`/`free`.  Each case is a seeded sequence of
+preceded the two-loop `malloc`/`free`; its 72 seeds with growth blocks
+were rewritten when a grown heap came to start as chained top-size
+blocks.  Each case is a seeded sequence of
 operations on one heap: mallocs, frees in and out of allocation order,
 frees of bogus addresses and sizes, and stray non-zero words written
 anywhere below `heap_end`.  After every operation the fixture holds its
@@ -99,14 +101,14 @@ def test_allocator_matches_golden(golden):
     "overruns the heap",
     "not zero-cleared (word",
     "allocated block at",
-    "holds adjacent blocks",
     "is not the only block in its free list",
-    "merge cascaded past the largest size class",
     "merge left a non-empty free list behind",
     "OutOfMemory: no block of",
-    "OutOfMemory: heap growth limit reached",
 ])
 def test_golden_hits_every_allocator_error(golden, message):
+    # "holds adjacent blocks" has its own test in test_heap.py: the one
+    # seed that reached it did so on the top-size list, where adjacent
+    # blocks are now normal
     assert any(message in line for lines in golden.values() for line in lines)
 
 

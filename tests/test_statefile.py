@@ -1,4 +1,6 @@
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -71,14 +73,27 @@ def test_wrong_length_is_config_error(tmp_path, keep):
 
 
 def test_heap_end_outside_configuration_rejected(tmp_path):
-    result = _run("Fibonacci")
-    path = tmp_path / "m.state"
-    save_state(str(path), result.state)
-    blob = bytearray(path.read_bytes())
-    struct.pack_into("<Q", blob, 24, 10**9)   # heap end, after the word count
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ConfigError, match="heap end"):
-        load_state(str(path))
+    """Also a heap end one top-size block short of a grown configuration's,
+    as a run that grew its heap on demand saved it: such a state is
+    refused, with exit 4 and one line."""
+    for grow in (0, 8):
+        result = _run("Fibonacci", MemoryConfig(grow_blocks=grow))
+        mem = result.state.memory
+        path = tmp_path / "m.state"
+        save_state(str(path), result.state)
+        blob = bytearray(path.read_bytes())
+        heap_end = mem.heap_end - mem.top_size if grow else 10**9
+        struct.pack_into("<Q", blob, 24, heap_end)   # after the word count
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ConfigError, match="heap end %s " % heap_end):
+            load_state(str(path))
+        flags = ["--heap-grow"] if grow else []
+        done = subprocess.run(
+            [sys.executable, "-m", "rooplpp.cli", "run", *flags, "--resume",
+             str(path), str(corpus_path("Fibonacci"))],
+            capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (4, "")
+        assert len(done.stderr.splitlines()) == 1
 
 
 def test_nonzero_free_block_interior_rejected(tmp_path):
@@ -106,11 +121,11 @@ def _with_frame_top(tmp_path, frame_top):
     return path, result.state.memory
 
 
-@pytest.mark.parametrize("where", ["below_heap_max", "above_stack_base",
+@pytest.mark.parametrize("where", ["below_heap_end", "above_stack_base",
                                    "huge"])
 def test_frame_top_outside_frame_region_rejected(tmp_path, where):
     mem = _run("Fibonacci").state.memory
-    frame_top = {"below_heap_max": mem.heap_max - 1,
+    frame_top = {"below_heap_end": mem.heap_end - 1,
                  "above_stack_base": mem.stack_base + 1,
                  "huge": 10**9}[where]
     path, _ = _with_frame_top(tmp_path, frame_top)
@@ -118,7 +133,7 @@ def test_frame_top_outside_frame_region_rejected(tmp_path, where):
         load_state(str(path))
 
 
-@pytest.mark.parametrize("edge", ["heap_max", "stack_base"])
+@pytest.mark.parametrize("edge", ["heap_end", "stack_base"])
 def test_frame_top_at_region_edges_accepted(tmp_path, edge):
     mem = _run("Fibonacci").state.memory
     frame_top = getattr(mem, edge)
