@@ -19,8 +19,8 @@ class ClassInfo(Record):
     """`fields` is ((type, name), ...), own then inherited; `methods` maps
     name to MethodDecl, where an override drops the base method.  The
     layout: an object uses `used` words (class id, reference count, the
-    fields) of a block of `alloc_words`; `refs` holds (offset, type class)
-    of each reference field."""
+    fields) of a block of `alloc_words`; `refs` holds (offset, type class,
+    class or element class, None for int[]) of each reference field."""
 
     __slots__ = ("name", "class_id", "parent", "fields", "methods", "used",
                  "alloc_words", "refs")
@@ -138,8 +138,8 @@ def build_class_map(program):
                 if mname not in methods:
                     methods[mname] = mdecl
         used = len(fields) + 2
-        refs = tuple((i, type(ty)) for i, (ty, _) in enumerate(fields, 2)
-                     if type(ty) is not ast.IntType)
+        refs = tuple((i, type(ty), getattr(ty, "name", None)) for i, (ty, _)
+                     in enumerate(fields, 2) if type(ty) is not ast.IntType)
         info = ClassInfo(name, list(decls).index(name) + 1, cls.parent,
                          tuple(fields), methods, used, block_words(used), refs)
         resolved[name] = info

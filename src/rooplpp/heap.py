@@ -279,11 +279,13 @@ def init_memory(config=MemoryConfig()):
 class MachineState:
     """What a state file holds, and no more."""
 
-    def __init__(self, memory):
+    def __init__(self, memory, frame_top=None, steps=0, program_crc=None):
         self.memory = memory
-        self.frame_top = memory.stack_base
-        self.steps = 0
-        self.program_crc = None  # crc32 of repr(program) of the last run
+        self.frame_top = memory.stack_base if frame_top is None else frame_top
+        self.steps = steps
+        # crc32 of the repr of the program that ran last, spans left out: a
+        # renamed syntax class or field changes it, and so the file format
+        self.program_crc = program_crc
 
 
 def main_address(memory, info):

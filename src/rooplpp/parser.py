@@ -221,14 +221,14 @@ class _Parser:
         raise ParseError("got %r after lvalue" % self.cur.text, self.cur.span,
                          expected=("+=", "-=", "^=", "<=>"))
 
-    def lvalue(self, variable=ast.LValue, cell=ast.LValue):
-        """A place `y`: `variable` names one, `cell` one array cell."""
+    def lvalue(self):
+        """A place `y`: a variable or one array cell."""
         tok = self.expect("ident", what="variable")
         if self.accept("sym", "["):
             index = self.expression()
             self.expect("sym", "]")
-            return cell(tok.text, index, self._span_from(tok.span))
-        return variable(tok.text, None, tok.span)
+            return ast.LValue(tok.text, index, self._span_from(tok.span))
+        return ast.LValue(tok.text, None, tok.span)
 
     def _two_bodies(self):
         """An if or a from loop (`syntax.TWO_BODY_WORDS`)."""
@@ -361,7 +361,7 @@ class _Parser:
             self.advance()
             return ast.Nil(tok.span)
         if tok.kind == "ident":
-            return self.lvalue(ast.Variable, ast.ArrayElement)
+            return self.lvalue()
         if tok.kind == "sym" and tok.text == "(":
             self.advance()
             expr = self.expression()

@@ -86,18 +86,6 @@ class LValue(Expression):
         return self.index is not None
 
 
-# the parser reads a place in an expression as one of these two; a
-# Variable's repr leaves out its index, as saved states carry the CRC of
-# a program's repr
-class Variable(LValue):
-    __slots__ = ()
-    _uncompared = ("index", "span")
-
-
-class ArrayElement(LValue):
-    __slots__ = ()
-
-
 class Nil(Expression):
     __slots__ = ("span",)
 

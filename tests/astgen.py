@@ -34,11 +34,10 @@ def random_expr(rng: random.Random, depth=3) -> ast.Expression:
         if pick == 0:
             return ast.Constant(rng.randrange(100))
         if pick == 1:
-            return ast.Variable(rng.choice(_NAMES))
+            return ast.LValue(rng.choice(_NAMES))
         if pick == 2:
             return ast.Nil()
-        return ast.ArrayElement(rng.choice(_NAMES),
-                                random_expr(rng, depth - 1))
+        return ast.LValue(rng.choice(_NAMES), random_expr(rng, depth - 1))
     op = rng.choice(ast.BIN_OPS)
     return ast.BinOp(op, random_expr(rng, depth - 1),
                      random_expr(rng, depth - 1))
@@ -169,10 +168,9 @@ class _Gen:
         usable = [v for v in INT_VARS if v not in exclude]
         if depth <= 0 or rng.random() < 0.45:
             if usable and rng.random() < 0.6:
-                return ast.Variable(rng.choice(usable))
+                return ast.LValue(rng.choice(usable))
             if self.arr_live and ARR not in exclude and rng.random() < 0.3:
-                return ast.ArrayElement(ARR,
-                                        ast.Constant(rng.randrange(ARR_LEN)))
+                return ast.LValue(ARR, ast.Constant(rng.randrange(ARR_LEN)))
             return ast.Constant(rng.randrange(10))
         op = rng.choice(("+", "-", "*", "^", "&", "|"))
         return ast.BinOp(op, self.int_expr(exclude, depth - 1),
@@ -247,7 +245,7 @@ class _Gen:
                    ast.seq([ast.Assign(ast.LValue(flag), "+=", ast.Constant(1)),
                             self.balanced_seq(inner, depth - 1)]),
                    self.balanced_seq(inner, depth - 1),
-                   ast.BinOp("=", ast.Variable(flag), ast.Constant(1))),
+                   ast.BinOp("=", ast.LValue(flag), ast.Constant(1))),
         ])
         return ast.LocalBlock(ast.INT, flag, ast.Constant(0), body, g)
 
@@ -258,9 +256,9 @@ class _Gen:
         inner = locked | {i}
         body = ast.seq([self.balanced_seq(inner, depth - 1),
                         ast.Assign(ast.LValue(i), "+=", ast.Constant(1))])
-        loop = ast.Loop(ast.BinOp("=", ast.Variable(i), ast.Constant(0)),
+        loop = ast.Loop(ast.BinOp("=", ast.LValue(i), ast.Constant(0)),
                         body, ast.Skip(),
-                        ast.BinOp("=", ast.Variable(i), ast.Constant(n)))
+                        ast.BinOp("=", ast.LValue(i), ast.Constant(n)))
         return ast.LocalBlock(ast.INT, i, ast.Constant(0), loop,
                               ast.Constant(n))
 

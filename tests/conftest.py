@@ -1,4 +1,6 @@
 import pathlib
+import re
+import struct
 import sys
 
 import pytest
@@ -44,3 +46,22 @@ def clone_memory(mem):
 def same_words(mem, other):
     """Whether two memory images hold the same words and heap end."""
     return mem.words == other.words and mem.heap_end == other.heap_end
+
+
+# the state-file header's fields, in the order of `statefile._HEADER`
+STATE_HEADER_FIELDS = ("magic", "version", "word_bits", "num_freelists",
+                       "stack_words", "grow_blocks", "total_words",
+                       "frame_top", "steps", "program_crc")
+
+
+def set_state_header(blob, field, value):
+    """Write `value` into the header field `field` of the state-file bytes
+    `blob`, at the offset and width that `statefile._HEADER` lays out."""
+    from rooplpp.statefile import _HEADER
+    codes = []
+    for count, code in re.findall(r"(\d*)([a-zA-Z])", _HEADER.format):
+        codes += [count + code] if code == "s" else [code] * int(count or 1)
+    assert len(codes) == len(STATE_HEADER_FIELDS), _HEADER.format
+    at = STATE_HEADER_FIELDS.index(field)
+    struct.pack_into("<" + codes[at], blob,
+                     struct.calcsize("<" + "".join(codes[:at])), value)

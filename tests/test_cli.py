@@ -5,7 +5,6 @@ import json
 import os
 import random
 import re
-import struct
 import subprocess
 import sys
 import tempfile
@@ -16,10 +15,10 @@ from hypothesis import given, settings, strategies as st
 from rooplpp import (BACKWARD, ExecutionError, MachineState, MemoryConfig,
                      MemoryImage, build_class_map, machine, main_class_of,
                      parse, run_program)
-from rooplpp.statefile import load_state, save_state
+from rooplpp.statefile import _HEADER, load_state, save_state
 
 from conftest import (CORPUS, CORPUS_DIR, FIXTURES_DIR, corpus_path,
-                      load_pipeline)
+                      load_pipeline, set_state_header)
 
 
 def cli(*args):
@@ -456,7 +455,7 @@ def test_resume_frame_top_out_of_range_exit_4(tmp_path):
     state = tmp_path / "good.state"
     cli("run", "--save-state", str(state), str(corpus_path("LinkedList")))
     blob = bytearray(state.read_bytes())
-    struct.pack_into("<Q", blob, 32, 10**9)   # frame top
+    set_state_header(blob, "frame_top", 10**9)
     patched = tmp_path / "patched.state"
     patched.write_bytes(bytes(blob))
     result = cli("run", "--resume", str(patched), "--reverse",
@@ -642,6 +641,132 @@ def test_resume_refuses_a_heap_that_is_not_a_partition(tmp_path, heap4, name):
     assert _one_error_line(result) == "error: %s\n" % message
 
 
+# fields a and b, and xs and ys, are of two unrelated classes; an array's
+# block does not record its class, so the first word holding it names it
+TWO_CLASSES = """\
+class X
+    int v
+
+    method m()
+        v += 1
+
+class Y
+    int w
+
+    method n()
+        w += 1
+
+class Program
+    X a
+    Y b
+    X[] xs
+    Y[] ys
+
+    method main()
+        new X a
+        new Y b
+        call a::m()
+        call b::n()
+        new X[1] xs
+        new Y[1] ys
+"""
+
+
+def _swap_words(words, main, case):
+    """Mutate the TWO_CLASSES state at `main`, its object, as `case` says."""
+    a, b, xs, ys = (main + 2 + i for i in range(4))
+    if case == "fields":
+        words[a], words[b] = words[b], words[a]
+    elif case == "arrays":  # ys holds xs's array too, and leaks its own
+        words[ys] = words[xs]
+        words[words[xs] + 1] = 2
+    else:  # xs[0] holds b's object too
+        words[words[xs] + 2] = words[b]
+        words[words[b] + 1] = 2
+
+
+@pytest.mark.parametrize("case, line", [
+    ("fields", "field a of Program holds an object of class Y, not of X"),
+    ("arrays", "field ys of Program holds an array of class X, not of Y"),
+    ("cell", "cell 0 of the X[] at %s holds an object of class Y, not of X"),
+])
+def test_resume_refuses_a_reference_to_another_class(tmp_path, case, line):
+    """Each word that holds a reference is checked against the class it
+    declares; before that check, the swapped fields ran into a dispatch
+    miss (`UninitializedObject: class X has no method n`, exit 1)."""
+    path, saved = tmp_path / "two.rplpp", tmp_path / "two.state"
+    path.write_text(TWO_CLASSES)
+    assert cli("run", "--save-state", str(saved), str(path)).returncode == 0
+    state = load_state(str(saved))
+    words, main = state.memory.words, state.frame_top + 1
+    assert words[main - 1] == main                 # the main object's slot
+    xs = words[main + 4]
+    _swap_words(words, main, case)
+    save_state(str(saved), state)
+    result = cli("run", "--resume", str(saved), "--reverse", str(path))
+    assert _one_error_line(result) == (
+        "error: bad reference in the state: %s\n"
+        % (line % xs if case == "cell" else line))
+
+
+def test_resume_refuses_a_base_object_in_a_subclass_field(tmp_path):
+    """The type checker lets a swap put a `Base` into a `Derived` field;
+    the program runs, but its state names the mismatch on resume."""
+    source = (FIXTURES_DIR / "errors" / "dispatch_subtype.rplpp").read_text()
+    path, saved = tmp_path / "hole.rplpp", tmp_path / "hole.state"
+    path.write_text(source.replace("        call d::onlyDerived()\n", ""))
+    assert cli("run", "--save-state", str(saved), str(path)).returncode == 0
+    result = cli("run", "--resume", str(saved), "--reverse", str(path))
+    assert _one_error_line(result) == (
+        "error: bad reference in the state: field d of Main holds an object "
+        "of class Base, not of Derived\n")
+
+
+def test_resume_accepts_subclass_objects_in_base_class_places(tmp_path):
+    """A `Derived` in a `Base` field and in a `Base[]` cell passes the
+    census, and the state rewinds to all zero fields."""
+    source = (FIXTURES_DIR / "errors" / "dispatch_subtype.rplpp").read_text()
+    main = source.index("    method main()")
+    path, saved = tmp_path / "sub.rplpp", tmp_path / "sub.state"
+    path.write_text(source[:main] + "    method put(Base x)\n"
+                    "        b0 <=> x\n\n"
+                    "    method main()\n"
+                    "        local Derived e = nil\n"
+                    "        new Derived e\n"
+                    "        call put(e)\n"
+                    "        delocal Derived e = nil\n"
+                    "        new Base[1] arr\n"
+                    "        new Derived d\n"
+                    "        arr[0] <=> d\n"
+                    "        call b0::touch()\n")
+    assert cli("run", "--save-state", str(saved), str(path)).returncode == 0
+    result = cli("run", "--resume", str(saved), "--reverse", "--json",
+                 str(path))
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    assert set(json.loads(result.stdout)["fields"].values()) == {0}
+
+
+def test_state_identity_is_the_syntax_tree_not_the_text(tmp_path):
+    """A state resumes under a copy of its program whose lines are indented
+    otherwise, with a comment and redundant parentheses added."""
+    source = corpus_path("LinkedList").read_text()
+    copy = "// the same program, laid out otherwise\n" + re.sub(
+        r"(?m)^((?:    )+)", lambda m: "  " * (len(m.group(1)) // 4), source)
+    for text, parenthesized in (("until i = 10", "until ((i) = 10)"),
+                                ("result += data", "result += (data)")):
+        assert text in copy
+        copy = copy.replace(text, parenthesized)
+    path, saved = tmp_path / "copy.rplpp", tmp_path / "list.state"
+    path.write_text(copy)
+    assert cli("run", "--save-state", str(saved),
+               str(corpus_path("LinkedList"))).returncode == 0
+    result = cli("run", "--resume", str(saved), "--reverse", "--json",
+                 str(path))
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    fields = json.loads(result.stdout)["fields"]
+    assert len(fields) == 4 and set(fields.values()) == {0}
+
+
 @pytest.mark.parametrize("flags", [
     ("--freelists", "12"), ("--word-bits", "16"), ("--stack-words", "4096"),
     ("--heap-grow",)])
@@ -703,13 +828,14 @@ def test_mutated_state_resumes_to_an_exit_code(rng):
                           str(corpus_path("LinkedList"))])
             with open(path, "rb") as fh:
                 blob = _LIST_STATE["blob"] = fh.read()
-            # the non-zero 32-bit words after the 52-byte header
+            # the non-zero 32-bit words after the header
             _LIST_STATE["nonzero"] = [
-                at for at in range(52, len(blob), 4) if any(blob[at:at + 4])]
+                at for at in range(_HEADER.size, len(blob), 4)
+                if any(blob[at:at + 4])]
         blob = bytearray(_LIST_STATE["blob"])
         for _ in range(rng.randint(1, 4)):
             where = rng.random()
-            at = rng.randrange(52) if where < 0.3 else \
+            at = rng.randrange(_HEADER.size) if where < 0.3 else \
                 rng.choice(_LIST_STATE["nonzero"]) + rng.randrange(4) \
                 if where < 0.8 else rng.randrange(len(blob))
             blob[at] = rng.randrange(256)
@@ -1635,13 +1761,18 @@ def test_run_loads_the_inverter_only_to_run_backward(tmp_path):
 
 
 def test_run_loads_the_state_file_code_only_for_state_flags(tmp_path):
+    """A program's identity in a state file is the crc32 of its syntax
+    tree's repr, so no `run` loads the printer, with state flags or
+    without."""
     path, state = str(corpus_path("LinkedList")), str(tmp_path / "s")
     for args in ((), ("--json",), ("--trace", str(tmp_path / "t"))):
-        assert "rooplpp.statefile" not in _modules_after("run", *args, path)
-    assert "rooplpp.statefile" in _modules_after("run", "--save-state", state,
-                                                 path)
-    assert "rooplpp.statefile" in _modules_after("run", "--resume", state,
-                                                 "--reverse", path)
+        loaded = _modules_after("run", *args, path)
+        assert not loaded & {"rooplpp.statefile", "rooplpp.printer"}
+    for args in (("--json", "--save-state", state),
+                 ("--resume", state, "--reverse")):
+        loaded = _modules_after("run", *args, path)
+        assert "rooplpp.statefile" in loaded
+        assert "rooplpp.printer" not in loaded
 
 
 def _modules_on_import(module):

@@ -105,19 +105,19 @@ def test_sequences_are_flat():
     ("1 - 2 - 3", ast.BinOp("-", ast.BinOp("-", ast.Constant(1),
                                            ast.Constant(2)),
                             ast.Constant(3))),
-    ("a < b & c = d", ast.BinOp("&", ast.BinOp("<", ast.Variable("a"),
-                                               ast.Variable("b")),
-                                ast.BinOp("=", ast.Variable("c"),
-                                          ast.Variable("d")))),
-    ("a & b | c", ast.BinOp("|", ast.BinOp("&", ast.Variable("a"),
-                                           ast.Variable("b")),
-                            ast.Variable("c"))),
-    ("a && b || c", ast.BinOp("||", ast.BinOp("&&", ast.Variable("a"),
-                                              ast.Variable("b")),
-                              ast.Variable("c"))),
-    ("x + y ^ z", ast.BinOp("^", ast.BinOp("+", ast.Variable("x"),
-                                           ast.Variable("y")),
-                            ast.Variable("z"))),
+    ("a < b & c = d", ast.BinOp("&", ast.BinOp("<", ast.LValue("a"),
+                                               ast.LValue("b")),
+                                ast.BinOp("=", ast.LValue("c"),
+                                          ast.LValue("d")))),
+    ("a & b | c", ast.BinOp("|", ast.BinOp("&", ast.LValue("a"),
+                                           ast.LValue("b")),
+                            ast.LValue("c"))),
+    ("a && b || c", ast.BinOp("||", ast.BinOp("&&", ast.LValue("a"),
+                                              ast.LValue("b")),
+                              ast.LValue("c"))),
+    ("x + y ^ z", ast.BinOp("^", ast.BinOp("+", ast.LValue("x"),
+                                           ast.LValue("y")),
+                            ast.LValue("z"))),
 ])
 def test_precedence(source, expected):
     assert parse_expression(source) == expected
@@ -144,7 +144,8 @@ def test_positions_attached():
 def _binop_spans(expr):
     """(op, (line, col, end_line, end_col), left, right) down the BinOps."""
     if not isinstance(expr, ast.BinOp):
-        return type(expr).__name__
+        return type(expr).__name__ + ("[]" if getattr(expr, "is_cell", False)
+                                      else "")
     s = expr.span
     return (expr.op, (s.line, s.col, s.end_line, s.end_col),
             _binop_spans(expr.left), _binop_spans(expr.right))
@@ -153,19 +154,19 @@ def _binop_spans(expr):
 # a BinOp spans from the first token of its left operand, an opening
 # parenthesis included, to the last token of its right operand
 @pytest.mark.parametrize("source, expected", [
-    ("a + b * c", ("+", (1, 1, 1, 10), "Variable",
-                   ("*", (1, 5, 1, 10), "Variable", "Variable"))),
+    ("a + b * c", ("+", (1, 1, 1, 10), "LValue",
+                   ("*", (1, 5, 1, 10), "LValue", "LValue"))),
     ("a - b - c", ("-", (1, 1, 1, 10),
-                   ("-", (1, 1, 1, 6), "Variable", "Variable"), "Variable")),
+                   ("-", (1, 1, 1, 6), "LValue", "LValue"), "LValue")),
     ("(a + b) * c", ("*", (1, 1, 1, 12),
-                     ("+", (1, 2, 1, 7), "Variable", "Variable"), "Variable")),
-    ("a * (b + c)", ("*", (1, 1, 1, 12), "Variable",
-                     ("+", (1, 6, 1, 11), "Variable", "Variable"))),
+                     ("+", (1, 2, 1, 7), "LValue", "LValue"), "LValue")),
+    ("a * (b + c)", ("*", (1, 1, 1, 12), "LValue",
+                     ("+", (1, 6, 1, 11), "LValue", "LValue"))),
     ("((a))  || b && c = 1",
-     ("||", (1, 1, 1, 21), "Variable",
-      ("&&", (1, 11, 1, 21), "Variable",
-       ("=", (1, 16, 1, 21), "Variable", "Constant")))),
-    ("x[i + 1] % (2)", ("%", (1, 1, 1, 15), "ArrayElement", "Constant")),
+     ("||", (1, 1, 1, 21), "LValue",
+      ("&&", (1, 11, 1, 21), "LValue",
+       ("=", (1, 16, 1, 21), "LValue", "Constant")))),
+    ("x[i + 1] % (2)", ("%", (1, 1, 1, 15), "LValue[]", "Constant")),
 ])
 def test_binop_spans(source, expected):
     assert _binop_spans(parse_expression(source)) == expected

@@ -44,9 +44,9 @@ def test_generated_program_round_trip():
 
 _exprs = st.deferred(lambda: st.one_of(
     st.integers(min_value=0, max_value=2**31 - 1).map(ast.Constant),
-    st.sampled_from(["a", "b", "c"]).map(ast.Variable),
+    st.sampled_from(["a", "b", "c"]).map(ast.LValue),
     st.just(ast.Nil()),
-    st.builds(ast.ArrayElement, st.sampled_from(["a", "b"]), _exprs),
+    st.builds(ast.LValue, st.sampled_from(["a", "b"]), _exprs),
     st.builds(ast.BinOp, st.sampled_from(ast.BIN_OPS), _exprs, _exprs),
 ))
 

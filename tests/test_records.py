@@ -14,10 +14,10 @@ B = Span(7, 1, 9, 3)
 
 
 def test_node_equality_and_hash_ignore_span():
-    x, y = ast.Variable("x", span=A), ast.Variable("x", span=B)
+    x, y = ast.LValue("x", span=A), ast.LValue("x", span=B)
     assert x == y and hash(x) == hash(y)
-    assert ast.Variable("x") != ast.Variable("y")
-    assert ast.Variable("x") != ast.ArrayElement("x", ast.Constant(0))
+    assert ast.LValue("x") != ast.LValue("y")
+    assert ast.LValue("x") != ast.LValue("x", ast.Constant(0))
     left = parse_statement("x += 1")
     right = parse_statement("\n\n   x   +=   1")
     assert left.span != right.span

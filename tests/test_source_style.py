@@ -31,24 +31,22 @@ def test_sources_hold_no_f_strings_or_annotations():
 
 
 def _place_kinds(tree):
-    """(line, what) of each use of a place subclass the parser builds for
-    reads, or of a duck-typed `getattr(x, "index", ...)`, in `tree`."""
+    """(line, what) of each duck-typed `getattr(x, "index", ...)` in
+    `tree`."""
     for node in ast.walk(tree):
-        name = getattr(node, "id", None) or getattr(node, "attr", None)
-        if name in ("Variable", "ArrayElement"):
-            yield node.lineno, name
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) \
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) \
                 == "getattr" and len(node.args) > 1 \
                 and getattr(node.args[1], "value", None) == "index":
             yield node.lineno, 'getattr(..., "index")'
 
 
 def test_one_place_node():
-    """A place is an `LValue` to every module but the parser, which builds
-    the two subclasses it reads in expressions, and `syntax`, which
-    defines them."""
+    """A place is an `LValue` to every module, the parser too: the syntax
+    has no subclass of it, and no module tells places apart by duck
+    typing."""
+    from rooplpp import syntax
+    assert syntax.LValue.__subclasses__() == []
     found = [(path.name, line, what) for path in SOURCES
-             if path.name not in ("syntax.py", "parser.py")
              for line, what in _place_kinds(ast.parse(path.read_text()))]
     assert found == []
 

@@ -1,4 +1,3 @@
-import struct
 import subprocess
 import sys
 
@@ -9,7 +8,7 @@ from rooplpp import (ConfigError, MachineState, MemoryConfig, build_class_map,
 from rooplpp import statefile
 from rooplpp.statefile import load_state, save_state
 
-from conftest import corpus_path
+from conftest import corpus_path, set_state_header
 
 
 def _run(name, config=MemoryConfig()):
@@ -55,7 +54,7 @@ def test_version_rejected(tmp_path):
     path = tmp_path / "m.state"
     save_state(str(path), result.state)
     blob = bytearray(path.read_bytes())
-    blob[4] = 99  # version little-endian low byte
+    set_state_header(blob, "version", 99)
     path.write_bytes(bytes(blob))
     with pytest.raises(ConfigError):
         load_state(str(path))
@@ -70,30 +69,6 @@ def test_wrong_length_is_config_error(tmp_path, keep):
     path.write_bytes(blob[:keep] if keep > 0 else blob + b"\0\0\0\0")
     with pytest.raises(ConfigError, match="bytes, expected"):
         load_state(str(path))
-
-
-def test_heap_end_outside_configuration_rejected(tmp_path):
-    """Also a heap end one top-size block short of a grown configuration's,
-    as a run that grew its heap on demand saved it: such a state is
-    refused, with exit 4 and one line."""
-    for grow in (0, 8):
-        result = _run("Fibonacci", MemoryConfig(grow_blocks=grow))
-        mem = result.state.memory
-        path = tmp_path / "m.state"
-        save_state(str(path), result.state)
-        blob = bytearray(path.read_bytes())
-        heap_end = mem.heap_end - mem.top_size if grow else 10**9
-        struct.pack_into("<Q", blob, 24, heap_end)   # after the word count
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ConfigError, match="heap end %s " % heap_end):
-            load_state(str(path))
-        flags = ["--heap-grow"] if grow else []
-        done = subprocess.run(
-            [sys.executable, "-m", "rooplpp.cli", "run", *flags, "--resume",
-             str(path), str(corpus_path("Fibonacci"))],
-            capture_output=True, text=True)
-        assert (done.returncode, done.stdout) == (4, "")
-        assert len(done.stderr.splitlines()) == 1
 
 
 def test_nonzero_free_block_interior_rejected(tmp_path):
@@ -116,7 +91,7 @@ def _with_frame_top(tmp_path, frame_top):
     path = tmp_path / "m.state"
     save_state(str(path), result.state)
     blob = bytearray(path.read_bytes())
-    struct.pack_into("<Q", blob, 32, frame_top)   # frame top, after heap end
+    set_state_header(blob, "frame_top", frame_top)
     path.write_bytes(bytes(blob))
     return path, result.state.memory
 
@@ -152,14 +127,16 @@ def test_program_checksum_round_trip(tmp_path):
     assert load_state(str(path)).program_crc is None
 
 
-# crc32 of each corpus program and of its inverse, as states saved by
-# earlier releases store them: a resumed run compares against these
+# crc32 of each corpus program and of its inverse, as version-3 state files
+# store them: a resumed run compares against these.  They are the CRCs of
+# the syntax trees' reprs, so changing one is a format change and bumps
+# `statefile.VERSION`
 PINNED_CRCS = {
-    "BinaryTree": (3692202880, 3306956554),
-    "DoublyLinkedList": (4026137453, 4250266950),
-    "Fibonacci": (3451354117, 1170101686),
-    "LinkedList": (871776106, 1554449562),
-    "RTM": (189484005, 2030119369),
+    "BinaryTree": (1161274225, 3026501894),
+    "DoublyLinkedList": (3138820091, 3459161974),
+    "Fibonacci": (4258364403, 1308341196),
+    "LinkedList": (1589898423, 3716439831),
+    "RTM": (3321580764, 3833402716),
 }
 
 
@@ -177,14 +154,22 @@ def test_program_checksums_are_pinned(tmp_path, name):
     assert resumed.state.program_crc == inverse_crc
 
 
-def test_version_1_rejected(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_earlier_versions_rejected(tmp_path, version):
     path = tmp_path / "m.state"
     save_state(str(path), _run("Fibonacci").state)
     blob = bytearray(path.read_bytes())
-    struct.pack_into("<H", blob, 4, 1)
+    set_state_header(blob, "version", version)
     path.write_bytes(bytes(blob))
-    with pytest.raises(ConfigError, match="version 1"):
+    with pytest.raises(ConfigError, match="^unsupported state-file version "
+                                          "%s$" % version):
         load_state(str(path))
+    done = subprocess.run(
+        [sys.executable, "-m", "rooplpp.cli", "run", "--resume", str(path),
+         "--reverse", str(corpus_path("Fibonacci"))],
+        capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        4, "", "error: unsupported state-file version %s\n" % version)
 
 
 @pytest.mark.parametrize("num_freelists", [20, 23, 30])
@@ -193,7 +178,7 @@ def test_header_checked_before_the_image_is_built(tmp_path, monkeypatch,
     path = tmp_path / "m.state"
     save_state(str(path), _run("Fibonacci").state)
     blob = bytearray(path.read_bytes())
-    blob[7] = num_freelists                       # u8 free-list count
+    set_state_header(blob, "num_freelists", num_freelists)
     path.write_bytes(bytes(blob))
 
     def no_image(config):
@@ -213,8 +198,8 @@ def test_address_width_checked_before_the_image_is_built(tmp_path,
     blob = bytearray(path.read_bytes())
     total = (1 << 16) + 1
     more = total - config.arena_words()           # stack words to add
-    struct.pack_into("<I", blob, 8, config.stack_words + more)  # u32 stack
-    struct.pack_into("<Q", blob, 16, total)       # u64 total words
+    set_state_header(blob, "stack_words", config.stack_words + more)
+    set_state_header(blob, "total_words", total)
     path.write_bytes(bytes(blob) + bytes(2 * more))
 
     def no_image(config):
