@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ClassMap": "classes", "array_type_of": "classes",
     "build_class_map": "classes",
-    "ClassError": "errors", "ConfigError": "errors",
-    "ExecutionError": "errors", "ParseError": "errors", "Span": "errors",
-    "TypeError_": "errors",
+    "ClassError": "syntax", "ConfigError": "syntax",
+    "ExecutionError": "syntax", "ParseError": "syntax", "Span": "syntax",
+    "TypeError_": "syntax",
     "FreeListSnapshot": "heap", "MemoryConfig": "heap",
     "MemoryFault": "heap", "MemoryImage": "heap", "init_memory": "heap",
     "invert_program": "inverter", "invert_stmt": "inverter",

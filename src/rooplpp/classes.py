@@ -5,7 +5,7 @@ internal, so the order only has to be deterministic.  Class ids are dense
 integers in declaration order starting at 1; id 0 would collide with nil.
 """
 
-from .errors import ClassError, Record
+from .syntax import ClassError, Record
 from . import syntax as ast
 
 

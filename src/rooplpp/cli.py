@@ -44,7 +44,7 @@ def _stderr(line):
 
 def _parse(path):
     from .classes import build_class_map
-    from .errors import ConfigError
+    from .syntax import ConfigError
     from .parser import parse
 
     with open(path, encoding="utf-8") as fh:
@@ -222,7 +222,7 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    from .errors import ClassError, ConfigError, ExecutionError, ParseError
+    from .syntax import ClassError, ConfigError, ExecutionError, ParseError
 
     # errors printed after the source path, and the code each exits with
     source_errors = {ParseError: EXIT_PARSE, ClassError: EXIT_TYPE,

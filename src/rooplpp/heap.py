@@ -26,15 +26,17 @@ by the configuration.
 Free-block invariant: every word of a free block other than its link word
 is zero.  `free` refuses a block that is not zero-cleared, a merge joins
 two such blocks, and `malloc` zeroes the link word it pops, so each merge
-level reads only the partner's link word: `free` costs O(number of free
-lists) word reads, not O(heap).  `check_free_blocks`, the free half of
+level reads only the partner's link word.  `free` and `malloc` still read
+every word of the block they free or return, to check that it is zero, so
+each costs O(block size + number of free lists) word reads, a block being
+at most the top size.  `check_free_blocks`, the free half of
 `statefile.census`, sweeps every free block for words written outside the
-allocator.  It, the snapshot and the dump all walk the lists
-with `_free_chain`, which refuses a cycle or a stray address.
+allocator.  It, the snapshot and the dump all walk the lists with
+`_free_chain`, which refuses a cycle or a stray address.
 """
 
 from .classes import block_words
-from .errors import ConfigError, Record
+from .syntax import ConfigError, Record
 
 # machine limit on arena words (`stack_base`): 128 MiB of Python list
 MAX_ARENA_WORDS = 1 << 24

@@ -29,7 +29,7 @@ import zlib
 
 from . import syntax as ast
 from .classes import main_class_of
-from .errors import ConfigError, ExecutionError, Record
+from .syntax import ConfigError, ExecutionError, Record
 from .heap import (MachineState, MemoryConfig, MemoryFault, init_memory,
                    main_address)
 
@@ -500,6 +500,10 @@ class Emitter:
     _LocalUncall = _ObjectCall = _ObjectUncall = _LocalCall
 
 
+class _Failure(Exception):
+    """(site, kind, message) of a run-time error, for `run_program`."""
+
+
 class Interpreter:
     """Runs method bodies, each emitted once per (class id, method,
     direction), over one machine state for one run of `step_limit` steps
@@ -507,11 +511,12 @@ class Interpreter:
     every word and calls the allocator on the image `H` itself; it calls
     the helpers below only through `F` and `M` (failed check or allocator
     call), `X` (dispatch miss) and `T` (trace record), with its site's
-    tuple: span, local blocks pushed, what else the emitter knew."""
+    tuple: span, local blocks pushed, what else the emitter knew; the first
+    three fail by raising `_Failure`."""
 
     def __init__(self, class_map, state, step_limit, tracer):
-        self.class_map, self.state = class_map, state
-        self.step_limit, self.tracer = step_limit, tracer
+        self.class_map, self.step_limit, self.tracer = \
+            class_map, step_limit, tracer
         self.mem = mem = state.memory
         self.words = words = mem.words
         self.methods = {}
@@ -530,53 +535,34 @@ class Interpreter:
                                  info.name + "::" + name)
         return self.methods[key]
 
-    def error(self, site, kind, message, frame=None):
-        """Raise `kind` at `site`, reading the emitted functions on the
-        Python stack from `frame` (by default here) out, if any: the
-        innermost one's count and frame base, and, outermost first, each
-        caller's `lb` label, the call stack.  The frame top keeps local
-        blocks' words pushed and calls' popped."""
-        found, frame = [], frame or sys._getframe()
-        while frame is not None:
-            if frame.f_code.co_filename == "<rooplpp>":
-                found.append(frame)
-            frame = frame.f_back
-        trace = tuple(caller.f_locals["lb"] for callee, caller in zip(
-            found, found[1:]) if callee.f_code.co_name == "m")[::-1]
-        if found:
-            innermost = found[0].f_locals
-            self.state.steps = innermost["n"]
-            self.state.frame_top = innermost["b"] - site[1] + len(trace)
-        raise ExecutionError(kind, message, site[0], trace=trace)
-
     def fail(self, site, *values):
-        """Raise the error of check `site`; a message that names run-time
-        values is a function of them."""
+        """Fail check `site`; a message that names run-time values is a
+        function of them."""
         _, _, kind, message = site
-        self.error(site, kind, message(*values) if values else message)
+        raise _Failure(site, kind, message(*values) if values else message)
 
     def heap_fault(self, site, fault):
-        self.error(site, E(fault.kind), fault.message)
+        raise _Failure(site, E(fault.kind), fault.message)
 
     def dispatch(self, site, obj, base):
         """(function, label) of the call at `site` on the object `obj`."""
         span, pushed, cache, method, backward = site
         if obj == 0:
-            self.error(site, E.UNINITIALIZED_OBJECT,
-                       "call of %s on a nil reference" % method)
+            raise _Failure(site, E.UNINITIALIZED_OBJECT,
+                           "call of %s on a nil reference" % method)
         info = self.class_map.by_id.get(self.words[obj])
         if info is None:  # a stale reference, to a block freed and reused
-            self.error(site, E.CORRUPT_FREE,
-                       "word at %d is not an object header" % obj)
+            raise _Failure(site, E.CORRUPT_FREE,
+                           "word at %d is not an object header" % obj)
         if method not in info.methods:
-            self.error(site, E.UNINITIALIZED_OBJECT,
-                       "class %s has no method %s" % (info.name, method))
+            raise _Failure(site, E.UNINITIALIZED_OBJECT, "class %s has no "
+                           "method %s" % (info.name, method))
         if info.class_id not in cache:
             run, label = self._method(info, method, backward)
             cache[info.class_id] = run, "%s at %s" % (label, span)
         if base - pushed - 1 < self.mem.heap_end:  # no room for the call
-            self.error(site, E.STACK_OVERFLOW,
-                       "frame region collided with the heap")
+            raise _Failure(site, E.STACK_OVERFLOW,
+                           "frame region collided with the heap")
         return cache[info.class_id]
 
     def record(self, site):
@@ -625,19 +611,33 @@ def run_program(program, class_map,
     try:
         run, _ = interp._method(info, "main", direction == BACKWARD)
         state.steps = run(obj_addr - 1, obj_addr, state.steps, state.frame_top)
-    except (RecursionError, IndexError) as exc:
-        # the host limit, or in emitted code a stale reference (to a block
-        # freed and reused) read as an address: read off the innermost frame
-        from traceback import walk_tb
-        *_, (frame, _) = walk_tb(exc.__traceback__)
+    except (_Failure, RecursionError, IndexError) as exc:
+        # a failure; or, at `main`'s span, the host limit or in emitted code
+        # a stale reference (to a block freed and reused) read as an address
+        found, tb = [], exc.__traceback__  # emitted frames, outermost first
+        while tb is not None:
+            frame, tb = tb.tb_frame, tb.tb_next
+            if frame.f_code.co_filename == "<rooplpp>":
+                found.append(frame)
         site = info.methods["main"].span, 0
-        if isinstance(exc, RecursionError):
-            interp.error(site, E.STACK_OVERFLOW,
-                         "call nesting exceeded the host limit", frame)
-        if frame.f_code.co_filename != "<rooplpp>":
+        if isinstance(exc, _Failure):
+            site, kind, message = exc.args
+        elif isinstance(exc, RecursionError):
+            kind, message = E.STACK_OVERFLOW, \
+                "call nesting exceeded the host limit"
+        elif frame.f_code.co_filename != "<rooplpp>":  # the innermost
             raise
-        interp.error(site, E.CORRUPT_FREE, "word outside memory reached "
-                     "through a stale reference", frame)
+        else:
+            kind, message = E.CORRUPT_FREE, \
+                "word outside memory reached through a stale reference"
+        # the callers' `lb` labels are the call stack; the frame top keeps
+        # the innermost's local blocks pushed and every call's word popped
+        trace = tuple(caller.f_locals["lb"] for caller, callee in zip(
+            found, found[1:]) if callee.f_code.co_name == "m")
+        if found:
+            state.steps = found[-1].f_locals["n"]
+            state.frame_top = found[-1].f_locals["b"] - site[1] + len(trace)
+        raise ExecutionError(kind, message, site[0], trace=trace) from None
     finally:
         sys.setrecursionlimit(old_limit)
     signed, words = state.memory.signed, state.memory.words

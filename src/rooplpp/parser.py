@@ -13,7 +13,7 @@ Binary operators bind as `syntax.PRECEDENCE` says and associate left;
 parentheses group.
 """
 
-from .errors import ParseError, Span
+from .syntax import ParseError, Span
 from . import syntax as ast
 
 KEYWORDS = {

@@ -8,7 +8,7 @@ and the state-file code only for `--resume` or `--save-state`."""
 
 import os
 
-from .errors import ConfigError
+from .syntax import ConfigError
 from .heap import MemoryConfig
 from .machine import BACKWARD, FORWARD, run_program
 

@@ -9,7 +9,7 @@ ran; `run_program` checks it), then the words little-endian.
 import struct
 
 from .classes import block_words
-from .errors import ConfigError
+from .syntax import ConfigError
 from .heap import (MachineState, MemoryConfig, MemoryFault, MemoryImage,
                    main_address)
 from . import syntax as ast

@@ -7,9 +7,8 @@ exists (e.g. `1 + nil`).
 """
 
 from .classes import array_type_of, nullary_mains
-from .errors import NO_SPAN, TypeError_
 from . import syntax as ast
-from .syntax import vars_of
+from .syntax import NO_SPAN, TypeError_, vars_of
 
 # The rule of each statement kind whose check is shared: new/delete,
 # copy/uncopy and all four calls.  New and delete have an object rule and

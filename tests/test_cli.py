@@ -302,7 +302,7 @@ def test_deep_recursion_then_uncall_within_host_limit(tmp_path):
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
     "before Python 3.11 every Python call also nests a C frame, so calls "
-    "this deep need the executor's own worker thread (ROADMAP item 3)"))
+    "this deep need the executor's own worker thread (ROADMAP item 12)"))
 def test_40000_deep_recursion_then_uncall(tmp_path):
     # one plain Python call per ROOPL++ call: no C stack per call on 3.11
     path = tmp_path / "deep.rplpp"
@@ -1775,6 +1775,30 @@ def test_run_loads_the_state_file_code_only_for_state_flags(tmp_path):
         assert "rooplpp.printer" not in loaded
 
 
+
+def test_each_command_loads_exactly_its_modules(tmp_path):
+    """The whole `rooplpp.*` set of each command, so that an added module
+    shows as well as one loaded where it should not be."""
+    path, state = str(corpus_path("BinaryTree")), str(tmp_path / "s")
+    front = {"rooplpp", "rooplpp.cli", "rooplpp.syntax", "rooplpp.classes",
+             "rooplpp.parser"}
+    run = front | {"rooplpp.typecheck", "rooplpp.runner", "rooplpp.machine",
+                   "rooplpp.heap"}
+    table = [  # in order: the resumed state is the one saved before it
+        (("--help",), {"rooplpp", "rooplpp.cli", "rooplpp.syntax"}),
+        (("check", path), front | {"rooplpp.typecheck"}),
+        (("invert", path), front | {"rooplpp.inverter", "rooplpp.printer"}),
+        (("run", "--json", path), run),
+        (("run", "--json", "--save-state", state, path),
+         run | {"rooplpp.statefile"}),
+        (("run", "--resume", state, "--reverse", path),
+         run | {"rooplpp.statefile", "rooplpp.inverter"}),
+    ]
+    for args, expected in table:
+        loaded = {name for name in _modules_after(*args)
+                  if name.split(".")[0] == "rooplpp"}
+        assert loaded == expected, args
+
 def _modules_on_import(module):
     probe = ("import sys, %s; print(*sorted(m for m in sys.modules "
              "if m.startswith('rooplpp')))" % module)
@@ -1789,7 +1813,7 @@ def test_state_checks_load_no_executor():
     census too, and loads no executor; the executor loads no type checker,
     and the state-file code only when it is given a state."""
     assert _modules_on_import("rooplpp.statefile") == {
-        "rooplpp", "rooplpp.errors", "rooplpp.syntax", "rooplpp.classes",
+        "rooplpp", "rooplpp.syntax", "rooplpp.classes",
         "rooplpp.heap", "rooplpp.statefile"}
     loaded = _modules_on_import("rooplpp.machine")
     assert "rooplpp.heap" in loaded                # the probe sees imports

@@ -2,6 +2,9 @@
 to what compiles fast: no f-strings and no annotations (see README)."""
 
 import ast
+import subprocess
+import sys
+import tokenize
 from pathlib import Path
 
 import rooplpp
@@ -71,3 +74,38 @@ def test_emit_owns_the_generated_code_contract():
     assert {name for name, reads in found.items() if reads} == {"machine.py"}
     assert found["machine.py"] == {"f_locals", "co_filename", "<rooplpp>",
                                    "{%d}", "p%d"}
+
+
+# what the benchmark's output checks (bench/checks.py) import of the package
+_CHECKS_IMPORT = """
+import sys, rooplpp.statefile
+from rooplpp import (parse, pretty_print, invert_program, init_memory,
+                     MemoryConfig)
+print(*sorted(m.__file__ for name, m in sys.modules.items()
+              if name.split(".")[0] == "rooplpp"), sep="\\n")
+"""
+
+
+def _significant_tokens(path):
+    """Tokens as the compiler's parser reads them: no comments, no
+    non-logical line ends."""
+    with path.open("rb") as fh:
+        return sum(1 for token in tokenize.tokenize(fh.readline)
+                   if token.type not in (tokenize.COMMENT, tokenize.NL,
+                                         tokenize.ENCODING))
+
+
+def test_modules_the_benchmark_checks_load_fit_one_token_array():
+    """The benchmark reads `peak_rss_mb` off its own process, whose
+    high-water mark is set when its output checks compile the modules they
+    import from source.  CPython's parser holds a module's tokens in an
+    array that doubles past 4,096: a generated module of 4,096 such tokens
+    compiled with a peak of 1.54 MB (tracemalloc, Python 3.11), one of
+    4,097 with 1.77 MB."""
+    result = subprocess.run([sys.executable, "-c", _CHECKS_IMPORT],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = [Path(name) for name in result.stdout.split("\n") if name]
+    assert "parser.py" in {path.name for path in loaded}  # the probe works
+    counts = {path.name: _significant_tokens(path) for path in loaded}
+    assert {name: n for name, n in counts.items() if n > 4096} == {}
