@@ -16,7 +16,7 @@ _EXPORTS = {
     "ExecutionError": "syntax", "ParseError": "syntax", "Span": "syntax",
     "TypeError_": "syntax",
     "FreeListSnapshot": "heap", "MemoryConfig": "heap",
-    "MemoryFault": "heap", "MemoryImage": "heap", "init_memory": "heap",
+    "MemoryImage": "heap", "init_memory": "heap",
     "invert_program": "inverter", "invert_stmt": "inverter",
     "BACKWARD": "machine", "FORWARD": "machine",
     "Interpreter": "machine", "MachineState": "heap",

@@ -33,23 +33,17 @@ at most the top size.  `check_free_blocks`, the free half of
 `statefile.census`, sweeps every free block for words written outside the
 allocator.  It, the snapshot and the dump all walk the lists with
 `_free_chain`, which refuses a cycle or a stray address.
+
+A fault, of kind OutOfMemory or CorruptFree, is an `ExecutionError`
+without a span: the executor adds the site of the statement that called
+the allocator, and the census turns it into a ConfigError.
 """
 
 from .classes import block_words
-from .syntax import ConfigError, Record
+from .syntax import ConfigError, ExecutionError, Record
 
 # machine limit on arena words (`stack_base`): 128 MiB of Python list
 MAX_ARENA_WORDS = 1 << 24
-
-
-class MemoryFault(Exception):
-    """An allocator or free-list failure, of kind OutOfMemory or
-    CorruptFree; the interpreter wraps these as runtime errors and the
-    census as a ConfigError."""
-
-    def __init__(self, kind, message):
-        super().__init__(message)
-        self.kind, self.message = kind, message
 
 
 class MemoryConfig(Record):
@@ -138,15 +132,15 @@ class MemoryImage:
         while level < nf and not words[flp + level]:
             level += 1
         if level >= nf:
-            raise MemoryFault("OutOfMemory",
-                              "no block of %s words available" % osize)
+            raise ExecutionError("OutOfMemory",
+                                 "no block of %s words available" % osize)
         slot, csize = flp + level, 2 << level
         p = words[slot]
         link = words[slot] = words[p]
         words[p] = 0
         # top-size blocks never merge, so only they may lie side by side
         if link and link == p - csize and level < nf - 1:
-            raise MemoryFault(
+            raise ExecutionError(
                 "CorruptFree",
                 "free list %s holds adjacent blocks %s and %s"
                 % (csize, p, p - csize))
@@ -157,8 +151,8 @@ class MemoryImage:
             words[flp + level] = p
             p += csize
         if any(words[p:p + csize]):
-            raise MemoryFault("CorruptFree",
-                              "allocated block at %s not zero-cleared" % p)
+            raise ExecutionError("CorruptFree",
+                                 "allocated block at %s not zero-cleared" % p)
         return p
 
     def free(self, addr, osize):
@@ -170,14 +164,15 @@ class MemoryImage:
         # non-LIFO merges can leave blocks off their power-of-two grid, so
         # only even parity is invariant
         if not self.hp <= addr < self.heap_end:
-            raise MemoryFault("CorruptFree", "%s is not a heap block" % addr)
+            raise ExecutionError("CorruptFree",
+                                 "%s is not a heap block" % addr)
         if (addr - self.hp) % 2 != 0:
-            raise MemoryFault("CorruptFree",
-                              "%s is not on a block boundary" % addr)
+            raise ExecutionError("CorruptFree",
+                                 "%s is not on a block boundary" % addr)
         # a block above the top size would merge past the last list
         if addr + csize > self.heap_end or csize > self.top_size:
-            raise MemoryFault("CorruptFree",
-                              "block at %s overruns the heap" % addr)
+            raise ExecutionError("CorruptFree",
+                                 "block at %s overruns the heap" % addr)
         self._check_zero("freed", addr, addr, addr + csize)
         words, p = self.words, addr
         slot = first = self.flp + csize.bit_length() - 2
@@ -191,7 +186,7 @@ class MemoryImage:
             p = head
             words[slot] = 0
             if words[p]:
-                raise MemoryFault(
+                raise ExecutionError(
                     "CorruptFree",
                     "merge partner %s is not the only block in its free "
                     "list (word %s = %s)" % (p, p, words[p]))
@@ -202,8 +197,8 @@ class MemoryImage:
         # a stray pointer to a list-head word can make the merged block one
         # of the heads the merge emptied
         if first <= p < slot and head:
-            raise MemoryFault("CorruptFree",
-                              "merge left a non-empty free list behind")
+            raise ExecutionError("CorruptFree",
+                                 "merge left a non-empty free list behind")
 
     # ----------------------------------------------------- inspection
 
@@ -216,14 +211,14 @@ class MemoryImage:
         addr = self.words[self.flp + i]
         while addr != 0:
             if addr in seen:
-                raise MemoryFault("CorruptFree",
-                                  "free list %s contains a cycle at %s"
-                                  % (size, addr))
+                raise ExecutionError("CorruptFree",
+                                     "free list %s contains a cycle at %s"
+                                     % (size, addr))
             if not self.hp <= addr <= self.heap_end - size or \
                     (addr - self.hp) % 2:
-                raise MemoryFault("CorruptFree",
-                                  "free list %s holds bad address %s"
-                                  % (size, addr))
+                raise ExecutionError("CorruptFree",
+                                     "free list %s holds bad address %s"
+                                     % (size, addr))
             seen.add(addr)
             yield addr
             addr = self.words[addr]
@@ -237,7 +232,7 @@ class MemoryImage:
         """The (address, words) of each free block, list by list, once
         every list is well formed and every word of a free block past its
         link word is zero (the free-block invariant the allocator relies on
-        instead of scanning); else MemoryFault("CorruptFree")."""
+        instead of scanning); else ExecutionError("CorruptFree")."""
         blocks = [(addr, 2 << i) for i in range(self.num_freelists)
                   for addr in self._free_chain(i)]
         for addr, size in blocks:
@@ -253,9 +248,9 @@ class MemoryImage:
             chunk = words[base:min(base + 1024, end)]
             if any(chunk):
                 a = base + next(k for k, w in enumerate(chunk) if w)
-                raise MemoryFault("CorruptFree",
-                                  "%s block at %s not zero-cleared "
-                                  "(word %s = %s)" % (what, addr, a, words[a]))
+                raise ExecutionError("CorruptFree", "%s block at %s not "
+                                     "zero-cleared (word %s = %s)"
+                                     % (what, addr, a, words[a]))
 
     def dump_free_lists(self):
         """One line per free list; a corrupt list raises CorruptFree."""

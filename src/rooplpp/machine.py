@@ -22,7 +22,6 @@ is compiled once per process.  Text is built with %, not f-strings
 body or to match a resumed state's checksum, and `statefile.census` only
 to check a state passed in."""
 
-import enum
 import functools
 import sys
 import zlib
@@ -30,16 +29,14 @@ import zlib
 from . import syntax as ast
 from .classes import main_class_of
 from .syntax import ConfigError, ExecutionError, Record
-from .heap import (MachineState, MemoryConfig, MemoryFault, init_memory,
-                   main_address)
+from .heap import MachineState, MemoryConfig, init_memory, main_address
 
 FORWARD = "forward"
 BACKWARD = "backward"
 
 
-# defined here, on the run path, so that `check` and `invert` do not pay
-# for creating the enum
-class RuntimeErrorKind(enum.Enum):
+class RuntimeErrorKind:
+    """The kinds of run-time error: the strings `ExecutionError.kind` holds."""
     ASSERTION_FAILED_IF = "AssertionFailed-if"
     ASSERTION_FAILED_LOOP_ENTRY = "AssertionFailed-loop-entry"
     ASSERTION_FAILED_LOOP = "AssertionFailed-loop"
@@ -402,7 +399,7 @@ class Emitter:
             self.bound.update({size: info.alloc_words, header: info.class_id})
         addr = self.temp("a")
         self.emit("try: %s = H.malloc(%s)" % (addr, size))
-        self.emit("except MemoryFault as x: M(%s, x)" % self.site(span))
+        self.emit("except ExecutionError as x: M(%s, x)" % self.site(span))
         self.write(addr, header)
         self.write(addr + " + 1", "1")
         self.write(slot, addr)
@@ -443,7 +440,7 @@ class Emitter:
         self.write(addr, "0")
         self.write(addr + " + 1", "0")
         self.emit("try: H.free(%s, %s)" % (addr, size))
-        self.emit("except MemoryFault as x: M(%s, x)" % self.site(span))
+        self.emit("except ExecutionError as x: M(%s, x)" % self.site(span))
         self.write(slot, "0")
 
     def length(self, desc, names, span):
@@ -509,10 +506,10 @@ class Interpreter:
     direction), over one machine state for one run of `step_limit` steps
     at most; with a `tracer`, in their traced variant.  Emitted code writes
     every word and calls the allocator on the image `H` itself; it calls
-    the helpers below only through `F` and `M` (failed check or allocator
-    call), `X` (dispatch miss) and `T` (trace record), with its site's
-    tuple: span, local blocks pushed, what else the emitter knew; the first
-    three fail by raising `_Failure`."""
+    the helpers below only through `F` (failed check), `M` (the allocator's
+    `ExecutionError`, which has no span), `X` (dispatch miss) and `T`
+    (trace record), with its site's tuple: span, local blocks pushed, what
+    else the emitter knew; the first three fail by raising `_Failure`."""
 
     def __init__(self, class_map, state, step_limit, tracer):
         self.class_map, self.step_limit, self.tracer = \
@@ -523,7 +520,8 @@ class Interpreter:
         self.touched = []  # words written by the traced statement
         self.globals = {"w": words, "F": self.fail, "X": self.dispatch,
                         "M": self.heap_fault, "H": mem, "K": class_map.by_id,
-                        "MemoryFault": MemoryFault, **division(mem.word_bits)}
+                        "ExecutionError": ExecutionError,
+                        **division(mem.word_bits)}
         if tracer is not None:
             self.globals.update(J=self.touched, T=self.record)
 
@@ -542,7 +540,7 @@ class Interpreter:
         raise _Failure(site, kind, message(*values) if values else message)
 
     def heap_fault(self, site, fault):
-        raise _Failure(site, E(fault.kind), fault.message)
+        raise _Failure(site, fault.kind, fault.message)
 
     def dispatch(self, site, obj, base):
         """(function, label) of the call at `site` on the object `obj`."""

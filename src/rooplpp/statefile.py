@@ -9,9 +9,8 @@ ran; `run_program` checks it), then the words little-endian.
 import struct
 
 from .classes import block_words
-from .syntax import ConfigError
-from .heap import (MachineState, MemoryConfig, MemoryFault, MemoryImage,
-                   main_address)
+from .syntax import ConfigError, ExecutionError
+from .heap import MachineState, MemoryConfig, MemoryImage, main_address
 from . import syntax as ast
 
 MAGIC = b"RPPM"
@@ -92,7 +91,7 @@ def census(state, class_map, main_class):
     words, heap_end, main = mem.words, mem.heap_end, main_address(mem, info)
     try:
         free = mem.check_free_blocks()
-    except MemoryFault as exc:
+    except ExecutionError as exc:
         raise ConfigError("%s: %s" % (exc.kind, exc.message)) from None
     # address: its kind, words holding it, class (an array's: of elements)
     held = {main: [ast.ClassRef, 1, main_class]}

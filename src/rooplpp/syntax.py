@@ -4,8 +4,8 @@ nodes and the other value types.
 
 Node equality is structural and ignores source spans, so parse/print
 round-trips compare cleanly.  Exit codes live in the CLI: runtime errors
-are 1, type errors 2, parse errors 3, IO/config errors 4.  The run path's
-own types live with it: `heap.MemoryFault` and `machine.RuntimeErrorKind`.
+are 1, type errors 2, parse errors 3, IO/config errors 4.  Every exception
+type is here but the executor's private `machine._Failure`.
 """
 
 from itertools import groupby
@@ -160,7 +160,8 @@ class ConfigError(Exception):
 
 
 class ExecutionError(Exception):
-    """Runtime error; halts execution, partial state stays inspectable."""
+    """Runtime error; halts execution, partial state stays inspectable.
+    `kind` is a string of `machine.RuntimeErrorKind`."""
 
     def __init__(self, kind, message, span=NO_SPAN, trace=()):
         super().__init__(message)
@@ -170,7 +171,7 @@ class ExecutionError(Exception):
     def __str__(self):
         # calls outermost first; a run of over three equal calls is folded
         # into three and a count, as in a CPython traceback
-        s = "%s: %s: %s" % (self.span, self.kind.value, self.message)
+        s = "%s: %s: %s" % (self.span, self.kind, self.message)
         for label, run in groupby(self.trace):
             n = len(list(run))
             s += ("\n  in %s" % label) * min(n, 3)

@@ -1181,6 +1181,67 @@ def test_receiver_deleted_while_its_method_runs(tmp_path):
         ": CorruptFree: allocated block at 1027 not zero-cleared")
 
 
+RECEIVER_DELETED_INTO_A_FREE_LIST = """\
+class X
+    int v
+
+    method bump(C owner)
+        call owner::drop()
+        v += 1
+
+class E
+    method idle()
+        skip
+
+class C
+    X x
+    E e1
+    E e2
+
+    method init()
+        new X x
+
+    method drop()
+        delete X x
+        new E e1
+        new E e2
+        delete E e1
+
+    method go(C me)
+        call x::bump(me)
+
+class Program
+    C c
+    C d
+    int r
+
+    method main()
+        new C c
+        copy C c d
+        call c::init()
+        call c::go(d)
+        r += 1
+"""
+
+
+def test_receiver_deleted_into_a_free_list(tmp_path):
+    """The same hole, pinned until it is fixed: `bump`'s stale `v += 1`
+    lands on the link word of a free block, so the run finishes with a
+    corrupt free list.  Walking the lists for `--json` or `--dump-heap`
+    then fails as one runtime error line, not a Python traceback."""
+    path = tmp_path / "freed.rplpp"
+    path.write_text(RECEIVER_DELETED_INTO_A_FREE_LIST)
+    assert cli("check", str(path)).stdout == "ok\n"
+    assert cli("run", str(path)).returncode == 0
+    for flag in ("--json", "--dump-heap"):
+        result = cli("run", flag, str(path))
+        assert result.returncode == 1, flag
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.rstrip("\n").endswith(
+            "CorruptFree: free list 2 holds bad address 1")
+
+
 # `swapout` swaps the two X of `c` while `bump` runs on the first
 LOCAL_CALL_RECEIVER = """\
 class X
@@ -1653,29 +1714,6 @@ def _modules_after(*args):
     return set(result.stderr.split())
 
 
-# the command line is read without argparse and the gettext and locale
-# modules it imports
-_ARGPARSE = ("argparse", "gettext", "locale")
-
-
-def test_check_loads_no_back_end():
-    loaded = _modules_after("check", str(corpus_path("BinaryTree")))
-    assert "rooplpp.typecheck" in loaded           # the probe sees imports
-    for name in ("dataclasses", "json", "rooplpp.machine", "rooplpp.heap",
-                 "rooplpp.statefile", "rooplpp.inverter", "rooplpp.printer",
-                 "rooplpp.runner", *_ARGPARSE):
-        assert name not in loaded, name
-
-
-def test_invert_loads_neither_checker_nor_interpreter():
-    loaded = _modules_after("invert", str(corpus_path("BinaryTree")))
-    assert "rooplpp.inverter" in loaded
-    for name in ("dataclasses", "rooplpp.typecheck", "rooplpp.machine",
-                 "rooplpp.heap", "rooplpp.statefile", "rooplpp.runner",
-                 *_ARGPARSE):
-        assert name not in loaded, name
-
-
 def test_cli_module_loads_no_front_end():
     probe = ("import sys; import rooplpp.cli; "
              "print(sorted(m for m in sys.modules if m.startswith('rooplpp')))")
@@ -1732,72 +1770,78 @@ def test_main_leaves_the_collector_alone(enabled):
         (gc.enable if was else gc.disable)()
 
 
+# the `rooplpp.*` modules every command but `--help` loads, and those of
+# every `run`
+_FRONT = {"rooplpp", "rooplpp.cli", "rooplpp.syntax", "rooplpp.classes",
+          "rooplpp.parser"}
+_RUN = _FRONT | {"rooplpp.typecheck", "rooplpp.runner", "rooplpp.machine",
+                 "rooplpp.heap"}
+# the command line is read without argparse and the gettext and locale
+# modules it imports, and `run` loads `json` only to write a trace
+_UNUSED = {"json", "argparse", "gettext", "locale", "dataclasses"}
+
+
+def _assert_loads_exactly(args, expected):
+    """The whole `rooplpp.*` set after `main(args)`, so that an added module
+    shows as well as one loaded where it should not be, and none of the
+    standard modules in `_UNUSED` but `json` under `--trace`."""
+    modules = _modules_after(*args)
+    loaded = {name for name in modules if name.split(".")[0] == "rooplpp"}
+    assert loaded == expected, args
+    assert modules & _UNUSED == (
+        {"json"} if "--trace" in args else set()), args
+
+
+def test_each_command_loads_exactly_its_modules():
+    """`--help` reads neither a program nor a state; the tests below hold
+    each command's own runs to their exact module sets."""
+    _assert_loads_exactly(("--help",), {"rooplpp", "rooplpp.cli",
+                                        "rooplpp.syntax"})
+
+
+def test_check_loads_no_back_end():
+    _assert_loads_exactly(("check", str(corpus_path("BinaryTree"))),
+                          _FRONT | {"rooplpp.typecheck"})
+
+
+def test_invert_loads_neither_checker_nor_interpreter():
+    _assert_loads_exactly(("invert", str(corpus_path("BinaryTree"))),
+                          _FRONT | {"rooplpp.inverter", "rooplpp.printer"})
+
+
 def test_run_loads_json_only_for_json_or_trace(tmp_path):
+    """The `--json` line is formatted without `json`."""
     path = str(corpus_path("BinaryTree"))
-    plain = _modules_after("run", path)
-    assert "rooplpp.machine" in plain
-    for name in ("json", *_ARGPARSE):
-        assert name not in plain, name
-    # the --json line is formatted without json
-    assert "json" not in _modules_after("run", "--json", path)
-    assert "json" in _modules_after("run", "--trace", str(tmp_path / "t"), path)
+    for args in ((), ("--json",), ("--trace", str(tmp_path / "t"))):
+        _assert_loads_exactly(("run", *args, path), _RUN)
 
 
 def test_run_loads_the_inverter_only_to_run_backward(tmp_path):
     path, state = str(corpus_path("BinaryTree")), str(tmp_path / "s")
-    forward = _modules_after("run", "--json", "--save-state", state, path)
-    assert "rooplpp.machine" in forward
-    assert "rooplpp.inverter" not in forward
-    assert "rooplpp.inverter" in _modules_after("run", "--resume", state,
-                                                "--reverse", path)
-    # RTM's one uncall is on a branch its tape never takes
-    assert "rooplpp.inverter" not in _modules_after(
-        "run", str(corpus_path("RTM")))
     uncall = tmp_path / "uncall.rplpp"
     uncall.write_text("class Program\n    int x\n\n    method main()\n"
                       "        uncall inc()\n\n    method inc()\n"
                       "        x += 1\n")
-    assert "rooplpp.inverter" in _modules_after("run", str(uncall))
+    _assert_loads_exactly(("run", "--json", "--save-state", state, path),
+                          _RUN | {"rooplpp.statefile"})
+    # the inverter only to emit a backward body
+    _assert_loads_exactly(("run", "--resume", state, "--reverse", path),
+                          _RUN | {"rooplpp.statefile", "rooplpp.inverter"})
+    # RTM's one uncall is on a branch its tape never takes
+    _assert_loads_exactly(("run", str(corpus_path("RTM"))), _RUN)
+    _assert_loads_exactly(("run", str(uncall)), _RUN | {"rooplpp.inverter"})
 
 
 def test_run_loads_the_state_file_code_only_for_state_flags(tmp_path):
     """A program's identity in a state file is the crc32 of its syntax
     tree's repr, so no `run` loads the printer, with state flags or
-    without."""
+    without; the runs without them are in the tests above."""
     path, state = str(corpus_path("LinkedList")), str(tmp_path / "s")
-    for args in ((), ("--json",), ("--trace", str(tmp_path / "t"))):
-        loaded = _modules_after("run", *args, path)
-        assert not loaded & {"rooplpp.statefile", "rooplpp.printer"}
-    for args in (("--json", "--save-state", state),
-                 ("--resume", state, "--reverse")):
-        loaded = _modules_after("run", *args, path)
-        assert "rooplpp.statefile" in loaded
-        assert "rooplpp.printer" not in loaded
+    _assert_loads_exactly(("run", "--json", "--save-state", state, path),
+                          _RUN | {"rooplpp.statefile"})
+    _assert_loads_exactly(("run", "--resume", state, "--reverse", path),
+                          _RUN | {"rooplpp.statefile", "rooplpp.inverter"})
 
-
-
-def test_each_command_loads_exactly_its_modules(tmp_path):
-    """The whole `rooplpp.*` set of each command, so that an added module
-    shows as well as one loaded where it should not be."""
-    path, state = str(corpus_path("BinaryTree")), str(tmp_path / "s")
-    front = {"rooplpp", "rooplpp.cli", "rooplpp.syntax", "rooplpp.classes",
-             "rooplpp.parser"}
-    run = front | {"rooplpp.typecheck", "rooplpp.runner", "rooplpp.machine",
-                   "rooplpp.heap"}
-    table = [  # in order: the resumed state is the one saved before it
-        (("--help",), {"rooplpp", "rooplpp.cli", "rooplpp.syntax"}),
-        (("check", path), front | {"rooplpp.typecheck"}),
-        (("invert", path), front | {"rooplpp.inverter", "rooplpp.printer"}),
-        (("run", "--json", path), run),
-        (("run", "--json", "--save-state", state, path),
-         run | {"rooplpp.statefile"}),
-        (("run", "--resume", state, "--reverse", path),
-         run | {"rooplpp.statefile", "rooplpp.inverter"}),
-    ]
-    for args, expected in table:
-        loaded = {name for name in _modules_after(*args)
-                  if name.split(".")[0] == "rooplpp"}
-        assert loaded == expected, args
 
 def _modules_on_import(module):
     probe = ("import sys, %s; print(*sorted(m for m in sys.modules "

@@ -59,7 +59,7 @@ def _error(program, class_map, config, **run):
     try:
         run_program(program, class_map, config, **run)
     except ExecutionError as exc:
-        return [exc.kind.value, [exc.span.line, exc.span.col,
+        return [exc.kind, [exc.span.line, exc.span.col,
                                  exc.span.end_line, exc.span.end_col],
                 exc.message, len(exc.trace)]
     return None

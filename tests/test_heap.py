@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rooplpp import ConfigError, MemoryConfig, MemoryFault, init_memory
+from rooplpp import ConfigError, ExecutionError, MemoryConfig, init_memory
 
 from conftest import clone_memory, same_words
 from oracles import ListBuddy
@@ -130,7 +130,7 @@ def test_adjacent_blocks_below_the_top_size_are_corrupt():
     hp = mem.hp
     mem.words[mem.flp] = hp + 4
     mem.words[hp + 4] = hp + 2
-    with pytest.raises(MemoryFault, match="holds adjacent blocks") as exc:
+    with pytest.raises(ExecutionError, match="holds adjacent blocks") as exc:
         mem.malloc(1)
     assert exc.value.kind == "CorruptFree"
 
@@ -145,7 +145,7 @@ def test_request_rounding_and_minimum():
 
 def test_oversized_request_out_of_memory():
     mem = fresh()
-    with pytest.raises(MemoryFault) as exc:
+    with pytest.raises(ExecutionError) as exc:
         mem.malloc(17)
     assert exc.value.kind == "OutOfMemory"
 
@@ -153,7 +153,7 @@ def test_oversized_request_out_of_memory():
 def test_exhaustion_out_of_memory():
     mem = fresh()
     mem.malloc(16)
-    with pytest.raises(MemoryFault) as exc:
+    with pytest.raises(ExecutionError) as exc:
         mem.malloc(2)
     assert exc.value.kind == "OutOfMemory"
 
@@ -212,7 +212,7 @@ def test_lifo_free_restores_init_random():
             size = rng.choice((1, 2, 3, 4, 6, 8))
             try:
                 live.append((mem.malloc(size), size))
-            except MemoryFault:
+            except ExecutionError:
                 break
         for addr, size in reversed(live):
             mem.free(addr, size)
@@ -223,7 +223,7 @@ def test_freeing_nonzero_block_is_corrupt():
     mem = fresh()
     addr = mem.malloc(2)
     mem.words[addr + 1] = 9
-    with pytest.raises(MemoryFault) as exc:
+    with pytest.raises(ExecutionError) as exc:
         mem.free(addr, 2)
     assert exc.value.kind == "CorruptFree"
 
@@ -231,7 +231,7 @@ def test_freeing_nonzero_block_is_corrupt():
 def test_freeing_misaligned_address_is_corrupt():
     mem = fresh()
     mem.malloc(4)
-    with pytest.raises(MemoryFault) as exc:
+    with pytest.raises(ExecutionError) as exc:
         mem.free(mem.hp + 1, 4)
     assert exc.value.kind == "CorruptFree"
 
@@ -269,7 +269,7 @@ def test_merge_with_non_singleton_list_is_corrupt():
     mem.malloc(2)
     mem.free(a, 2)
     mem.free(c, 2)
-    with pytest.raises(MemoryFault) as exc:
+    with pytest.raises(ExecutionError) as exc:
         mem.free(b, 2)
     assert exc.value.kind == "CorruptFree"
 
@@ -287,7 +287,7 @@ def _random_trace(seed, ops=60):
             size = live.pop(addr)
             try:
                 mem.free(addr, size)
-            except MemoryFault:
+            except ExecutionError:
                 # hit the merge restriction; the state is post-mortem
                 # territory now, so end this trace
                 return
@@ -296,7 +296,7 @@ def _random_trace(seed, ops=60):
             size = rng.choice((1, 2, 3, 4, 8))
             try:
                 addr = mem.malloc(size)
-            except MemoryFault:
+            except ExecutionError:
                 continue
             assert oracle.malloc(size) == addr
             live[addr] = size
@@ -337,7 +337,7 @@ def test_exact_inverse_of_random_sequences():
             size = rng.choice((1, 2, 4, 8))
             try:
                 addr = mem.malloc(size)
-            except MemoryFault:
+            except ExecutionError:
                 break
             trace.append((addr, size))
             mem.check_free_blocks()
@@ -350,7 +350,7 @@ def test_exact_inverse_of_random_sequences():
         for _ in range(3):
             try:
                 extra.append((mem.malloc(2), 2))
-            except MemoryFault:
+            except ExecutionError:
                 break
             mem.check_free_blocks()
         for addr, size in reversed(extra):
@@ -389,7 +389,7 @@ def test_sweep_detects_nonzero_free_block_interior():
     mem.malloc(2)                   # leaves free blocks hp, hp+8, hp+12
     mem.check_free_blocks()
     mem.words[mem.hp + 9] = 7       # second word of the free 4-block
-    with pytest.raises(MemoryFault) as exc:
+    with pytest.raises(ExecutionError) as exc:
         mem.check_free_blocks()
     assert exc.value.kind == "CorruptFree"
     assert f"word {mem.hp + 9} = 7" in exc.value.message
@@ -400,7 +400,7 @@ def test_sweep_scans_every_word_of_a_large_free_block(offset):
     mem = init_memory(MemoryConfig(num_freelists=12, stack_words=8))
     mem.check_free_blocks()
     mem.words[mem.hp + offset] = 1
-    with pytest.raises(MemoryFault) as exc:
+    with pytest.raises(ExecutionError) as exc:
         mem.check_free_blocks()
     assert f"word {mem.hp + offset} = 1" in exc.value.message
 
@@ -408,7 +408,7 @@ def test_sweep_scans_every_word_of_a_large_free_block(offset):
 def test_sweep_detects_malformed_list():
     mem = fresh()
     mem.words[mem.flp] = mem.hp + 1     # odd address on the 2-word list
-    with pytest.raises(MemoryFault) as exc:
+    with pytest.raises(ExecutionError) as exc:
         mem.check_free_blocks()
     assert exc.value.kind == "CorruptFree"
 
@@ -419,7 +419,7 @@ def test_snapshot_detects_cycle():
     mem = fresh()
     mem.words[mem.flp] = mem.hp
     mem.words[mem.hp] = mem.hp
-    with pytest.raises(MemoryFault) as exc:
+    with pytest.raises(ExecutionError) as exc:
         mem.snapshot_free_lists()
     assert exc.value.kind == "CorruptFree"
 
@@ -447,7 +447,7 @@ def test_top_size_blocks_freed_in_allocation_order_do_not_merge():
 def test_block_above_the_top_size_is_not_freed():
     mem = init_memory(MemoryConfig(num_freelists=4, stack_words=8,
                                    grow_blocks=2))
-    with pytest.raises(MemoryFault, match="overruns the heap"):
+    with pytest.raises(ExecutionError, match="overruns the heap"):
         mem.free(mem.hp, 17)
 
 
@@ -462,13 +462,13 @@ def test_growth_appends_top_size_block():
     third = mem.malloc(16)
     assert (second, third) == (first + 16, first + 32)
     assert mem.heap_end == mem.hp + 48
-    with pytest.raises(MemoryFault):
+    with pytest.raises(ExecutionError):
         mem.malloc(16)
 
 
 def test_growth_disabled_by_default():
     mem = fresh()
     mem.malloc(16)
-    with pytest.raises(MemoryFault) as exc:
+    with pytest.raises(ExecutionError) as exc:
         mem.malloc(1)
     assert exc.value.kind == "OutOfMemory"

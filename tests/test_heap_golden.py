@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from rooplpp import MemoryConfig, MemoryFault, init_memory
+from rooplpp import ExecutionError, MemoryConfig, init_memory
 
 GOLDEN = Path(__file__).parent / "fixtures" / "heap_golden.json"
 SEEDS = range(108)
@@ -67,7 +67,7 @@ def _replay(seed) -> list[str]:
             else:
                 addr = rng.randrange(1, mem.heap_end)
                 result = mem.words[addr] = rng.randrange(1, mem.heap_end)
-        except MemoryFault as exc:
+        except ExecutionError as exc:
             result = f"{exc.kind}: {exc.message}"
         except ValueError as exc:
             result = f"ValueError: {exc}"

@@ -192,12 +192,18 @@ class Main
 """
 
 
+# a kind's test id is its constant's name, as it was while kinds were an
+# enum, so that the test ids stay the same
+_KIND_IDS = {value: "RuntimeErrorKind." + name
+             for name, value in vars(E).items() if name.isupper()}
+
+
 @pytest.mark.parametrize("body,kind,message", [
     ("x += a[b[0]]", E.UNINITIALIZED_ARRAY, "array a has not been allocated"),
     ("new int[2] a x += a[b[0]]", E.UNINITIALIZED_ARRAY,
      "array b has not been allocated"),
     ("new int[2] a x += a[1 / y]", E.DIVISION_BY_ZERO, "division by zero in /"),
-])
+], ids=_KIND_IDS.get)
 def test_index_that_can_fail_is_checked_after_its_array(body, kind, message):
     # the array's own check runs before the code of an index that can fail
     program = parse(TWO_ARRAYS.replace("BODY", body))

@@ -2,6 +2,7 @@
 to what compiles fast: no f-strings and no annotations (see README)."""
 
 import ast
+import importlib
 import subprocess
 import sys
 import tokenize
@@ -74,6 +75,30 @@ def test_emit_owns_the_generated_code_contract():
     assert {name for name, reads in found.items() if reads} == {"machine.py"}
     assert found["machine.py"] == {"f_locals", "co_filename", "<rooplpp>",
                                    "{%d}", "p%d"}
+
+
+def _exception_classes(path):
+    """The name of each class defined in the module at `path`, nested ones
+    too, whose base is an exception type."""
+    module = importlib.import_module(
+        "rooplpp" + ("" if path.stem == "__init__" else "." + path.stem))
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef) and any(
+                issubclass(eval(ast.unparse(base), vars(module)),
+                           BaseException) for base in node.bases):
+            yield node.name
+
+
+def test_every_exception_type_is_defined_in_syntax():
+    """Each failure is one of the four error types of `syntax`; the
+    executor's private `_Failure` only carries a site to `run_program`,
+    which turns it into an `ExecutionError`."""
+    found = {(path.name, name) for path in SOURCES
+             for name in _exception_classes(path)}
+    assert found == {("syntax.py", "ParseError"), ("syntax.py", "ClassError"),
+                     ("syntax.py", "ConfigError"),
+                     ("syntax.py", "ExecutionError"),
+                     ("machine.py", "_Failure")}
 
 
 # what the benchmark's output checks (bench/checks.py) import of the package

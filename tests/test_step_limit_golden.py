@@ -56,7 +56,7 @@ def _outcome(program, class_map, config, direction, start, step_limit):
                     step_limit=step_limit, state=state)
     except ExecutionError as exc:
         s = exc.span
-        out = [exc.kind.value, [s.line, s.col, s.end_line, s.end_col]]
+        out = [exc.kind, [s.line, s.col, s.end_line, s.end_col]]
     try:
         run_program(program, class_map, config, direction=direction,
                     step_limit=step_limit, state=twin, tracer=records.append)
